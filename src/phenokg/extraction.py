@@ -152,6 +152,11 @@ def load_template(name: str) -> str:
     return resources.files("phenokg").joinpath("templates", f"{name}.txt").read_text(encoding="utf-8")
 
 
+@functools.lru_cache(maxsize=64)
+def _placeholder_pattern(names: tuple[str, ...]) -> re.Pattern:
+    return re.compile("|".join(re.escape("{" + name + "}") for name in names))
+
+
 def render_template(template: str, **placeholders: str) -> tuple[str, str]:
     """Substitute literal {name} tokens and split into (system, user) sections.
 
@@ -159,7 +164,7 @@ def render_template(template: str, **placeholders: str) -> tuple[str, str]:
     template bodies survive and placeholder-like tokens inside substituted
     values are never re-substituted.
     """
-    pattern = re.compile("|".join(re.escape("{" + name + "}") for name in placeholders))
+    pattern = _placeholder_pattern(tuple(placeholders))
     rendered = pattern.sub(lambda match: placeholders[match.group(0)[1:-1]], template)
     if USER_SECTION_MARKER not in rendered:
         raise DomainError(f"template missing {USER_SECTION_MARKER} section marker")
@@ -537,27 +542,41 @@ def _glean_block(previous_json: str) -> str:
     return f"PREVIOUS RESULT (cumulative):\n{previous_json}\n\n{_GLEAN_INSTRUCTION}"
 
 
-def _select_examples(task, document: Document, policy: FewShotPolicy) -> list[tuple[Document, object]]:
-    pool = list(policy.example_pool)
+def _example_renderer(task, policy: FewShotPolicy):
+    """Return a function mapping a document to its rendered examples block.
+
+    The pool's id and text maps are built here, once, so a caller that
+    renders many documents or many rounds pays for them once.
+    """
     if policy.mode is PolicyMode.ZERO_SHOT:
-        return []
+        return lambda document: ""
+    pool = list(policy.example_pool)
     if not pool:
         raise DomainError(f"{policy.mode.value} requires a nonempty example pool")
     if policy.mode is PolicyMode.STATIC_FEW_SHOT:
-        return pool[: policy.k]
+        static = _render_examples(task, pool[: policy.k])
+        return lambda document: static
     if policy.index is None or policy.embedder is None:
         raise DomainError("dynamic-fewshot requires an embedding index and its embedder")
     by_id = {}
+    ids_by_text: dict[str, set[str]] = {}
     for doc, gold in pool:
         if doc.doc_id not in policy.index:
             raise DomainError(f"index does not cover example pool doc {doc.doc_id}")
         by_id[doc.doc_id] = (doc, gold)
-    # the query document itself (same id, or an exact-text duplicate) never
-    # appears among its own examples
-    exclude = {doc.doc_id for doc, _ in pool if doc.doc_id == document.doc_id or doc.text == document.text}
-    query_vec = policy.embedder.embed_one(document.text)
-    ranked = top_k(policy.index, query_vec, k=policy.k, exclude=exclude)
-    return [by_id[item_id] for item_id, _ in ranked]
+        ids_by_text.setdefault(doc.text, set()).add(doc.doc_id)
+
+    def render(document: Document) -> str:
+        # the query document itself (same id, or an exact-text duplicate)
+        # never appears among its own examples
+        exclude = set(ids_by_text.get(document.text, ()))
+        if document.doc_id in by_id:
+            exclude.add(document.doc_id)
+        query_vec = policy.embedder.embed_one(document.text)
+        ranked = top_k(policy.index, query_vec, k=policy.k, exclude=exclude)
+        return _render_examples(task, [by_id[item_id] for item_id, _ in ranked])
+
+    return render
 
 
 def _render_examples(task, examples: list[tuple[Document, object]]) -> str:
@@ -569,17 +588,10 @@ def _render_examples(task, examples: list[tuple[Document, object]]) -> str:
     return "\n\n".join(blocks)
 
 
-def build_prompt(
-    task,
-    document: Document,
-    policy: FewShotPolicy = ZERO_SHOT,
-    previous=None,
-    round_no: int = 0,
-) -> ChatRequest:
-    """Render the task prompt; byte-deterministic for equal inputs."""
+def _render_prompt(task, document: Document, examples: str, previous, round_no: int) -> ChatRequest:
     template = load_template(task.template_name)
     placeholders = {
-        "examples": _render_examples(task, _select_examples(task, document, policy)),
+        "examples": examples,
         "document": task.render_input(document),
         "previous_result": "" if previous is None else _glean_block(task.result_to_json(previous)),
         "allowed_terms": "",
@@ -592,6 +604,18 @@ def build_prompt(
         user=user,
         request_tag=f"{task.name}:{task.key_for(document)}:r{round_no}",
     )
+
+
+def build_prompt(
+    task,
+    document: Document,
+    policy: FewShotPolicy = ZERO_SHOT,
+    previous=None,
+    round_no: int = 0,
+) -> ChatRequest:
+    """Render the task prompt; byte-deterministic for equal inputs."""
+    examples = _example_renderer(task, policy)(document)
+    return _render_prompt(task, document, examples, previous, round_no)
 
 
 class RoundError(PhenoKGError):
@@ -646,9 +670,10 @@ def extract(
     """
     audit = audit if audit is not None else AuditLog()
     key = task.key_for(document)
+    examples = _example_renderer(task, policy)(document)
     result = None
     for round_no in range(glean.iterations + 1):
-        request = build_prompt(task, document, policy, previous=result, round_no=round_no)
+        request = _render_prompt(task, document, examples, result, round_no)
         try:
             response = complete(backend, request)
             parsed = task.parse_output(response.text, key)
@@ -676,17 +701,19 @@ def extract_corpus(
     """
     audit = audit if audit is not None else AuditLog()
     results: dict[str, object] = {}
-    active = list(documents)
+    # examples are selected once per document and reused in every round
+    examples_for = _example_renderer(task, policy)
+    active = [(doc, examples_for(doc)) for doc in documents]
     for round_no in range(glean.iterations + 1):
         if not active:
             break
         requests = [
-            build_prompt(task, doc, policy, previous=results.get(task.key_for(doc)), round_no=round_no)
-            for doc in active
+            _render_prompt(task, doc, examples, results.get(task.key_for(doc)), round_no)
+            for doc, examples in active
         ]
         responses = complete_batch(backend, requests, max_in_flight=max_in_flight)
         still_active = []
-        for doc, response in zip(active, responses):
+        for (doc, examples), response in zip(active, responses):
             key = task.key_for(doc)
             if isinstance(response, Exception):
                 audit.record("document_round_failed", key=key, round=round_no, error=str(response))
@@ -698,7 +725,7 @@ def extract_corpus(
                 continue
             cleaned = task.sanitize(parsed, audit)
             results[key] = cleaned if key not in results else merge_gleaned(results[key], cleaned)
-            still_active.append(doc)
+            still_active.append((doc, examples))
         active = still_active
     return results
 

@@ -129,21 +129,20 @@ class EmbeddingIndex:
 
     def __init__(self, items: Sequence[tuple[str, Sequence[float]]]):
         self._ids: list[str] = []
+        self._rows: dict[str, int] = {}
         vectors = []
         self.dim: int | None = None
-        seen = set()
         for item_id, vec in items:
             _validate_vector(vec)
             if self.dim is None:
                 self.dim = len(vec)
             elif len(vec) != self.dim:
                 raise DomainError(f"vector for {item_id!r} has dim {len(vec)}, index dim is {self.dim}")
-            if item_id in seen:
+            if item_id in self._rows:
                 raise DomainError(f"duplicate item id {item_id!r}")
-            seen.add(item_id)
+            self._rows[item_id] = len(self._ids)
             self._ids.append(item_id)
             vectors.append(np.asarray(vec, dtype=np.float64))
-        self._id_set = seen
         self._matrix = np.vstack(vectors) if vectors else np.zeros((0, 0))
         self._norms = np.linalg.norm(self._matrix, axis=1) if vectors else np.zeros(0)
 
@@ -151,14 +150,14 @@ class EmbeddingIndex:
         return len(self._ids)
 
     def __contains__(self, item_id: str) -> bool:
-        return item_id in self._id_set
+        return item_id in self._rows
 
     @property
     def ids(self) -> list[str]:
         return list(self._ids)
 
     def vector(self, item_id: str) -> list[float]:
-        return self._matrix[self._ids.index(item_id)].tolist()
+        return self._matrix[self._rows[item_id]].tolist()
 
 
 def build_index(embedder, items: dict[str, str] | Sequence[tuple[str, str]]) -> EmbeddingIndex:
@@ -178,11 +177,15 @@ def top_k(
 ) -> list[tuple[str, float]]:
     """Exact top-k by cosine similarity, descending; ties broken by ascending id.
 
-    Scores are compared at 1e-12 resolution so that mathematically tied
-    items fall into the deterministic id order regardless of the floating
-    accumulation order underneath; returned scores are unquantized.
+    Items rank by score rounded to 12 decimals, then by ascending id.
+    Items with equal scores, such as duplicate vectors, therefore come out
+    in ascending id order whatever the index's insertion order. Scores
+    that differ below 1e-12 share a rank only when they round to the same
+    12-decimal value: 0.3000000000014999 and 0.3000000000015 straddle a
+    rounding edge and are not tied. Returned scores are unquantized.
     Returns min(k, remaining items) entries; zero-norm vectors score 0;
-    ``exclude`` drops item ids before ranking (query self-exclusion).
+    ``exclude`` drops item ids before ranking (query self-exclusion) and
+    ignores ids the index does not hold.
     """
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
@@ -194,15 +197,23 @@ def top_k(
     if not np.all(np.isfinite(q)):
         raise DomainError("query vector contains non-finite entries")
     q_norm = float(np.linalg.norm(q))
-    dots = index._matrix @ q
+    # einsum runs in numpy's own loop: a BLAS gemv here would wake the BLAS
+    # thread pool on every query
+    dots = np.einsum("ij,j->i", index._matrix, q)
     denom = index._norms * q_norm
     safe = np.where(denom == 0.0, 1.0, denom)
     scores = np.where(denom == 0.0, 0.0, dots / safe)
-    ranked = [
-        (item_id, float(score))
-        for item_id, score in zip(index.ids, scores)
-        if item_id not in exclude
-    ]
+    keep = np.ones(len(index), dtype=bool)
+    keep[[index._rows[item_id] for item_id in exclude if item_id in index._rows]] = False
+    live = int(np.count_nonzero(keep))
+    if k < live:
+        # every item that can reach the top k under the 12-decimal rounding
+        # scores within 1e-12 of the k-th best raw score
+        kth = np.partition(np.where(keep, scores, -np.inf), len(index) - k)[len(index) - k]
+        candidates = np.flatnonzero(keep & (scores >= kth - 1e-11))
+    else:
+        candidates = np.flatnonzero(keep)
+    ranked = [(index._ids[row], float(scores[row])) for row in candidates.tolist()]
     ranked.sort(key=lambda pair: (-round(pair[1], 12), pair[0]))
     return ranked[:k]
 

@@ -259,6 +259,56 @@ def test_dynamic_few_shot_empty_pool_is_domain_error(dravet_ontology):
         build_prompt(task, Document("p1", "text"), policy)
 
 
+class CountingEmbedder(HashedEmbedder):
+    def __init__(self):
+        super().__init__()
+        self.queries: list[str] = []
+
+    def embed_one(self, text):
+        self.queries.append(text)
+        return super().embed_one(text)
+
+
+def test_dynamic_examples_selected_once_per_document(dravet_ontology, synth_docs):
+    task = _hpo_task(dravet_ontology)
+    pool = [(d.document, d.terms) for d in synth_docs[3:]]
+    index = build_index(HashedEmbedder(), [(doc.doc_id, doc.text) for doc, _ in pool])
+    embedder = CountingEmbedder()
+    policy = FewShotPolicy(
+        mode=PolicyMode.DYNAMIC_FEW_SHOT, k=3, example_pool=pool, index=index, embedder=embedder
+    )
+    # the last query has a fresh id but the exact text of a pool document
+    twin = pool[0][0]
+    queries = [d.document for d in synth_docs[:3]] + [Document("twin-query", twin.text)]
+    gold = {d.document.doc_id: sorted(d.terms) for d in synth_docs[:3]}
+    gold["twin-query"] = sorted(synth_docs[3].terms)
+
+    def answer(key, round_no):
+        # two gold terms per round, so every round's prompt carries a new previous result
+        return task.gold_to_json(key, gold[key][2 * round_no : 2 * round_no + 2])
+
+    def responder(request):
+        _, key, round_part = request.request_tag.split(":")
+        return answer(key, int(round_part[1:]))
+
+    backend = ScriptedBackend(responder=responder)
+    extract_corpus(task, queries, backend, policy=policy, glean=GleanConfig(2))
+
+    assert sorted(embedder.queries) == sorted(doc.text for doc in queries)
+    assert len(backend.calls) == 3 * len(queries)
+    sent = {request.request_tag: request for request in backend.calls}
+    for doc in queries:
+        previous = None
+        for round_no in range(3):
+            expected = build_prompt(task, doc, policy, previous, round_no)
+            assert sent[expected.request_tag] == expected
+            parsed = task.sanitize(task.parse_output(answer(doc.doc_id, round_no), doc.doc_id), AuditLog())
+            previous = parsed if previous is None else merge_gleaned(previous, parsed)
+    twin_prompt = sent["hpo:twin-query:r0"].system
+    assert twin_prompt.count("INPUT:") == 3
+    assert f"PATIENT_KEY: {twin.doc_id}\n" not in twin_prompt
+
+
 def test_glean_config_bounds():
     with pytest.raises(DomainError):
         GleanConfig(9)

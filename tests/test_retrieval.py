@@ -1,7 +1,9 @@
 import math
 import random
 
+import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from phenokg.errors import DomainError
 from phenokg.retrieval import (
@@ -142,14 +144,19 @@ def test_index_rejects_dim_mismatch_and_duplicates():
 
 def test_index_save_load_round_trip(tmp_path):
     embedder = HashedEmbedder(dim=32)
-    index = build_index(embedder, {"one": "first text", "two": "second text"})
+    rng = random.Random(11)
+    ids = [f"doc-{i:05d}" for i in range(3000)]
+    rng.shuffle(ids)  # insertion order is not id order
+    index = build_index(embedder, {item_id: f"text {item_id} {rng.randint(0, 99)}" for item_id in ids})
     path = tmp_path / "index.jsonl"
     save_index(index, path)
     loaded = load_index(path)
-    assert loaded.ids == index.ids
+    assert loaded.ids == index.ids == ids
     assert loaded.dim == index.dim
-    query = embedder.embed_one("first text")
-    assert top_k(loaded, query, k=2) == top_k(index, query, k=2)
+    for item_id in ids[:50]:
+        assert loaded.vector(item_id) == index.vector(item_id)
+    query = embedder.embed_one(f"text {ids[0]}")
+    assert top_k(loaded, query, k=5) == top_k(index, query, k=5)
 
 
 def test_remote_embedder_round_trip():
@@ -198,3 +205,101 @@ def test_fallback_embedder_frozen_buckets():
     nonzero = {i for i, v in enumerate(vec) if v != 0.0}
     assert nonzero == {39, 124, 247}
     assert all(vec[i] == pytest.approx(1 / math.sqrt(3), abs=1e-12) for i in nonzero)
+
+
+# -- top_k against an exhaustive oracle (property-based) ------------------------
+
+
+def exact_oracle(items, query, k, exclude=frozenset()):
+    """Exhaustive ranking with the documented key, (-round(score, 12), id).
+
+    On small-integer vectors every dot product and squared norm is exact, so
+    this computes bit-identical scores to ``top_k``.
+    """
+    q_norm = math.sqrt(sum(v * v for v in query))
+    scored = []
+    for item_id, vec in items:
+        if item_id in exclude:
+            continue
+        denom = math.sqrt(sum(v * v for v in vec)) * q_norm
+        dot = sum(a * b for a, b in zip(vec, query))
+        scored.append((item_id, 0.0 if denom == 0.0 else dot / denom))
+    scored.sort(key=lambda pair: (-round(pair[1], 12), pair[0]))
+    return scored[:k]
+
+
+_IDS = st.text(alphabet="abcxyz", min_size=1, max_size=4)
+
+
+@st.composite
+def retrieval_cases(draw):
+    dim = draw(st.integers(1, 6))
+    vector = st.lists(st.integers(-3, 3).map(float), min_size=dim, max_size=dim)
+    palette = draw(st.lists(vector, min_size=1, max_size=5))
+    if draw(st.booleans()):
+        palette.append([0.0] * dim)  # zero-norm rows
+    ids = draw(st.lists(_IDS, min_size=1, max_size=30, unique=True))
+    # drawing rows from a small palette makes duplicate vectors (exact ties) common
+    items = [(item_id, palette[draw(st.integers(0, len(palette) - 1))]) for item_id in ids]
+    query = draw(st.one_of(vector, st.sampled_from(palette), st.just([0.0] * dim)))
+    exclude = set(draw(st.lists(st.sampled_from(ids), max_size=len(ids))))
+    exclude |= set(draw(st.lists(st.text(alphabet="QR", min_size=1, max_size=3), max_size=3)))  # unknown ids
+    if draw(st.integers(0, 9)) == 0:
+        exclude |= set(ids)
+    k = draw(st.integers(1, len(ids) + 5))
+    return items, query, exclude, k
+
+
+@settings(max_examples=300, deadline=None)
+@given(retrieval_cases())
+def test_top_k_equals_exhaustive_oracle(case):
+    items, query, exclude, k = case
+    index = EmbeddingIndex(items)
+    got = top_k(index, query, k=k, exclude=exclude)
+    assert got == exact_oracle(items, query, k, exclude)
+    live = sum(1 for item_id, _ in items if item_id not in exclude)
+    assert len(got) == min(k, live)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_duplicate_vectors_rank_by_id_under_any_insertion_order(data):
+    dim = data.draw(st.sampled_from([3, 7, 256]))
+    vector = st.lists(st.floats(-1, 1, allow_nan=False), min_size=dim, max_size=dim)
+    palette = data.draw(st.lists(vector, min_size=1, max_size=3))
+    ids = data.draw(st.lists(_IDS, min_size=2, max_size=12, unique=True))
+    items = [(item_id, palette[data.draw(st.integers(0, len(palette) - 1))]) for item_id in ids]
+    shuffled = data.draw(st.permutations(items))
+    query = data.draw(vector)
+    ranked = top_k(EmbeddingIndex(items), query, k=len(items))
+    assert top_k(EmbeddingIndex(shuffled), query, k=len(items)) == ranked
+    vector_of = dict(items)
+    for (a, _), (b, _) in zip(ranked, ranked[1:]):
+        if vector_of[a] == vector_of[b]:
+            assert a < b
+
+
+def _bucket_edge_pair(m: int) -> tuple[float, float]:
+    """Adjacent floats (lo, hi) that round to different 12-decimal values at
+    the edge between the buckets m * 1e-12 and (m + 1) * 1e-12."""
+    hi = (m + 0.5) / 10**12
+    while True:
+        lo = math.nextafter(hi, 0.0)
+        if round(lo, 12) < round(hi, 12):
+            return lo, hi
+        # hi rounded down: the edge is above it; otherwise lo rounded up too
+        hi = math.nextafter(hi, 1.0) if round(hi, 12) < hi else lo
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6 * 10**11))
+def test_scores_straddling_a_rounding_edge_are_not_tied(m):
+    lo, hi = _bucket_edge_pair(m)
+    assert round(lo, 12) < round(hi, 12) and math.nextafter(lo, 1.0) == hi
+    # one-hot items and a unit query make the scores exactly the query's entries
+    rest = math.sqrt(1.0 - lo * lo - hi * hi)
+    query = [lo, hi, rest]
+    assume(float(np.linalg.norm(query)) == 1.0)
+    index = EmbeddingIndex([("a", [1.0, 0.0, 0.0]), ("b", [0.0, 1.0, 0.0])])
+    # one ulp apart, but in different buckets: "b" outranks the smaller id "a"
+    assert top_k(index, query, k=2) == [("b", hi), ("a", lo)]
