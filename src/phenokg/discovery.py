@@ -28,7 +28,7 @@ from .extraction import (
     render_template,
 )
 from .kg import Graph, PatientRecord, cohort_by_icd, keyword_search, patient_record
-from .llm import ChatRequest, complete, complete_batch
+from .llm import ChatRequest, complete_batch
 from .ontology import Ontology, TermId
 
 
@@ -107,40 +107,37 @@ def score_patient(record: PatientRecord, rubric: ScoringRubric, backend) -> Like
     one retry (the identical request is re-sent; deterministic backends
     will fail deterministically), after which ScoringError is raised.
     """
-    request = build_score_prompt(record, rubric)
-    last_error: Exception | None = None
+
+    def fail(key: str, exc: PhenoKGError):
+        raise ScoringError(f"could not score patient {key}: {exc}")
+
+    return _score_records({record.key: record}, rubric, backend, fail)[record.key]
+
+
+def _score_records(records, rubric, backend, on_failure) -> dict[str, LikelihoodScore]:
+    """Score records in key order; every failure is retried once, the retries as one more batch.
+
+    A record that fails both attempts goes to ``on_failure(key, exc)``, in key order.
+    """
+    requests = {key: build_score_prompt(records[key], rubric) for key in sorted(records)}
+    outcomes: dict[str, LikelihoodScore | PhenoKGError | None] = dict.fromkeys(requests)
     for _ in range(2):
-        try:
-            response = complete(backend, request)
-            score, rationale = parse_model_output(response.text, ScoreSchema())
-            return LikelihoodScore(record.key, score, rationale)
-        except PhenoKGError as exc:
-            last_error = exc
-    raise ScoringError(f"could not score patient {record.key}: {last_error}")
-
-
-def _score_stage(records, rubric, backend, audit: AuditLog) -> dict[str, LikelihoodScore]:
-    """Batch-score candidates with the same per-patient retry as score_patient."""
-    keys = sorted(records)
-    requests = [build_score_prompt(records[key], rubric) for key in keys]
-    responses = complete_batch(backend, requests)
-    scores: dict[str, LikelihoodScore] = {}
-    for key, request, response in zip(keys, requests, responses):
-        for attempt in range(2):
+        pending = [key for key, outcome in outcomes.items() if not isinstance(outcome, LikelihoodScore)]
+        if not pending:
+            break
+        for key, response in zip(pending, complete_batch(backend, [requests[key] for key in pending])):
             try:
-                if isinstance(response, Exception):
+                if isinstance(response, PhenoKGError):
                     raise response
-                score, rationale = parse_model_output(response.text, ScoreSchema())
-                scores[key] = LikelihoodScore(key, score, rationale)
-                break
+                outcomes[key] = LikelihoodScore(key, *parse_model_output(response.text, ScoreSchema()))
             except PhenoKGError as exc:
-                if attempt == 1:
-                    audit.record("scoring_failed", patient=key, error=str(exc))
-                else:
-                    try:
-                        response = complete(backend, request)
-                    except PhenoKGError as retry_exc:
-                        response = retry_exc
+                outcomes[key] = exc
+    scores = {}
+    for key, outcome in outcomes.items():
+        if isinstance(outcome, LikelihoodScore):
+            scores[key] = outcome
+        else:
+            on_failure(key, outcome)
     return scores
 
 
@@ -236,7 +233,9 @@ def run_funnel(
     stage_counts = [("candidates", len(candidates))]
 
     records = {key: patient_record(graph, key) for key in candidates}
-    scores = _score_stage(records, rubric, backend, audit) if candidates else {}
+    scores = _score_records(
+        records, rubric, backend, lambda key, exc: audit.record("scoring_failed", patient=key, error=str(exc))
+    )
     stage_counts.append(("scored", len(scores)))
 
     filtered = sorted(key for key, s in scores.items() if s.score >= threshold)

@@ -18,13 +18,14 @@ import json
 import logging
 import re
 import threading
+from collections import Counter
 from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
 from .corpus import Document, EntityType
 from .errors import DomainError, OutputParseError, OutputSchemaError, PhenoKGError
-from .llm import ChatRequest, complete, complete_batch
+from .llm import ChatRequest, complete_batch
 from .ontology import Ontology, TermId
 from .retrieval import EmbeddingIndex, HashedEmbedder, top_k
 
@@ -217,9 +218,6 @@ class NerTask:
     def sanitize(self, result: NerResult, audit: AuditLog) -> NerResult:
         return result  # type/shape violations are schema errors; nothing semantic to drop
 
-    def empty_result(self, key: str) -> NerResult:
-        return NerResult(key, frozenset())
-
     def result_to_json(self, result: NerResult) -> str:
         return self.gold_to_json(result.doc_id, result)
 
@@ -310,9 +308,6 @@ class HpoTask:
             kept.append(assertion)
         return HpoExtraction(result.key, tuple(kept))
 
-    def empty_result(self, key: str) -> HpoExtraction:
-        return HpoExtraction(key, ())
-
     def result_to_json(self, result: HpoExtraction) -> str:
         return self.gold_to_json(result.key, result)
 
@@ -358,9 +353,6 @@ class MultiLabelTask:
             else:
                 kept.add(label)
         return MultiLabelResult(result.doc_id, frozenset(kept))
-
-    def empty_result(self, key: str) -> MultiLabelResult:
-        return MultiLabelResult(key, frozenset())
 
     def result_to_json(self, result: MultiLabelResult) -> str:
         return self.gold_to_json(result.doc_id, result)
@@ -668,20 +660,13 @@ def extract(
     labels) are dropped and audited, never silently discarded. Backend and
     parse failures propagate wrapped in RoundError carrying the round number.
     """
+
+    def fail(key: str, round_no: int, exc: PhenoKGError):
+        raise RoundError(round_no, exc) from exc
+
     audit = audit if audit is not None else AuditLog()
-    key = task.key_for(document)
-    examples = _example_renderer(task, policy)(document)
-    result = None
-    for round_no in range(glean.iterations + 1):
-        request = _render_prompt(task, document, examples, result, round_no)
-        try:
-            response = complete(backend, request)
-            parsed = task.parse_output(response.text, key)
-        except PhenoKGError as exc:
-            raise RoundError(round_no, exc) from exc
-        cleaned = task.sanitize(parsed, audit)
-        result = cleaned if result is None else merge_gleaned(result, cleaned)
-    return result
+    results = _extract_rounds(task, [document], backend, policy, glean, audit, None, fail)
+    return results[task.key_for(document)]
 
 
 def extract_corpus(
@@ -697,9 +682,28 @@ def extract_corpus(
 
     A document that fails round 0 is audited and omitted; a document that
     fails a later gleaning round keeps its cumulative result (still audited)
-    and skips remaining rounds. One bad response never aborts the run.
+    and skips remaining rounds. One bad response never aborts the run; a
+    program bug (any exception but a PhenoKGError) does. Duplicate document
+    keys are a DomainError, raised before any request is sent.
     """
+    duplicates = sorted(key for key, n in Counter(task.key_for(doc) for doc in documents).items() if n > 1)
+    if duplicates:
+        raise DomainError(f"duplicate document keys: {', '.join(duplicates)}")
     audit = audit if audit is not None else AuditLog()
+
+    def fail(key: str, round_no: int, exc: PhenoKGError):
+        audit.record("document_round_failed", key=key, round=round_no, error=str(exc))
+
+    return _extract_rounds(task, documents, backend, policy, glean, audit, max_in_flight, fail)
+
+
+def _extract_rounds(task, documents, backend, policy, glean, audit, max_in_flight, on_failure) -> dict:
+    """The gleaning loop: one batch per round, a barrier between rounds.
+
+    A document whose round fails (backend failure or unparseable output) goes
+    to ``on_failure(key, round_no, exc)``, keeps its cumulative result and
+    sends no further rounds.
+    """
     results: dict[str, object] = {}
     # examples are selected once per document and reused in every round
     examples_for = _example_renderer(task, policy)
@@ -715,13 +719,12 @@ def extract_corpus(
         still_active = []
         for (doc, examples), response in zip(active, responses):
             key = task.key_for(doc)
-            if isinstance(response, Exception):
-                audit.record("document_round_failed", key=key, round=round_no, error=str(response))
-                continue
             try:
+                if isinstance(response, PhenoKGError):
+                    raise response
                 parsed = task.parse_output(response.text, key)
-            except (OutputParseError, OutputSchemaError) as exc:
-                audit.record("document_round_failed", key=key, round=round_no, error=str(exc))
+            except PhenoKGError as exc:
+                on_failure(key, round_no, exc)
                 continue
             cleaned = task.sanitize(parsed, audit)
             results[key] = cleaned if key not in results else merge_gleaned(results[key], cleaned)

@@ -153,9 +153,6 @@ class Graph:
     def assertions(self) -> list[PhenotypeAssertion]:
         return list(self._assertions)
 
-    def assertions_for(self, key: str) -> list[PhenotypeAssertion]:
-        return [a for a in self._assertions if a.patient == key]
-
     def counts(self) -> dict[str, int]:
         return {
             "patients": self.patient_count,

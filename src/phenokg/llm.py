@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import requests
 
-from .errors import BackendUnavailableError, DomainError, ReplayMissError
+from .errors import BackendUnavailableError, DomainError, PhenoKGError, ReplayMissError
 
 ENDPOINT_ENV_VAR = "PHENOKG_ENDPOINT_URL"
 API_KEY_ENV_VAR = "PHENOKG_API_KEY"
@@ -143,38 +143,6 @@ class HttpBackend:
         self._sleep = sleep
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        retry = self.config.retry
-        delays = backoff_schedule(retry)
-        last_status: int | None = None
-        last_error = ""
-        for attempt in range(1, retry.max_attempts + 1):
-            try:
-                status, payload = self._post_once(request)
-            except requests.RequestException as exc:
-                last_status, last_error = None, str(exc)
-            else:
-                if status == 200:
-                    return self._parse_payload(payload, request, attempt)
-                last_status, last_error = status, _error_snippet(payload)
-                if status not in _RETRYABLE_STATUSES:
-                    raise BackendUnavailableError(
-                        f"backend returned non-retryable status {status}: {last_error}",
-                        last_status=status,
-                        attempts=attempt,
-                    )
-            if attempt < retry.max_attempts:
-                self._sleep(delays[attempt - 1])
-        raise BackendUnavailableError(
-            f"backend unavailable after {retry.max_attempts} attempts "
-            f"(last status: {last_status}, last error: {last_error})",
-            last_status=last_status,
-            attempts=retry.max_attempts,
-        )
-
-    def _post_once(self, request: ChatRequest) -> tuple[int, dict]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
         body = {
             "model": self.config.model_name,
             "messages": [
@@ -184,12 +152,10 @@ class HttpBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        resp = requests.post(self.endpoint_url, json=body, headers=headers, timeout=self.config.timeout)
-        try:
-            payload = resp.json()
-        except ValueError:
-            payload = {"error": resp.text[:500]}
-        return resp.status_code, payload
+        payload, attempts = _post_with_retry(
+            self.endpoint_url, body, self.api_key, self.config.timeout, self.config.retry, self._sleep
+        )
+        return self._parse_payload(payload, request, attempts)
 
     @staticmethod
     def _parse_payload(payload: dict, request: ChatRequest, attempts: int) -> ChatResponse:
@@ -212,6 +178,51 @@ class HttpBackend:
 
 def _error_snippet(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)[:200]
+
+
+def _post_with_retry(
+    url: str, body: dict, api_key: str, timeout: float, retry: RetryPolicy, sleep
+) -> tuple[dict, int]:
+    """POST a JSON body; return (payload, attempts) of the first 200 reply.
+
+    The one retry loop for chat and embeddings: transport errors, 5xx and
+    429 are retried on the backoff schedule, any other status fails at once
+    (both as BackendUnavailableError). The caller validates the payload; a
+    malformed one is not retried.
+    """
+    headers = {"Content-Type": "application/json"}
+    if api_key:
+        headers["Authorization"] = f"Bearer {api_key}"
+    delays = backoff_schedule(retry)
+    last_status: int | None = None
+    last_error = ""
+    for attempt in range(1, retry.max_attempts + 1):
+        try:
+            resp = requests.post(url, json=body, headers=headers, timeout=timeout)
+        except requests.RequestException as exc:
+            last_status, last_error = None, str(exc)
+        else:
+            try:
+                payload = resp.json()
+            except ValueError:
+                payload = {"error": resp.text[:500]}
+            if resp.status_code == 200:
+                return payload, attempt
+            last_status, last_error = resp.status_code, _error_snippet(payload)
+            if last_status not in _RETRYABLE_STATUSES:
+                raise BackendUnavailableError(
+                    f"backend returned non-retryable status {last_status}: {last_error}",
+                    last_status=last_status,
+                    attempts=attempt,
+                )
+        if attempt < retry.max_attempts:
+            sleep(delays[attempt - 1])
+    raise BackendUnavailableError(
+        f"backend unavailable after {retry.max_attempts} attempts "
+        f"(last status: {last_status}, last error: {last_error})",
+        last_status=last_status,
+        attempts=retry.max_attempts,
+    )
 
 
 class ReplayBackend:
@@ -290,12 +301,15 @@ def complete_batch(
     backend_or_config,
     requests_: Sequence[ChatRequest],
     max_in_flight: int | None = None,
-) -> list[ChatResponse | Exception]:
+) -> list[ChatResponse | PhenoKGError]:
     """Complete many requests with bounded concurrency.
 
-    Results come back in input order regardless of completion order; a
-    failed entry is returned positionally as its exception instead of
-    aborting the rest (the asyncio.gather(return_exceptions=True) idiom).
+    Results come back in input order regardless of completion order. An
+    expected failure (a PhenoKGError: backend unavailable, replay miss) is
+    returned positionally as its exception instead of aborting the rest
+    (the asyncio.gather(return_exceptions=True) idiom). Any other exception
+    is a program bug: requests not yet started are cancelled and it
+    propagates.
     """
     if not requests_:
         raise DomainError("complete_batch requires a nonempty request list")
@@ -303,14 +317,17 @@ def complete_batch(
     bound = max_in_flight or getattr(backend, "max_in_flight", 4)
     if bound < 1:
         raise DomainError(f"max_in_flight must be >= 1, got {bound}")
-    results: list[ChatResponse | Exception] = [None] * len(requests_)  # type: ignore[list-item]
-    with ThreadPoolExecutor(max_workers=min(bound, len(requests_))) as pool:
+    results: list[ChatResponse | PhenoKGError] = [None] * len(requests_)  # type: ignore[list-item]
+    pool = ThreadPoolExecutor(max_workers=min(bound, len(requests_)))
+    try:
         futures = [pool.submit(backend.complete, req) for req in requests_]
         for i, future in enumerate(futures):
             try:
                 results[i] = future.result()
-            except Exception as exc:  # noqa: BLE001 - failures are positional entries
+            except PhenoKGError as exc:
                 results[i] = exc
+    finally:
+        pool.shutdown(cancel_futures=True)
     return results
 
 
@@ -340,13 +357,15 @@ def load_cassette(path: str | Path) -> dict[str, str]:
 def record_cassette(backend_or_config, requests_: Sequence[ChatRequest], output_path: str | Path) -> int:
     """Run requests against a live backend and persist (hash, response) pairs.
 
-    An empty request list writes an empty, valid cassette. Returns the
-    number of recorded entries.
+    Requests go out as one batch under the backend's ``max_in_flight``;
+    entries are written in request order. The first failure is raised and
+    no file is written. An empty request list writes an empty, valid
+    cassette. Returns the number of recorded entries.
     """
-    backend = _as_backend(backend_or_config)
-    entries = []
-    for request in requests_:
-        response = backend.complete(request)
-        entries.append(cassette_entry(request, response.text))
+    responses = complete_batch(backend_or_config, requests_) if requests_ else []
+    for response in responses:
+        if isinstance(response, PhenoKGError):
+            raise response
+    entries = [cassette_entry(request, response.text) for request, response in zip(requests_, responses)]
     write_cassette(output_path, entries)
     return len(entries)

@@ -37,11 +37,6 @@ class TermId(str):
         return super().__new__(cls, candidate)
 
 
-def is_term_id(value: str) -> bool:
-    """True if ``value`` already looks like a canonical term id."""
-    return bool(_TERM_ID_RE.match(value))
-
-
 @dataclass(frozen=True)
 class OntologyTerm:
     id: TermId

@@ -19,10 +19,9 @@ from pathlib import Path
 from typing import Sequence
 
 import numpy as np
-import requests
 
 from .errors import BackendUnavailableError, DomainError
-from .llm import API_KEY_ENV_VAR, ENDPOINT_ENV_VAR, RetryPolicy, backoff_schedule
+from .llm import API_KEY_ENV_VAR, ENDPOINT_ENV_VAR, RetryPolicy, _post_with_retry
 
 DEFAULT_DIM = 256
 
@@ -78,33 +77,14 @@ class RemoteEmbedder:
         self.timeout = timeout
 
     def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
-        delays = backoff_schedule(self.retry)
-        last_error = ""
-        for attempt in range(1, self.retry.max_attempts + 1):
-            try:
-                return self._post_once(texts)
-            except (requests.RequestException, KeyError, IndexError, ValueError) as exc:
-                last_error = str(exc)
-            if attempt < self.retry.max_attempts:
-                time.sleep(delays[attempt - 1])
-        raise BackendUnavailableError(
-            f"embeddings backend unavailable after {self.retry.max_attempts} attempts: {last_error}",
-            attempts=self.retry.max_attempts,
+        body = {"model": self.model_name, "input": list(texts)}
+        payload, attempts = _post_with_retry(
+            self.endpoint_url, body, self.api_key, self.timeout, self.retry, time.sleep
         )
-
-    def _post_once(self, texts: Sequence[str]) -> list[list[float]]:
-        headers = {"Content-Type": "application/json"}
-        if self.api_key:
-            headers["Authorization"] = f"Bearer {self.api_key}"
-        resp = requests.post(
-            self.endpoint_url,
-            json={"model": self.model_name, "input": list(texts)},
-            headers=headers,
-            timeout=self.timeout,
-        )
-        resp.raise_for_status()
-        data = resp.json()["data"]
-        return [row["embedding"] for row in sorted(data, key=lambda r: r["index"])]
+        try:
+            return [row["embedding"] for row in sorted(payload["data"], key=lambda r: r["index"])]
+        except (KeyError, TypeError) as exc:
+            raise BackendUnavailableError(f"malformed embeddings payload: {exc!r}", attempts=attempts) from None
 
 
 def embed(embedder, texts: Sequence[str]) -> list[list[float]]:

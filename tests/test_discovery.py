@@ -1,4 +1,6 @@
 import json
+import threading
+import time
 
 import pytest
 
@@ -245,6 +247,69 @@ def test_scoring_failures_skip_and_audit(haystack, dravet_ontology):
     assert sorted(f.patient for f in report.finalists) == sorted(set(planted) - {broken})
     counts = dict(report.stage_counts)
     assert counts["scored"] == counts["candidates"] - 1
+
+
+def test_score_retries_run_as_a_concurrent_batch(haystack, dravet_ontology):
+    graph, planted = haystack
+    lock = threading.Lock()
+    seen: set[str] = set()
+    active = {"now": 0, "peak": 0}
+
+    def responder(request):
+        with lock:
+            first = request.request_tag not in seen
+            seen.add(request.request_tag)
+        if first:
+            return "prose, no score"  # every candidate fails its first attempt
+        with lock:
+            active["now"] += 1
+            active["peak"] = max(active["peak"], active["now"])
+        time.sleep(0.005)
+        with lock:
+            active["now"] -= 1
+        return json.dumps({"score": 2, "rationale": "weak match"})
+
+    audit = AuditLog()
+    report = run_funnel(
+        graph,
+        bpan_rubric(),
+        keywords=set(),
+        generic_icd=set(BPAN_GENERIC_ICD10),
+        threshold=7,
+        allowed_terms=BPAN_ALLOWED_TERMS,
+        backend=ScriptedBackend(responder=responder, max_in_flight=4),
+        ontology=dravet_ontology,
+        audit=audit,
+    )
+    counts = dict(report.stage_counts)
+    assert counts["scored"] == counts["candidates"] == 200
+    assert audit.entries == []
+    assert 2 <= active["peak"] <= 4
+
+
+def test_program_bug_propagates_from_run_funnel(haystack, dravet_ontology):
+    graph, _ = haystack
+
+    def responder(request):
+        time.sleep(0.005)
+        raise TypeError("a bug, not a backend failure")
+
+    backend = ScriptedBackend(responder=responder, max_in_flight=1)
+    audit = AuditLog()
+    with pytest.raises(TypeError):
+        run_funnel(
+            graph,
+            bpan_rubric(),
+            keywords=set(),
+            generic_icd=set(BPAN_GENERIC_ICD10),
+            threshold=7,
+            allowed_terms=BPAN_ALLOWED_TERMS,
+            backend=backend,
+            ontology=dravet_ontology,
+            audit=audit,
+        )
+    assert len(backend.calls) < 200
+    assert audit.entries == []
 
 
 def test_min_assertions_filter(haystack, dravet_ontology):

@@ -1,10 +1,12 @@
 import json
 import random
+import time
 
 import pytest
 
 from phenokg.corpus import DEFAULT_LABEL_UNIVERSE, Document, EntityType
 from phenokg.errors import (
+    BackendUnavailableError,
     DomainError,
     OutputParseError,
     OutputSchemaError,
@@ -498,6 +500,81 @@ def test_extract_corpus_isolates_failures(dravet_ontology, synth_docs):
     assert audit.count("document_round_failed") >= 1
     for key, result in results.items():
         assert result.term_set() == set(gold[key])
+
+
+def test_extract_corpus_audit_order_pinned(dravet_ontology):
+    # failures and drops interleave in document order within each round
+    task = HpoTask(dravet_ontology, allowed_terms=frozenset({TermId("HP:0011172"), TermId("HP:0002373")}))
+
+    def rows(*terms):
+        return [{"category": t, "confidence": 0.9, "reasoning": "r"} for t in terms]
+
+    replies = {
+        ("a", "r0"): rows("HP:0011172", "HP:0000000"),
+        ("a", "r1"): rows("HP:0010818"),
+        ("b", "r0"): "garbage",
+        ("c", "r0"): rows("HP:0010818"),
+        ("c", "r1"): "garbage",
+        ("d", "r0"): None,
+        ("e", "r0"): rows("HP:0002373"),
+        ("e", "r1"): rows("HP:0000000"),
+    }
+
+    def responder(request):
+        _, key, round_part = request.request_tag.split(":")
+        reply = replies[(key, round_part)]
+        if reply is None:
+            raise BackendUnavailableError("scripted failure", attempts=1)
+        return reply if isinstance(reply, str) else json.dumps({key: reply})
+
+    audit = AuditLog()
+    docs = [Document(key, f"text of {key}") for key in "abcde"]
+    results = extract_corpus(task, docs, ScriptedBackend(responder=responder), glean=GleanConfig(1), audit=audit)
+    no_json = "no JSON object found in model output"
+    assert audit.entries == [
+        {"event": "dropped_unknown_term", "key": "a", "term": "HP:0000000"},
+        {"event": "document_round_failed", "key": "b", "round": 0, "error": no_json},
+        {"event": "dropped_disallowed_term", "key": "c", "term": "HP:0010818"},
+        {"event": "document_round_failed", "key": "d", "round": 0, "error": "scripted failure"},
+        {"event": "dropped_disallowed_term", "key": "a", "term": "HP:0010818"},
+        {"event": "document_round_failed", "key": "c", "round": 1, "error": no_json},
+        {"event": "dropped_unknown_term", "key": "e", "term": "HP:0000000"},
+    ]
+    assert {key: r.term_set() for key, r in results.items()} == {
+        "a": {"HP:0011172"},
+        "c": set(),
+        "e": {"HP:0002373"},
+    }
+
+
+def test_extract_corpus_rejects_duplicate_keys_before_sending(dravet_ontology):
+    backend = ScriptedBackend(queue=[])
+    docs = [Document("p", "first"), Document("q", "other"), Document("p", "second")]
+    with pytest.raises(DomainError, match="p"):
+        extract_corpus(HpoTask(dravet_ontology), docs, backend)
+    assert backend.calls == []
+
+
+def _raise_type_error(request):
+    time.sleep(0.01)
+    raise TypeError("a bug, not a backend failure")
+
+
+def test_program_bug_propagates_from_extract_corpus(dravet_ontology):
+    backend = ScriptedBackend(responder=_raise_type_error)
+    audit = AuditLog()
+    docs = [Document(f"p{i}", "text") for i in range(20)]
+    with pytest.raises(TypeError):
+        extract_corpus(HpoTask(dravet_ontology), docs, backend, audit=audit, max_in_flight=1)
+    assert len(backend.calls) < len(docs)
+    assert audit.entries == []
+
+
+def test_program_bug_propagates_from_extract(dravet_ontology):
+    backend = ScriptedBackend(responder=_raise_type_error)
+    with pytest.raises(TypeError):
+        extract(HpoTask(dravet_ontology), Document("p", "t"), backend, glean=GleanConfig(2))
+    assert len(backend.calls) == 1  # later rounds are never sent
 
 
 def test_extract_hpo_for_patient_oracle(dravet_ontology, demo_graph):

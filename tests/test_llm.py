@@ -24,6 +24,7 @@ from phenokg.llm import (
     validate_config,
     write_cassette,
 )
+from phenokg.retrieval import RemoteEmbedder
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
@@ -65,12 +66,13 @@ def http_stub():
     server.server_close()
 
 
-def _http_config(server, max_attempts=3):
+def _http_config(server, max_attempts=3, max_in_flight=4):
     return BackendConfig(
         kind="http",
         model_name="stub-model",
         endpoint_url=f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions",
         retry=RetryPolicy(max_attempts=max_attempts, base_backoff=0.0),
+        max_in_flight=max_in_flight,
     )
 
 
@@ -158,7 +160,8 @@ def test_record_then_replay_identical(tmp_path, http_stub):
     http_stub.script[:] = [(200, "first"), (200, "second")]
     requests_ = [REQ, ChatRequest(system="sys", user="other prompt")]
     path = tmp_path / "recorded.jsonl"
-    count = record_cassette(_http_config(http_stub), requests_, path)
+    # the stub answers in arrival order, so only serial dispatch pins which request gets which text
+    count = record_cassette(_http_config(http_stub, max_in_flight=1), requests_, path)
     assert count == 2
     replay = ReplayBackend(path)
     assert [replay.complete(r).text for r in requests_] == ["first", "second"]
@@ -171,6 +174,64 @@ def test_record_empty_is_valid_cassette(tmp_path, http_stub):
     path = tmp_path / "empty.jsonl"
     assert record_cassette(_http_config(http_stub), [], path) == 0
     assert load_cassette(path) == {}
+
+
+def _peak_tracker():
+    """Responder that sleeps 10 ms and records the peak number of concurrent calls."""
+    lock = threading.Lock()
+    active = {"now": 0, "peak": 0}
+
+    def responder(request):
+        with lock:
+            active["now"] += 1
+            active["peak"] = max(active["peak"], active["now"])
+        time.sleep(0.01)
+        with lock:
+            active["now"] -= 1
+        return "done"
+
+    return responder, active
+
+
+def test_record_cassette_runs_as_one_bounded_batch(tmp_path):
+    responder, active = _peak_tracker()
+    backend = ScriptedBackend(responder=lambda req: responder(req) + req.user, max_in_flight=3)
+    requests_ = [ChatRequest(system="s", user=f"prompt {i}") for i in range(8)]
+    path = tmp_path / "recorded.jsonl"
+    assert record_cassette(backend, requests_, path) == 8
+    assert 2 <= active["peak"] <= 3
+    lines = [json.loads(line) for line in path.read_text().splitlines()]
+    assert [line["hash"] for line in lines] == [request_hash(r.system, r.user) for r in requests_]
+    assert [line["response"] for line in lines] == [f"done{r.user}" for r in requests_]
+
+
+def test_record_cassette_failure_writes_nothing(tmp_path):
+    def responder(request):
+        if request.user == "boom":
+            raise BackendUnavailableError("scripted failure", attempts=1)
+        return "fine"
+
+    requests_ = [ChatRequest(system="s", user=u) for u in ("one", "boom", "three")]
+    path = tmp_path / "recorded.jsonl"
+    with pytest.raises(BackendUnavailableError):
+        record_cassette(ScriptedBackend(responder=responder), requests_, path)
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "reply, match",
+    [((400, ""), "non-retryable status 400"), ((200, "a chat reply has no data field"), "malformed")],
+)
+def test_embedder_fails_fast_without_retry(http_stub, reply, match):
+    http_stub.script[:] = [reply, (200, "never reached")]
+    embedder = RemoteEmbedder(
+        endpoint_url=f"http://127.0.0.1:{http_stub.server_address[1]}/v1/embeddings",
+        model_name="stub-embedder",
+        retry=RetryPolicy(max_attempts=3, base_backoff=0),
+    )
+    with pytest.raises(BackendUnavailableError, match=match):
+        embedder.embed_many(["text"])
+    assert len(http_stub.requests_seen) == 1
 
 
 def test_scripted_queue_and_exhaustion():
@@ -219,23 +280,24 @@ def test_batch_failure_is_positional():
 
 
 def test_batch_respects_max_in_flight_bound():
-    lock = threading.Lock()
-    active = {"now": 0, "peak": 0}
-
-    def responder(request):
-        with lock:
-            active["now"] += 1
-            active["peak"] = max(active["peak"], active["now"])
-        time.sleep(0.01)
-        with lock:
-            active["now"] -= 1
-        return "done"
-
+    responder, active = _peak_tracker()
     backend = ScriptedBackend(responder=responder)
     requests_ = [ChatRequest(system="s", user=str(i)) for i in range(10)]
     complete_batch(backend, requests_, max_in_flight=3)
     assert active["peak"] <= 3
     assert active["peak"] >= 2  # parallelism actually happened
+
+
+def test_batch_program_bug_propagates_and_cancels_unsent():
+    def responder(request):
+        time.sleep(0.01)
+        raise TypeError("a bug, not a backend failure")
+
+    backend = ScriptedBackend(responder=responder)
+    requests_ = [ChatRequest(system="s", user=str(i)) for i in range(20)]
+    with pytest.raises(TypeError):
+        complete_batch(backend, requests_, max_in_flight=1)
+    assert len(backend.calls) < len(requests_)
 
 
 def test_batch_rejects_empty():
