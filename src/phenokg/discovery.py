@@ -28,7 +28,7 @@ from .extraction import (
     render_template,
 )
 from .kg import Graph, PatientRecord, cohort_by_icd, keyword_search, patient_record
-from .llm import ChatRequest, complete_batch
+from .llm import ChatRequest, _as_backend, complete_batch
 from .ontology import Ontology, TermId
 
 
@@ -104,8 +104,9 @@ def score_patient(record: PatientRecord, rubric: ScoringRubric, backend) -> Like
     """Rubric-conditioned 0-9 likelihood score with strict JSON output.
 
     An out-of-range, non-integer, or unparseable response triggers exactly
-    one retry (the identical request is re-sent; deterministic backends
-    will fail deterministically), after which ScoringError is raised.
+    one retry (the identical request is re-sent), after which ScoringError
+    is raised. A deterministic backend (replay) would only repeat its
+    answer, so it gets no retry.
     """
 
     def fail(key: str, exc: PhenoKGError):
@@ -117,11 +118,13 @@ def score_patient(record: PatientRecord, rubric: ScoringRubric, backend) -> Like
 def _score_records(records, rubric, backend, on_failure) -> dict[str, LikelihoodScore]:
     """Score records in key order; every failure is retried once, the retries as one more batch.
 
-    A record that fails both attempts goes to ``on_failure(key, exc)``, in key order.
+    A backend marked ``deterministic`` gets no retry. A record whose last
+    attempt fails goes to ``on_failure(key, exc)``, in key order.
     """
+    backend = _as_backend(backend)
     requests = {key: build_score_prompt(records[key], rubric) for key in sorted(records)}
     outcomes: dict[str, LikelihoodScore | PhenoKGError | None] = dict.fromkeys(requests)
-    for _ in range(2):
+    for _ in range(1 if getattr(backend, "deterministic", False) else 2):
         pending = [key for key, outcome in outcomes.items() if not isinstance(outcome, LikelihoodScore)]
         if not pending:
             break
@@ -228,6 +231,7 @@ def run_funnel(
     if ontology is None:
         raise DomainError("ontology is required")
     audit = audit if audit is not None else AuditLog()
+    backend = _as_backend(backend)  # scoring and extraction share one resolved backend
 
     candidates = sorted(candidate_cohort(graph, keywords, generic_icd))
     stage_counts = [("candidates", len(candidates))]

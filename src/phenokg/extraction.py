@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .corpus import Document, EntityType
 from .errors import DomainError, OutputParseError, OutputSchemaError, PhenoKGError
-from .llm import ChatRequest, complete_batch
+from .llm import ChatRequest, _as_backend, complete_batch
 from .ontology import Ontology, TermId
 from .retrieval import EmbeddingIndex, HashedEmbedder, top_k
 
@@ -705,6 +705,7 @@ def _extract_rounds(task, documents, backend, policy, glean, audit, max_in_fligh
     sends no further rounds.
     """
     results: dict[str, object] = {}
+    backend = _as_backend(backend)  # a config is resolved (a cassette read) once, not once per round
     # examples are selected once per document and reused in every round
     examples_for = _example_renderer(task, policy)
     active = [(doc, examples_for(doc)) for doc in documents]

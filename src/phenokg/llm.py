@@ -1,26 +1,30 @@
 """Chat-completion backends: OpenAI-compatible HTTP, replay cassettes, scripted.
 
 ``complete`` and ``complete_batch`` accept either a BackendConfig or a
-backend object. The HTTP backend retries transport errors, 5xx and 429
-with exponential backoff; the replay backend answers from a recorded
-cassette keyed by a stable hash of (system, user); the scripted backend
-answers from an in-process responder and exists for oracle runs and tests.
+backend object. The HTTP backend posts through one stdlib ``urllib``
+opener (a fresh connection per request) and retries transport errors,
+5xx and 429 with exponential backoff; the replay backend answers from a
+recorded cassette keyed by a stable hash of (system, user); the scripted
+backend answers from an in-process responder and exists for oracle runs
+and tests.
 """
 
 from __future__ import annotations
 
 import hashlib
+import http.client
 import json
 import math
 import os
 import threading
 import time
+import urllib.error
+import urllib.parse
+import urllib.request
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
-
-import requests
 
 from .errors import BackendUnavailableError, DomainError, PhenoKGError, ReplayMissError
 
@@ -68,13 +72,46 @@ class BackendConfig:
     max_in_flight: int = 4
 
 
+def _effective_endpoint(endpoint_url: str) -> str:
+    """The endpoint a client posts to: $PHENOKG_ENDPOINT_URL wins over the configured one."""
+    return os.environ.get(ENDPOINT_ENV_VAR) or endpoint_url
+
+
+def _endpoint_problems(url: str) -> list[str]:
+    """Why ``url`` cannot be posted to (empty list means usable)."""
+    try:
+        parts = urllib.parse.urlsplit(url)
+        parts.port  # noqa: B018 - parsing the port is the check
+    except ValueError as exc:
+        return [f"endpoint URL {url!r} is malformed: {exc}"]
+    if parts.scheme not in ("http", "https") or not parts.hostname:
+        return [f"endpoint URL {url!r} needs an http:// or https:// scheme and a host"]
+    return []
+
+
+def _api_key_problems(api_key: str) -> list[str]:
+    """Why ``api_key`` cannot go into an Authorization header; never echoes the key."""
+    if "\r" in api_key or "\n" in api_key:
+        return [f"${API_KEY_ENV_VAR} contains a CR or LF (a trailing newline from a secret file?)"]
+    try:
+        api_key.encode("latin-1")
+    except UnicodeEncodeError:
+        return [f"${API_KEY_ENV_VAR} contains a character outside latin-1"]
+    return []
+
+
 def validate_config(config: BackendConfig) -> list[str]:
     """Return every problem with the config (empty list means valid)."""
     problems = []
     if config.kind not in ("http", "replay"):
         problems.append(f"backend kind must be 'http' or 'replay', got {config.kind!r}")
-    if config.kind == "http" and not (config.endpoint_url or os.environ.get(ENDPOINT_ENV_VAR)):
-        problems.append(f"http backend requires endpoint_url (or ${ENDPOINT_ENV_VAR})")
+    if config.kind == "http":
+        endpoint = _effective_endpoint(config.endpoint_url)
+        if not endpoint:
+            problems.append(f"http backend requires endpoint_url (or ${ENDPOINT_ENV_VAR})")
+        else:
+            problems += _endpoint_problems(endpoint)
+        problems += _api_key_problems(os.environ.get(API_KEY_ENV_VAR, ""))
     if config.kind == "replay" and not config.cassette_path:
         problems.append("replay backend requires cassette_path")
     if config.max_in_flight < 1:
@@ -120,6 +157,22 @@ def _approx_usage(request: ChatRequest, text: str) -> Usage:
     )
 
 
+class _RefuseRedirects(urllib.request.HTTPRedirectHandler):
+    """Every 3xx reply ends as an HTTPError instead of being followed.
+
+    Following one would re-send the POST as a bodiless GET, with the bearer
+    token, to whatever host and scheme the Location names.
+    """
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        return None
+
+
+def _build_opener() -> urllib.request.OpenerDirector:
+    """The opener a backend posts through: proxies from the environment, no redirects."""
+    return urllib.request.build_opener(_RefuseRedirects)
+
+
 def backoff_schedule(retry: RetryPolicy) -> list[float]:
     """Delays slept between attempts; non-decreasing by construction."""
     return [retry.base_backoff * (2**i) for i in range(retry.max_attempts - 1)]
@@ -129,7 +182,8 @@ class HttpBackend:
     """OpenAI-compatible chat-completions client with retry and backoff.
 
     Endpoint URL and bearer token can be overridden/supplied via the
-    PHENOKG_ENDPOINT_URL and PHENOKG_API_KEY environment variables.
+    PHENOKG_ENDPOINT_URL and PHENOKG_API_KEY environment variables. Those,
+    and any proxy settings in the environment, are read once, here.
     """
 
     def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep):
@@ -137,10 +191,11 @@ class HttpBackend:
         if problems:
             raise DomainError("; ".join(problems))
         self.config = config
-        self.endpoint_url = os.environ.get(ENDPOINT_ENV_VAR) or config.endpoint_url
+        self.endpoint_url = _effective_endpoint(config.endpoint_url)
         self.api_key = os.environ.get(API_KEY_ENV_VAR, "")
         self.max_in_flight = config.max_in_flight
         self._sleep = sleep
+        self._opener = _build_opener()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         body = {
@@ -152,8 +207,9 @@ class HttpBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
+        config = self.config
         payload, attempts = _post_with_retry(
-            self.endpoint_url, body, self.api_key, self.config.timeout, self.config.retry, self._sleep
+            self._opener, self.endpoint_url, body, self.api_key, config.timeout, config.retry, self._sleep
         )
         return self._parse_payload(payload, request, attempts)
 
@@ -181,15 +237,23 @@ def _error_snippet(payload: dict) -> str:
 
 
 def _post_with_retry(
-    url: str, body: dict, api_key: str, timeout: float, retry: RetryPolicy, sleep
+    opener: urllib.request.OpenerDirector,
+    url: str,
+    body: dict,
+    api_key: str,
+    timeout: float,
+    retry: RetryPolicy,
+    sleep: Callable[[float], None],
 ) -> tuple[dict, int]:
-    """POST a JSON body; return (payload, attempts) of the first 200 reply.
+    """POST a JSON body through ``opener``; return (payload, attempts) of the first 200 reply.
 
-    The one retry loop for chat and embeddings: transport errors, 5xx and
-    429 are retried on the backoff schedule, any other status fails at once
-    (both as BackendUnavailableError). The caller validates the payload; a
-    malformed one is not retried.
+    The one retry loop for chat and embeddings: transport errors (refused,
+    reset, timed out, truncated), 5xx and 429 are retried on the backoff
+    schedule, any other status fails at once (both as
+    BackendUnavailableError). Each attempt opens a fresh connection. The
+    caller validates the payload; a malformed one is not retried.
     """
+    data = json.dumps(body).encode("utf-8")
     headers = {"Content-Type": "application/json"}
     if api_key:
         headers["Authorization"] = f"Bearer {api_key}"
@@ -198,17 +262,17 @@ def _post_with_retry(
     last_error = ""
     for attempt in range(1, retry.max_attempts + 1):
         try:
-            resp = requests.post(url, json=body, headers=headers, timeout=timeout)
-        except requests.RequestException as exc:
+            status, raw = _post_once(opener, urllib.request.Request(url, data, headers), timeout)
+        except (OSError, http.client.HTTPException) as exc:
             last_status, last_error = None, str(exc)
         else:
             try:
-                payload = resp.json()
+                payload = json.loads(raw)
             except ValueError:
-                payload = {"error": resp.text[:500]}
-            if resp.status_code == 200:
+                payload = {"error": raw.decode("utf-8", errors="replace")[:500]}
+            if status == 200:
                 return payload, attempt
-            last_status, last_error = resp.status_code, _error_snippet(payload)
+            last_status, last_error = status, _error_snippet(payload)
             if last_status not in _RETRYABLE_STATUSES:
                 raise BackendUnavailableError(
                     f"backend returned non-retryable status {last_status}: {last_error}",
@@ -225,8 +289,21 @@ def _post_with_retry(
     )
 
 
+def _post_once(opener: urllib.request.OpenerDirector, request: urllib.request.Request, timeout: float):
+    """(status, body bytes) of one POST; an HTTP error status is a reply, not an exception."""
+    try:
+        response = opener.open(request, timeout=timeout)
+    except urllib.error.HTTPError as exc:
+        response = exc
+    with response:
+        return response.status, response.read()
+
+
 class ReplayBackend:
     """Bit-deterministic backend answering from a recorded cassette."""
+
+    # a re-sent request gets the same answer, so callers need not retry it
+    deterministic = True
 
     def __init__(self, cassette_path: str | Path, max_in_flight: int = 4):
         self.cassette_path = str(cassette_path)

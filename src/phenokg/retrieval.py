@@ -16,12 +16,20 @@ import os
 import re
 import time
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 
 from .errors import BackendUnavailableError, DomainError
-from .llm import API_KEY_ENV_VAR, ENDPOINT_ENV_VAR, RetryPolicy, _post_with_retry
+from .llm import (
+    API_KEY_ENV_VAR,
+    RetryPolicy,
+    _api_key_problems,
+    _build_opener,
+    _effective_endpoint,
+    _endpoint_problems,
+    _post_with_retry,
+)
 
 DEFAULT_DIM = 256
 
@@ -61,7 +69,7 @@ class HashedEmbedder:
 
 
 class RemoteEmbedder:
-    """OpenAI-compatible embeddings endpoint with the shared retry policy."""
+    """OpenAI-compatible embeddings endpoint with the shared retry loop and transport."""
 
     def __init__(
         self,
@@ -69,17 +77,23 @@ class RemoteEmbedder:
         model_name: str,
         retry: RetryPolicy = RetryPolicy(),
         timeout: float = 30.0,
+        sleep: Callable[[float], None] = time.sleep,
     ):
-        self.endpoint_url = os.environ.get(ENDPOINT_ENV_VAR) or endpoint_url
+        self.endpoint_url = _effective_endpoint(endpoint_url)
         self.api_key = os.environ.get(API_KEY_ENV_VAR, "")
+        problems = _endpoint_problems(self.endpoint_url) + _api_key_problems(self.api_key)
+        if problems:
+            raise DomainError("; ".join(problems))
         self.model_name = model_name
         self.retry = retry
         self.timeout = timeout
+        self._sleep = sleep
+        self._opener = _build_opener()
 
     def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
         body = {"model": self.model_name, "input": list(texts)}
         payload, attempts = _post_with_retry(
-            self.endpoint_url, body, self.api_key, self.timeout, self.retry, time.sleep
+            self._opener, self.endpoint_url, body, self.api_key, self.timeout, self.retry, self._sleep
         )
         try:
             return [row["embedding"] for row in sorted(payload["data"], key=lambda r: r["index"])]

@@ -25,7 +25,9 @@ from phenokg.fixtures import (
     build_discovery_graph,
 )
 from phenokg.kg import NoteNode, PatientNode, build_graph, patient_record
-from phenokg.llm import ScriptedBackend
+from phenokg.llm import BackendConfig, ReplayBackend, ScriptedBackend, cassette_entry, write_cassette
+
+from conftest import record_replay_cassette
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +98,52 @@ def test_score_patient_prose_twice_is_scoring_error(haystack):
     backend = ScriptedBackend(queue=["not json at all", "still prose"])
     with pytest.raises(ScoringError, match=planted[0]):
         score_patient(record, bpan_rubric(), backend)
+
+
+def test_score_patient_retries_on_scripted_but_not_on_replay(haystack, tmp_path):
+    graph, planted = haystack
+    record = patient_record(graph, planted[0])
+    request = build_score_prompt(record, bpan_rubric())
+    path = tmp_path / "bad_score.jsonl"
+    write_cassette(path, [cassette_entry(request, "not json at all")])
+    replay = ReplayBackend(path)
+    replay_calls = []
+    replay_complete = replay.complete
+    replay.complete = lambda req: replay_calls.append(req) or replay_complete(req)
+    scripted = ScriptedBackend(responder=lambda req: "not json at all")
+    for backend, sent in ((replay, replay_calls), (scripted, scripted.calls)):
+        with pytest.raises(ScoringError, match=planted[0]):
+            score_patient(record, bpan_rubric(), backend)
+        expected = 1 if backend is replay else 2  # a replayed answer cannot change on a re-send
+        assert sent == [request] * expected
+
+
+def test_run_funnel_reads_a_replay_config_cassette_once(haystack, dravet_ontology, tmp_path, monkeypatch):
+    import phenokg.llm
+
+    graph, planted = haystack
+
+    def funnel(backend):
+        return run_funnel(
+            graph,
+            bpan_rubric(),
+            keywords={"BPAN"},
+            generic_icd=set(BPAN_GENERIC_ICD10),
+            threshold=7,
+            allowed_terms=BPAN_ALLOWED_TERMS,
+            backend=backend,
+            ontology=dravet_ontology,
+            glean=GleanConfig(1),
+        )
+
+    oracle = oracle_backend(planted, BPAN_ALLOWED_TERMS)
+    path = record_replay_cassette(tmp_path, "funnel.jsonl", funnel, oracle._responder)
+    loads = []
+    load_cassette = phenokg.llm.load_cassette
+    monkeypatch.setattr(phenokg.llm, "load_cassette", lambda p: loads.append(p) or load_cassette(p))
+    report = funnel(BackendConfig(kind="replay", cassette_path=str(path)))
+    assert sorted(f.patient for f in report.finalists) == planted
+    assert loads == [str(path)]  # not once per scoring batch and extraction round
 
 
 def test_score_prompt_embeds_rubric(haystack):

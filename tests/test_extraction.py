@@ -35,11 +35,11 @@ from phenokg.extraction import (
     parse_model_output,
 )
 from phenokg.fixtures import dravet_allowed_terms, dravet_disease_context
-from phenokg.llm import ScriptedBackend
+from phenokg.llm import BackendConfig, ScriptedBackend
 from phenokg.ontology import TermId
 from phenokg.retrieval import HashedEmbedder, build_index
 
-from conftest import gold_hpo_responder
+from conftest import gold_hpo_responder, record_replay_cassette
 
 VALID_HPO = '{"d1": [{"category": "HP:0011172", "confidence": 0.9, "reasoning": "febrile sz"}]}'
 
@@ -374,6 +374,24 @@ def test_extract_with_gold_backend_equals_gold(dravet_ontology, synth_docs):
     backend = ScriptedBackend(responder=gold_hpo_responder(task, gold))
     result = extract(task, synth_docs[0].document, backend, glean=GleanConfig(1))
     assert result.term_set() == set(synth_docs[0].terms)
+
+
+def test_extract_reads_a_replay_config_cassette_once(dravet_ontology, synth_docs, tmp_path, monkeypatch):
+    import phenokg.llm
+
+    task = _hpo_task(dravet_ontology)
+    doc = synth_docs[0].document
+    gold = {doc.doc_id: synth_docs[0].terms}
+    glean = GleanConfig(2)
+    path = record_replay_cassette(
+        tmp_path, "extract.jsonl", lambda b: extract(task, doc, b, glean=glean), gold_hpo_responder(task, gold)
+    )
+    loads = []
+    load_cassette = phenokg.llm.load_cassette
+    monkeypatch.setattr(phenokg.llm, "load_cassette", lambda p: loads.append(p) or load_cassette(p))
+    result = extract(task, doc, BackendConfig(kind="replay", cassette_path=str(path)), glean=glean)
+    assert result.term_set() == set(synth_docs[0].terms)
+    assert len(loads) == 1  # not once per round
 
 
 def test_glean_rounds_merge_by_union(dravet_ontology):

@@ -1,7 +1,13 @@
+import contextlib
 import json
+import os
+import socket
+import subprocess
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from pathlib import Path
 
 import pytest
 
@@ -28,7 +34,7 @@ from phenokg.retrieval import RemoteEmbedder
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    """Serves a per-server queue of (status, text) responses."""
+    """Serves a per-server queue of (status, text) responses; a dict text is sent as the whole payload."""
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -42,6 +48,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         }
         if status != 200:
             payload = {"error": {"message": "scripted failure"}}
+        elif isinstance(text, dict):
+            payload = text
         encoded = json.dumps(payload).encode()
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
@@ -329,3 +337,195 @@ def test_env_vars_override_endpoint_and_key(http_stub, monkeypatch):
     config = BackendConfig(kind="http", model_name="m", retry=RetryPolicy(max_attempts=1))
     assert not validate_config(config)
     assert complete(config, REQ).text == "from env"
+
+
+def test_embedder_backs_off_through_the_injected_sleep(http_stub, monkeypatch):
+    real_sleeps, injected = [], []
+    monkeypatch.setattr(time, "sleep", real_sleeps.append)
+    http_stub.script[:] = [(500, ""), (500, ""), (200, {"data": [{"index": 0, "embedding": [1.0, 2.0]}]})]
+    retry = RetryPolicy(max_attempts=3, base_backoff=0.25)
+    embedder = RemoteEmbedder(
+        endpoint_url=f"http://127.0.0.1:{http_stub.server_address[1]}/v1/embeddings",
+        model_name="stub-embedder",
+        retry=retry,
+        sleep=injected.append,
+    )
+    assert embedder.embed_many(["text"]) == [[1.0, 2.0]]
+    assert injected == backoff_schedule(retry)
+    assert real_sleeps == []
+
+
+@pytest.mark.parametrize("url", ["localhost:8000/v1", "http:///v1", "ftp://host/v1", "http://host:port/v1"])
+def test_malformed_endpoint_is_rejected_at_construction(url, monkeypatch):
+    monkeypatch.delenv("PHENOKG_ENDPOINT_URL", raising=False)
+    config = BackendConfig(kind="http", endpoint_url=url)
+    assert len(validate_config(config)) == 1
+    with pytest.raises(DomainError, match="endpoint URL"):
+        make_backend(config)
+    with pytest.raises(DomainError, match="endpoint URL"):
+        RemoteEmbedder(endpoint_url=url, model_name="m")
+    # the environment variable is the effective endpoint when set
+    monkeypatch.setenv("PHENOKG_ENDPOINT_URL", url)
+    assert len(validate_config(BackendConfig(kind="http", endpoint_url="http://127.0.0.1:8000/v1"))) == 1
+    with pytest.raises(DomainError, match="endpoint URL"):
+        RemoteEmbedder(endpoint_url="http://127.0.0.1:8000/v1", model_name="m")
+
+
+@pytest.mark.parametrize("key", ["sekrit\n", "sek\r\nX-Injected: 1", "ключ"])
+def test_malformed_api_key_is_rejected_at_construction(key, monkeypatch):
+    monkeypatch.setenv("PHENOKG_API_KEY", key)
+    config = BackendConfig(kind="http", endpoint_url="http://127.0.0.1:8000/v1")
+    problems = validate_config(config)
+    assert len(problems) == 1 and "PHENOKG_API_KEY" in problems[0]
+    assert key not in problems[0]
+    with pytest.raises(DomainError, match="PHENOKG_API_KEY"):
+        make_backend(config)
+    with pytest.raises(DomainError, match="PHENOKG_API_KEY"):
+        RemoteEmbedder(endpoint_url="http://127.0.0.1:8000/v1", model_name="m")
+    # a replay backend sends no key, so the key does not matter to it
+    assert validate_config(BackendConfig(kind="replay", cassette_path="c.jsonl")) == []
+
+
+# -- transport failures against real sockets ------------------------------------
+
+
+def _read_request(conn: socket.socket) -> bytes:
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = conn.recv(65536)
+        if not chunk:
+            return data
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    fields = dict(line.lower().split(b":", 1) for line in head.split(b"\r\n")[1:])
+    length = int(fields.get(b"content-length", 0))
+    while len(body) < length:
+        chunk = conn.recv(65536)
+        if not chunk:
+            break
+        body += chunk
+    return head + b"\r\n\r\n" + body
+
+
+@contextlib.contextmanager
+def _raw_server(reply):
+    """TCP server, a thread per connection: reads the request whole, then ``reply(conn, stop)``, then closes.
+
+    Yields (port, requests read); ``stop`` is set when the block exits.
+    """
+    listener = socket.create_server(("127.0.0.1", 0))
+    listener.settimeout(0.05)
+    stop = threading.Event()
+    seen: list[bytes] = []
+    handlers: list[threading.Thread] = []
+
+    def handle(conn):
+        with conn:
+            conn.settimeout(5)
+            seen.append(_read_request(conn))
+            reply(conn, stop)
+
+    def serve():
+        while not stop.is_set():
+            try:
+                conn, _ = listener.accept()
+            except TimeoutError:
+                continue
+            handlers.append(threading.Thread(target=handle, args=(conn,), daemon=True))
+            handlers[-1].start()
+
+    thread = threading.Thread(target=serve, daemon=True)
+    thread.start()
+    try:
+        yield listener.getsockname()[1], seen
+    finally:
+        stop.set()
+        thread.join(timeout=5)  # no handler is added once the accept loop has ended
+        for worker in (thread, *handlers):
+            worker.join(timeout=5)
+            assert not worker.is_alive()
+        listener.close()
+
+
+def _closed_port() -> int:
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        return sock.getsockname()[1]
+
+
+_REPLIES = {
+    "closes without replying": lambda conn, stop: None,
+    "stalls past the timeout": lambda conn, stop: stop.wait(5),
+    "truncates its body": lambda conn, stop: conn.sendall(
+        b"HTTP/1.1 200 OK\r\nContent-Length: 100\r\n\r\n{\"choices"
+    ),
+    "answers 503 in plain text": lambda conn, stop: conn.sendall(
+        b"HTTP/1.1 503 Service Unavailable\r\nContent-Type: text/plain\r\nContent-Length: 27\r\n"
+        b"Connection: close\r\n\r\nupstream overloaded, retry."
+    ),
+}
+
+
+def _unavailable_through_batch(port: int):
+    retry = RetryPolicy(max_attempts=3, base_backoff=0.25)
+    config = BackendConfig(
+        kind="http", endpoint_url=f"http://127.0.0.1:{port}/v1/chat/completions", retry=retry, timeout=0.2
+    )
+    sleeps = []
+    results = complete_batch(HttpBackend(config, sleep=sleeps.append), [REQ])
+    assert sleeps == backoff_schedule(retry)
+    assert isinstance(results[0], BackendUnavailableError)
+    assert results[0].attempts == 3
+    return results[0]
+
+
+def test_connection_refused_is_retried_then_unavailable():
+    err = _unavailable_through_batch(_closed_port())
+    assert err.last_status is None
+
+
+@pytest.mark.parametrize("behaviour", sorted(_REPLIES))
+def test_transport_failure_is_retried_then_unavailable(behaviour):
+    with _raw_server(_REPLIES[behaviour]) as (port, seen):
+        err = _unavailable_through_batch(port)
+    assert len(seen) == 3
+    assert all(b'"content": "hello"' in request for request in seen)
+    if behaviour == "answers 503 in plain text":
+        assert err.last_status == 503
+        assert "upstream overloaded, retry." in str(err)
+    else:
+        assert err.last_status is None
+
+
+@pytest.mark.parametrize("status", [301, 302, 303, 307, 308])
+def test_redirect_fails_fast_and_is_not_followed(status, monkeypatch):
+    monkeypatch.setenv("PHENOKG_API_KEY", "sekrit-token")
+    with _raw_server(lambda conn, stop: None) as (elsewhere, seen_elsewhere):
+        redirect = (
+            f"HTTP/1.1 {status} Moved\r\nLocation: http://127.0.0.1:{elsewhere}/v1/chat/completions\r\n"
+            "Content-Length: 0\r\nConnection: close\r\n\r\n"
+        ).encode("ascii")
+        with _raw_server(lambda conn, stop: conn.sendall(redirect)) as (port, seen):
+            config = BackendConfig(
+                kind="http",
+                endpoint_url=f"http://127.0.0.1:{port}/v1/chat/completions",
+                retry=RetryPolicy(max_attempts=3, base_backoff=0),
+                timeout=1.0,
+            )
+            results = complete_batch(HttpBackend(config), [REQ])
+    assert isinstance(results[0], BackendUnavailableError)
+    assert (results[0].last_status, results[0].attempts) == (status, 1)
+    assert len(seen) == 1 and b"Bearer sekrit-token" in seen[0]
+    assert seen_elsewhere == []
+
+
+def test_importing_the_cli_leaves_requests_unimported():
+    import phenokg
+
+    src = str(Path(phenokg.__file__).resolve().parent.parent)
+    code = "import sys, phenokg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
+    env = {**os.environ, "PYTHONPATH": src}
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert out.stdout.strip() == "[]"
