@@ -33,7 +33,7 @@ from .corpus import (
 )
 from .cohortstats import compare_to_ontology, derive_groups, heatmap_csv, load_groups, phenotype_frequency
 from .discovery import load_rubric, run_funnel
-from .errors import ConfigError, PhenoKGError
+from .errors import ConfigError, PhenoKGError, ScoringError
 from .evaluation import MatchPolicy, render_report, score_hpo, score_multilabel, score_ner
 from .extraction import (
     AuditLog,
@@ -255,6 +255,8 @@ def cmd_extract(args) -> None:
         if getattr(args, name):
             inputs[name] = getattr(args, name)
     _write_manifest(out, "extract", args, inputs)
+    if documents and not results:
+        raise PhenoKGError(f"extracted 0/{len(documents)} documents; see {out / 'audit.jsonl'}")
     print(f"extracted {len(results)}/{len(documents)} documents -> {out / 'predictions.jsonl'}")
 
 
@@ -438,6 +440,9 @@ def cmd_discover(args) -> None:
     if args.cassette:
         inputs["cassette"] = args.cassette
     _write_manifest(out, "discover", args, inputs)
+    stages = dict(report.stage_counts)
+    if stages["candidates"] and not stages["scored"]:
+        raise ScoringError(f"scored 0/{stages['candidates']} candidates; see {out / 'audit.jsonl'}")
     print(report.to_markdown(), end="")
 
 

@@ -243,6 +243,16 @@ class HpoTask:
         self.ontology = ontology
         self.allowed_terms = frozenset(allowed_terms) if allowed_terms is not None else None
         self.disease_context = disease_context
+        # every prompt of the task shares these; `discover` allows the whole ontology by default
+        if self.allowed_terms is None:
+            allowed = "Any valid HPO term in the ontology may be used."
+        else:
+            rows = sorted(
+                ((ontology.name_of(t), t) for t in self.allowed_terms),
+                key=lambda pair: (pair[0].casefold(), pair[1]),
+            )
+            allowed = "\n".join(f"{term_id} \t {name}" for name, term_id in rows)
+        self._context = {"allowed_terms": allowed, "disease_context": disease_context.strip()}
 
     def key_for(self, document: Document) -> str:
         return document.doc_id
@@ -251,16 +261,7 @@ class HpoTask:
         return f"PATIENT_KEY: {document.doc_id}\n\nDETAILS:\n{document.text}"
 
     def context_placeholders(self) -> dict[str, str]:
-        if self.allowed_terms is None:
-            allowed = "Any valid HPO term in the ontology may be used."
-        else:
-            rows = sorted(
-                ((self.ontology.name_of(t), t) for t in self.allowed_terms),
-                key=lambda pair: (pair[0].casefold(), pair[1]),
-            )
-            allowed = "\n".join(f"{term_id} \t {name}" for name, term_id in rows)
-        context = self.disease_context.strip()
-        return {"allowed_terms": allowed, "disease_context": context}
+        return dict(self._context)
 
     def gold_to_json(self, key: str, gold) -> str:
         if isinstance(gold, HpoExtraction):

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import http.client
+import itertools
 import json
 import math
 import os
@@ -21,7 +22,6 @@ import time
 import urllib.error
 import urllib.parse
 import urllib.request
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -381,12 +381,15 @@ def complete_batch(
 ) -> list[ChatResponse | PhenoKGError]:
     """Complete many requests with bounded concurrency.
 
-    Results come back in input order regardless of completion order. An
-    expected failure (a PhenoKGError: backend unavailable, replay miss) is
-    returned positionally as its exception instead of aborting the rest
-    (the asyncio.gather(return_exceptions=True) idiom). Any other exception
-    is a program bug: requests not yet started are cancelled and it
-    propagates.
+    ``min(max_in_flight, len(requests_))`` workers, the calling thread one
+    of them, each take the next unsent request until none is left. Results
+    come back in input order regardless of completion order. An expected
+    failure (a PhenoKGError: backend unavailable, replay miss) is returned
+    positionally as its exception instead of aborting the rest (the
+    asyncio.gather(return_exceptions=True) idiom). Any other exception,
+    including an interrupt, is a program bug: it stops the workers taking
+    new requests (unsent requests are never sent) and, once every worker
+    has returned, the first one is re-raised.
     """
     if not requests_:
         raise DomainError("complete_batch requires a nonempty request list")
@@ -394,17 +397,32 @@ def complete_batch(
     bound = max_in_flight or getattr(backend, "max_in_flight", 4)
     if bound < 1:
         raise DomainError(f"max_in_flight must be >= 1, got {bound}")
-    results: list[ChatResponse | PhenoKGError] = [None] * len(requests_)  # type: ignore[list-item]
-    pool = ThreadPoolExecutor(max_workers=min(bound, len(requests_)))
-    try:
-        futures = [pool.submit(backend.complete, req) for req in requests_]
-        for i, future in enumerate(futures):
-            try:
-                results[i] = future.result()
-            except PhenoKGError as exc:
-                results[i] = exc
-    finally:
-        pool.shutdown(cancel_futures=True)
+    n = len(requests_)
+    results: list[ChatResponse | PhenoKGError] = [None] * n  # type: ignore[list-item]
+    bugs: list[BaseException] = []
+    claim = itertools.count().__next__  # atomic under the GIL: each index goes to one worker
+
+    def work() -> None:
+        try:
+            while not bugs:
+                i = claim()
+                if i >= n:
+                    return
+                try:
+                    results[i] = backend.complete(requests_[i])
+                except PhenoKGError as exc:
+                    results[i] = exc
+        except BaseException as exc:  # re-raised on the calling thread once every worker is joined
+            bugs.append(exc)
+
+    workers = [threading.Thread(target=work) for _ in range(min(bound, n) - 1)]
+    for worker in workers:
+        worker.start()
+    work()
+    for worker in workers:
+        worker.join()
+    if bugs:
+        raise bugs[0]
     return results
 
 
@@ -420,14 +438,21 @@ def write_cassette(path: str | Path, entries: Sequence[dict]) -> None:
 
 
 def load_cassette(path: str | Path) -> dict[str, str]:
+    """Map request hash -> response; a hash recorded twice must carry the same response."""
     responses: dict[str, str] = {}
+    first_line: dict[str, int] = {}
     for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         if not line.strip():
             continue
         record = json.loads(line)
         if "hash" not in record or "response" not in record:
             raise DomainError(f"cassette line {line_no}: expected keys 'hash' and 'response'")
-        responses[record["hash"]] = record["response"]
+        key = record["hash"]
+        if responses.setdefault(key, record["response"]) != record["response"]:
+            raise DomainError(
+                f"cassette lines {first_line[key]} and {line_no}: different responses for hash {key}"
+            )
+        first_line.setdefault(key, line_no)
     return responses
 
 

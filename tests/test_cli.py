@@ -323,6 +323,49 @@ def test_discover_cli_with_replay(tmp_path, dravet_ontology, ontology_file, caps
     assert stage["candidates"] == 60
 
 
+def _failed_run_audit(code, out, capsys, error):
+    """Check a run that exited 1 with a JSON error and a manifest; return its audit entries."""
+    assert code == 1
+    assert json.loads(capsys.readouterr().err)["error"] == error
+    assert (out / "manifest.json").exists()
+    return [json.loads(line) for line in (out / "audit.jsonl").read_text().splitlines()]
+
+
+def test_extract_with_nothing_extracted_exits_nonzero(tmp_path, ontology_file, extract_setup, capsys):
+    corpus_path, _, _, test_docs = extract_setup
+    empty = tmp_path / "empty.jsonl"
+    write_cassette(empty, [])
+    out = tmp_path / "extract"
+    code = run_cli([
+        "extract", "--task", "hpo", "--corpus", corpus_path, "--ontology", ontology_file,
+        "--backend-kind", "replay", "--cassette", empty, "--out", out,
+    ])
+    audit = _failed_run_audit(code, out, capsys, "PhenoKGError")
+    assert {entry["event"] for entry in audit} == {"document_round_failed"}
+    assert len(audit) == len(test_docs)
+
+
+def test_discover_with_nothing_scored_exits_nonzero(tmp_path, ontology_file, capsys):
+    from phenokg.discovery import save_rubric
+
+    graph, _ = fixtures.build_discovery_graph(n_patients=20, seed=13, n_positive=2)
+    graph_path = tmp_path / "haystack.jsonl"
+    save_graph(graph, graph_path)
+    rubric_path = tmp_path / "rubric.json"
+    save_rubric(fixtures.bpan_rubric(), rubric_path)
+    empty = tmp_path / "empty.jsonl"
+    write_cassette(empty, [])
+    out = tmp_path / "discover"
+    code = run_cli([
+        "discover", "--graph", graph_path, "--ontology", ontology_file, "--rubric", rubric_path,
+        "--keyword", "BPAN", "--icd", *fixtures.BPAN_GENERIC_ICD10,
+        "--backend-kind", "replay", "--cassette", empty, "--out", out,
+    ])
+    audit = _failed_run_audit(code, out, capsys, "ScoringError")
+    assert {entry["event"] for entry in audit} == {"scoring_failed"}
+    assert len(audit) == 20
+
+
 def test_cassette_record_cli(tmp_path, capsys):
     import threading
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer

@@ -595,6 +595,18 @@ def test_program_bug_propagates_from_extract(dravet_ontology):
     assert len(backend.calls) == 1  # later rounds are never sent
 
 
+def test_hpo_context_is_built_once_per_task(dravet_ontology, monkeypatch):
+    calls = []
+    name_of = dravet_ontology.name_of
+    monkeypatch.setattr(dravet_ontology, "name_of", lambda term: calls.append(term) or name_of(term))
+    task = _hpo_task(dravet_ontology)
+    backend = ScriptedBackend(responder=lambda req: json.dumps({req.request_tag.split(":")[1]: []}))
+    docs = [Document(f"p{i}", "text") for i in range(3)]
+    assert set(extract_corpus(task, docs, backend, glean=GleanConfig(2))) == {"p0", "p1", "p2"}
+    assert len(backend.calls) == 9
+    assert len(calls) == len(dravet_allowed_terms())
+
+
 def test_extract_hpo_for_patient_oracle(dravet_ontology, demo_graph):
     from phenokg.kg import patient_record
 

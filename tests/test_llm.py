@@ -308,6 +308,69 @@ def test_batch_program_bug_propagates_and_cancels_unsent():
     assert len(backend.calls) < len(requests_)
 
 
+@pytest.mark.parametrize("bound", [1, 4])
+def test_batch_runs_on_the_calling_thread_and_joins_its_workers(bound):
+    threads = []
+
+    def responder(request):
+        threads.append(threading.get_ident())
+        time.sleep(0.005)
+        return "ok"
+
+    before = set(threading.enumerate())
+    requests_ = [ChatRequest(system="s", user=str(i)) for i in range(8)]
+    results = complete_batch(ScriptedBackend(responder=responder), requests_, max_in_flight=bound)
+    assert [r.text for r in results] == ["ok"] * 8
+    if bound == 1:
+        assert set(threads) == {threading.get_ident()}
+    else:
+        assert 2 <= len(set(threads)) <= bound
+    assert set(threading.enumerate()) <= before
+
+
+def test_batch_program_bug_stops_every_worker():
+    def responder(request):
+        if request.user == "0":
+            raise TypeError("a bug, not a backend failure")
+        time.sleep(0.01)
+        return "ok"
+
+    backend = ScriptedBackend(responder=responder)
+    requests_ = [ChatRequest(system="s", user=str(i)) for i in range(20)]
+    before = set(threading.enumerate())
+    with pytest.raises(TypeError):
+        complete_batch(backend, requests_, max_in_flight=3)
+    assert len(backend.calls) < len(requests_)
+    assert set(threading.enumerate()) <= before  # every worker joined before the bug propagates
+
+
+def test_batch_interrupt_in_a_request_propagates():
+    def responder(request):
+        if request.user == "3":
+            raise KeyboardInterrupt
+        return "ok"
+
+    backend = ScriptedBackend(responder=responder)
+    requests_ = [ChatRequest(system="s", user=str(i)) for i in range(8)]
+    before = set(threading.enumerate())
+    with pytest.raises(KeyboardInterrupt):
+        complete_batch(backend, requests_, max_in_flight=2)
+    assert set(threading.enumerate()) <= before
+
+
+def test_conflicting_duplicate_cassette_hash_is_rejected(tmp_path):
+    path = tmp_path / "cassette.jsonl"
+    other = ChatRequest(system="sys", user="other prompt")
+    write_cassette(path, [cassette_entry(REQ, "first"), cassette_entry(other, "x"), cassette_entry(REQ, "second")])
+    with pytest.raises(DomainError, match="lines 1 and 3"):
+        load_cassette(path)
+    write_cassette(path, [cassette_entry(REQ, "same"), cassette_entry(other, "x"), cassette_entry(REQ, "same")])
+    assert load_cassette(path) == {
+        request_hash(REQ.system, REQ.user): "same",
+        request_hash(other.system, other.user): "x",
+    }
+
+
 def test_batch_rejects_empty():
     with pytest.raises(DomainError):
         complete_batch(ScriptedBackend(queue=[]), [])
