@@ -33,7 +33,7 @@ from .corpus import (
 )
 from .cohortstats import compare_to_ontology, derive_groups, heatmap_csv, load_groups, phenotype_frequency
 from .discovery import load_rubric, run_funnel
-from .errors import ConfigError, PhenoKGError, ScoringError
+from .errors import ConfigError, DomainError, PhenoKGError, ScoringError
 from .evaluation import MatchPolicy, render_report, score_hpo, score_multilabel, score_ner
 from .extraction import (
     AuditLog,
@@ -46,6 +46,7 @@ from .extraction import (
     extract_corpus,
 )
 from .fixtures import GROUP_SUBTREE_ROOTS
+from .jsonl import iter_jsonl, write_jsonl
 from .kg import cohort_by_icd, ingest_patients, build_graph, keyword_search, load_graph, save_graph
 from .llm import BackendConfig, ChatRequest, make_backend, record_cassette, validate_config
 from .ontology import TermId, load_annotations, load_ontology
@@ -246,9 +247,7 @@ def cmd_extract(args) -> None:
         max_in_flight=args.max_in_flight,
     )
     out = _out_dir(args)
-    with open(out / "predictions.jsonl", "w", encoding="utf-8") as fh:
-        for key in sorted(results):
-            fh.write(_prediction_record(args.task, results[key]) + "\n")
+    write_jsonl(out / "predictions.jsonl", (_prediction_record(args.task, results[key]) for key in sorted(results)))
     audit.save(out / "audit.jsonl")
     inputs = {"corpus": args.corpus}
     for name in ("ontology", "pool", "cassette", "allowed_terms", "disease_context", "universe"):
@@ -285,25 +284,21 @@ def _load_predictions(task_name: str, path: str):
     from .corpus import EntityType
     from .extraction import HpoAssertion, HpoExtraction, MultiLabelResult, NerResult, normalize_surface
 
-    out = {}
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
+    def convert(record: dict):
         if task_name == "ner":
             mentions = frozenset(
                 (normalize_surface(m["surface"]), EntityType.from_label(m["type"])) for m in record["mentions"]
             )
-            out[record["doc_id"]] = NerResult(record["doc_id"], mentions)
-        elif task_name == "hpo":
+            return record["doc_id"], NerResult(record["doc_id"], mentions)
+        if task_name == "hpo":
             assertions = tuple(
                 HpoAssertion(TermId(a["term"]), float(a["confidence"]), a.get("reasoning", ""))
                 for a in record["assertions"]
             )
-            out[record["key"]] = HpoExtraction(record["key"], assertions)
-        else:
-            out[record["doc_id"]] = MultiLabelResult(record["doc_id"], frozenset(record["labels"]))
-    return out
+            return record["key"], HpoExtraction(record["key"], assertions)
+        return record["doc_id"], MultiLabelResult(record["doc_id"], frozenset(record["labels"]))
+
+    return dict(pair for _, pair in iter_jsonl(path, DomainError, convert))
 
 
 def cmd_eval(args) -> None:
@@ -448,18 +443,17 @@ def cmd_discover(args) -> None:
 
 def cmd_cassette_record(args) -> None:
     _require(args, ["requests", "out"])
-    requests_ = []
-    for line in _read_lines(args.requests):
-        record = json.loads(line)
-        requests_.append(
-            ChatRequest(
-                system=record.get("system", ""),
-                user=record["user"],
-                temperature=record.get("temperature", 0.0),
-                max_tokens=record.get("max_tokens", 2048),
-                request_tag=record.get("request_tag", ""),
-            )
+
+    def convert(record: dict) -> ChatRequest:
+        return ChatRequest(
+            system=record.get("system", ""),
+            user=record["user"],
+            temperature=record.get("temperature", 0.0),
+            max_tokens=record.get("max_tokens", 2048),
+            request_tag=record.get("request_tag", ""),
         )
+
+    requests_ = [request for _, request in iter_jsonl(args.requests, DomainError, convert)]
     config = BackendConfig(
         kind="http",
         model_name=args.model or "",

@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import CorpusIntegrityError, DomainError
+from .jsonl import iter_jsonl, write_jsonl
 from .ontology import Ontology, TermId, normalize_label
 
 
@@ -182,40 +183,37 @@ def save_span_corpus(corpus: Sequence[tuple[Document, Sequence[SpanAnnotation]]]
     Path(path).write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
 
 
-def _load_jsonl(path: str | Path) -> list[dict]:
-    records = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            records.append(json.loads(line))
-        except json.JSONDecodeError as exc:
-            raise CorpusIntegrityError(f"line {line_no}: invalid JSON ({exc})") from None
-    return records
-
-
-def load_hpo_gold(path: str | Path, ontology: Ontology | None = None) -> list[tuple[Document, HpoGoldLabel]]:
-    """Load ontology-labeled notes (JSON Lines of {doc_id, text, hpo_ids})."""
-    out = []
+def _load_labeled_docs(path: str | Path, labels_key: str, make_gold) -> list[tuple[Document, object]]:
+    """(Document, make_gold(doc_id, record[labels_key])) per line; a bad line or duplicate doc_id names its line."""
     seen: set[str] = set()
-    for record in _load_jsonl(path):
+
+    def convert(record: dict) -> tuple[Document, object]:
         doc = Document(record["doc_id"], record["text"])
         if doc.doc_id in seen:
             raise CorpusIntegrityError(f"duplicate doc_id {doc.doc_id}")
         seen.add(doc.doc_id)
-        terms = frozenset(TermId(t) for t in record["hpo_ids"])
+        return doc, make_gold(doc.doc_id, record[labels_key])
+
+    return [pair for _, pair in iter_jsonl(path, CorpusIntegrityError, convert)]
+
+
+def load_hpo_gold(path: str | Path, ontology: Ontology | None = None) -> list[tuple[Document, HpoGoldLabel]]:
+    """Load ontology-labeled notes (JSON Lines of {doc_id, text, hpo_ids})."""
+
+    def make_gold(doc_id: str, hpo_ids) -> HpoGoldLabel:
+        terms = frozenset(TermId(t) for t in hpo_ids)
         if ontology is not None:
             unknown = sorted(t for t in terms if t not in ontology)
             if unknown:
-                raise CorpusIntegrityError(f"doc {doc.doc_id}: gold terms not in ontology: {', '.join(unknown)}")
-        out.append((doc, HpoGoldLabel(doc.doc_id, terms)))
-    return out
+                raise CorpusIntegrityError(f"doc {doc_id}: gold terms not in ontology: {', '.join(unknown)}")
+        return HpoGoldLabel(doc_id, terms)
+
+    return _load_labeled_docs(path, "hpo_ids", make_gold)
 
 
 def save_hpo_gold(corpus: Sequence[tuple[Document, HpoGoldLabel]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc, gold in corpus:
-            fh.write(json.dumps({"doc_id": doc.doc_id, "text": doc.text, "hpo_ids": sorted(gold.terms)}) + "\n")
+    lines = (json.dumps({"doc_id": doc.doc_id, "text": doc.text, "hpo_ids": sorted(g.terms)}) for doc, g in corpus)
+    write_jsonl(path, lines)
 
 
 def load_multilabel_gold(
@@ -224,25 +222,20 @@ def load_multilabel_gold(
     """Load multilabel note annotations (JSON Lines of {doc_id, text, labels})."""
     if len(universe) != 15:
         raise DomainError(f"label universe must have exactly 15 names, got {len(universe)}")
-    out = []
-    seen: set[str] = set()
-    for record in _load_jsonl(path):
-        doc = Document(record["doc_id"], record["text"])
-        if doc.doc_id in seen:
-            raise CorpusIntegrityError(f"duplicate doc_id {doc.doc_id}")
-        seen.add(doc.doc_id)
-        labels = frozenset(record["labels"])
+
+    def make_gold(doc_id: str, labels) -> MultiLabelGold:
+        labels = frozenset(labels)
         stray = sorted(labels - set(universe))
         if stray:
-            raise CorpusIntegrityError(f"doc {doc.doc_id}: labels outside universe: {', '.join(stray)}")
-        out.append((doc, MultiLabelGold(doc.doc_id, labels)))
-    return out
+            raise CorpusIntegrityError(f"doc {doc_id}: labels outside universe: {', '.join(stray)}")
+        return MultiLabelGold(doc_id, labels)
+
+    return _load_labeled_docs(path, "labels", make_gold)
 
 
 def save_multilabel_gold(corpus: Sequence[tuple[Document, MultiLabelGold]], path: str | Path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for doc, gold in corpus:
-            fh.write(json.dumps({"doc_id": doc.doc_id, "text": doc.text, "labels": sorted(gold.labels)}) + "\n")
+    lines = (json.dumps({"doc_id": doc.doc_id, "text": doc.text, "labels": sorted(g.labels)}) for doc, g in corpus)
+    write_jsonl(path, lines)
 
 
 def split_train_test(corpus: Sequence, test_size: int, seed: int) -> tuple[list, list]:

@@ -245,7 +245,6 @@ def run_funnel(
     filtered = sorted(key for key, s in scores.items() if s.score >= threshold)
     stage_counts.append(("filtered", len(filtered)))
 
-    # same task/prompt construction as extract_hpo_for_patient, batched
     task = HpoTask(ontology, allowed_terms=allowed_terms, disease_context=rubric.disease_context)
     documents = [Document(key, records[key].render()) for key in filtered]
     extractions: dict[str, HpoExtraction] = (

@@ -34,7 +34,7 @@ class CorpusIntegrityError(PhenoKGError):
 
 
 class BackendUnavailableError(PhenoKGError):
-    """All attempts against a chat/embedding backend failed."""
+    """All attempts against a chat backend failed."""
 
     def __init__(self, message: str, last_status: int | None = None, attempts: int = 0):
         self.last_status = last_status

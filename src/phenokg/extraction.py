@@ -25,6 +25,7 @@ from typing import Sequence
 
 from .corpus import Document, EntityType
 from .errors import DomainError, OutputParseError, OutputSchemaError, PhenoKGError
+from .jsonl import write_jsonl
 from .llm import ChatRequest, _as_backend, complete_batch
 from .ontology import Ontology, TermId
 from .retrieval import EmbeddingIndex, HashedEmbedder, top_k
@@ -143,9 +144,7 @@ class AuditLog:
         return len(self.entries)
 
     def save(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            for entry in self.entries:
-                fh.write(json.dumps(entry, sort_keys=True) + "\n")
+        write_jsonl(path, (json.dumps(entry, sort_keys=True) for entry in self.entries))
 
 
 @functools.lru_cache(maxsize=None)
@@ -734,29 +733,3 @@ def _extract_rounds(task, documents, backend, policy, glean, audit, max_in_fligh
         active = still_active
     return results
 
-
-def extract_hpo_for_patient(
-    patient_record,
-    disease_context: str,
-    allowed_terms: set[TermId] | frozenset[TermId],
-    backend,
-    glean: GleanConfig = GleanConfig(1),
-    ontology: Ontology | None = None,
-    audit: AuditLog | None = None,
-) -> HpoExtraction:
-    """Extract allowed ontology terms from one patient's full record.
-
-    The prompt embeds the expert-curated disease context and the allowed
-    term list (id and name); output is constrained to the allowed set and
-    keyed by the patient key. ``patient_record`` needs ``key`` and
-    ``render()`` (see kg.PatientRecord).
-    """
-    if not allowed_terms:
-        raise DomainError("allowed_terms must be nonempty")
-    if not disease_context.strip():
-        raise DomainError("disease_context must be supplied")
-    if ontology is None:
-        raise DomainError("ontology is required to validate and name allowed terms")
-    task = HpoTask(ontology, allowed_terms=allowed_terms, disease_context=disease_context)
-    document = Document(patient_record.key, patient_record.render())
-    return extract(task, document, backend, policy=ZERO_SHOT, glean=glean, audit=audit)

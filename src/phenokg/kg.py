@@ -10,6 +10,7 @@ concurrent readers.
 from __future__ import annotations
 
 import enum
+import itertools
 import json
 import re
 from dataclasses import dataclass, field
@@ -17,6 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DomainError, GraphIntegrityError
+from .jsonl import iter_jsonl, write_jsonl
 from .ontology import Ontology, TermId
 
 _WS_RE = re.compile(r"\s")
@@ -367,44 +369,24 @@ def record_to_node(record: dict) -> PatientNode | NoteNode | PhenotypeAssertion:
 
 
 def save_graph(graph: Graph, path: str | Path) -> None:
-    """Persist as JSON Lines: patients, then notes, then assertions, sorted."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for key in graph.patient_keys():
-            fh.write(json.dumps(_patient_to_record(graph.patient(key)), sort_keys=True) + "\n")
-        for note in graph.iter_notes():
-            fh.write(json.dumps(_note_to_record(note), sort_keys=True) + "\n")
-        records = sorted(
-            (_assertion_to_record(a) for a in graph.assertions()),
-            key=lambda r: (r["patient"], r["term"], r["confidence"], r["source_note"] or ""),
-        )
-        for record in records:
-            fh.write(json.dumps(record, sort_keys=True) + "\n")
+    """Persist as JSON Lines, replaced atomically: patients, then notes, then assertions, sorted."""
+    assertions = sorted(
+        (_assertion_to_record(a) for a in graph.assertions()),
+        key=lambda r: (r["patient"], r["term"], r["confidence"], r["source_note"] or ""),
+    )
+    records = itertools.chain(
+        (_patient_to_record(graph.patient(key)) for key in graph.patient_keys()),
+        (_note_to_record(note) for note in graph.iter_notes()),
+        assertions,
+    )
+    write_jsonl(path, (json.dumps(record, sort_keys=True) for record in records))
 
 
 def load_graph(path: str | Path, ontology: Ontology | None = None) -> Graph:
     """Load a typed-JSONL graph, re-verifying every referential invariant."""
-    nodes = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        try:
-            record = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise GraphIntegrityError(f"line {line_no}: invalid JSON ({exc})") from None
-        try:
-            nodes.append(record_to_node(record))
-        except (KeyError, ValueError, DomainError) as exc:
-            raise GraphIntegrityError(f"line {line_no}: {exc}") from None
-    return build_graph(nodes, ontology)
+    return build_graph(ingest_patients(path), ontology)
 
 
 def ingest_patients(path: str | Path) -> list[PatientNode | NoteNode | PhenotypeAssertion]:
-    """Read a patient-ingest JSONL file (PatientNode + NoteNode records)."""
-    nodes = []
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        node = record_to_node(record)
-        nodes.append(node)
-    return nodes
+    """Read typed JSONL records (patients, notes, assertions); a bad line is a GraphIntegrityError naming it."""
+    return [node for _, node in iter_jsonl(path, GraphIntegrityError, record_to_node)]

@@ -1,12 +1,12 @@
 """Chat-completion backends: OpenAI-compatible HTTP, replay cassettes, scripted.
 
-``complete`` and ``complete_batch`` accept either a BackendConfig or a
-backend object. The HTTP backend posts through one stdlib ``urllib``
-opener (a fresh connection per request) and retries transport errors,
-5xx and 429 with exponential backoff; the replay backend answers from a
-recorded cassette keyed by a stable hash of (system, user); the scripted
-backend answers from an in-process responder and exists for oracle runs
-and tests.
+Every backend has ``complete(request)``; ``complete_batch`` accepts either
+a BackendConfig or a backend object. The HTTP backend posts through one
+stdlib ``urllib`` opener (a fresh connection per request) and retries
+transport errors, 5xx and 429 with exponential backoff; the replay backend
+answers from a recorded cassette keyed by a stable hash of (system, user);
+the scripted backend answers from an in-process responder and exists for
+oracle runs and tests.
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import BackendUnavailableError, DomainError, PhenoKGError, ReplayMissError
+from .jsonl import iter_jsonl, write_jsonl
 
 ENDPOINT_ENV_VAR = "PHENOKG_ENDPOINT_URL"
 API_KEY_ENV_VAR = "PHENOKG_API_KEY"
@@ -168,11 +169,6 @@ class _RefuseRedirects(urllib.request.HTTPRedirectHandler):
         return None
 
 
-def _build_opener() -> urllib.request.OpenerDirector:
-    """The opener a backend posts through: proxies from the environment, no redirects."""
-    return urllib.request.build_opener(_RefuseRedirects)
-
-
 def backoff_schedule(retry: RetryPolicy) -> list[float]:
     """Delays slept between attempts; non-decreasing by construction."""
     return [retry.base_backoff * (2**i) for i in range(retry.max_attempts - 1)]
@@ -192,10 +188,14 @@ class HttpBackend:
             raise DomainError("; ".join(problems))
         self.config = config
         self.endpoint_url = _effective_endpoint(config.endpoint_url)
-        self.api_key = os.environ.get(API_KEY_ENV_VAR, "")
         self.max_in_flight = config.max_in_flight
         self._sleep = sleep
-        self._opener = _build_opener()
+        self._headers = {"Content-Type": "application/json"}
+        api_key = os.environ.get(API_KEY_ENV_VAR, "")
+        if api_key:
+            self._headers["Authorization"] = f"Bearer {api_key}"
+        # proxies come from the environment; redirects are refused
+        self._opener = urllib.request.build_opener(_RefuseRedirects)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         body = {
@@ -207,14 +207,7 @@ class HttpBackend:
             "temperature": request.temperature,
             "max_tokens": request.max_tokens,
         }
-        config = self.config
-        payload, attempts = _post_with_retry(
-            self._opener, self.endpoint_url, body, self.api_key, config.timeout, config.retry, self._sleep
-        )
-        return self._parse_payload(payload, request, attempts)
-
-    @staticmethod
-    def _parse_payload(payload: dict, request: ChatRequest, attempts: int) -> ChatResponse:
+        payload, attempts = self._post_with_retry(json.dumps(body).encode("utf-8"))
         try:
             text = payload["choices"][0]["message"]["content"]
         except (KeyError, IndexError, TypeError):
@@ -222,81 +215,63 @@ class HttpBackend:
                 f"malformed completion payload: {_error_snippet(payload)}", attempts=attempts
             ) from None
         usage = payload.get("usage") or {}
-        return ChatResponse(
-            text=text,
-            usage=Usage(
-                prompt_tokens=int(usage.get("prompt_tokens", 0)),
-                completion_tokens=int(usage.get("completion_tokens", 0)),
-            ),
-            attempts=attempts,
+        tokens = Usage(int(usage.get("prompt_tokens", 0)), int(usage.get("completion_tokens", 0)))
+        return ChatResponse(text=text, usage=tokens, attempts=attempts)
+
+    def _post_with_retry(self, data: bytes) -> tuple[dict, int]:
+        """POST a JSON body; return (payload, attempts) of the first 200 reply.
+
+        The one retry loop: transport errors (refused, reset, timed out,
+        truncated), 5xx and 429 are retried on the backoff schedule, any
+        other status fails at once (both as BackendUnavailableError). Each
+        attempt opens a fresh connection. The caller validates the payload;
+        a malformed one is not retried.
+        """
+        retry = self.config.retry
+        delays = backoff_schedule(retry)
+        last_status: int | None = None
+        last_error = ""
+        for attempt in range(1, retry.max_attempts + 1):
+            try:
+                status, raw = self._post_once(data)
+            except (OSError, http.client.HTTPException) as exc:
+                last_status, last_error = None, str(exc)
+            else:
+                try:
+                    payload = json.loads(raw)
+                except ValueError:
+                    payload = {"error": raw.decode("utf-8", errors="replace")[:500]}
+                if status == 200:
+                    return payload, attempt
+                last_status, last_error = status, _error_snippet(payload)
+                if last_status not in _RETRYABLE_STATUSES:
+                    raise BackendUnavailableError(
+                        f"backend returned non-retryable status {last_status}: {last_error}",
+                        last_status=last_status,
+                        attempts=attempt,
+                    )
+            if attempt < retry.max_attempts:
+                self._sleep(delays[attempt - 1])
+        raise BackendUnavailableError(
+            f"backend unavailable after {retry.max_attempts} attempts "
+            f"(last status: {last_status}, last error: {last_error})",
+            last_status=last_status,
+            attempts=retry.max_attempts,
         )
+
+    def _post_once(self, data: bytes) -> tuple[int, bytes]:
+        """(status, body bytes) of one POST; an HTTP error status is a reply, not an exception."""
+        request = urllib.request.Request(self.endpoint_url, data, self._headers)
+        try:
+            response = self._opener.open(request, timeout=self.config.timeout)
+        except urllib.error.HTTPError as exc:
+            response = exc
+        with response:
+            return response.status, response.read()
 
 
 def _error_snippet(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)[:200]
-
-
-def _post_with_retry(
-    opener: urllib.request.OpenerDirector,
-    url: str,
-    body: dict,
-    api_key: str,
-    timeout: float,
-    retry: RetryPolicy,
-    sleep: Callable[[float], None],
-) -> tuple[dict, int]:
-    """POST a JSON body through ``opener``; return (payload, attempts) of the first 200 reply.
-
-    The one retry loop for chat and embeddings: transport errors (refused,
-    reset, timed out, truncated), 5xx and 429 are retried on the backoff
-    schedule, any other status fails at once (both as
-    BackendUnavailableError). Each attempt opens a fresh connection. The
-    caller validates the payload; a malformed one is not retried.
-    """
-    data = json.dumps(body).encode("utf-8")
-    headers = {"Content-Type": "application/json"}
-    if api_key:
-        headers["Authorization"] = f"Bearer {api_key}"
-    delays = backoff_schedule(retry)
-    last_status: int | None = None
-    last_error = ""
-    for attempt in range(1, retry.max_attempts + 1):
-        try:
-            status, raw = _post_once(opener, urllib.request.Request(url, data, headers), timeout)
-        except (OSError, http.client.HTTPException) as exc:
-            last_status, last_error = None, str(exc)
-        else:
-            try:
-                payload = json.loads(raw)
-            except ValueError:
-                payload = {"error": raw.decode("utf-8", errors="replace")[:500]}
-            if status == 200:
-                return payload, attempt
-            last_status, last_error = status, _error_snippet(payload)
-            if last_status not in _RETRYABLE_STATUSES:
-                raise BackendUnavailableError(
-                    f"backend returned non-retryable status {last_status}: {last_error}",
-                    last_status=last_status,
-                    attempts=attempt,
-                )
-        if attempt < retry.max_attempts:
-            sleep(delays[attempt - 1])
-    raise BackendUnavailableError(
-        f"backend unavailable after {retry.max_attempts} attempts "
-        f"(last status: {last_status}, last error: {last_error})",
-        last_status=last_status,
-        attempts=retry.max_attempts,
-    )
-
-
-def _post_once(opener: urllib.request.OpenerDirector, request: urllib.request.Request, timeout: float):
-    """(status, body bytes) of one POST; an HTTP error status is a reply, not an exception."""
-    try:
-        response = opener.open(request, timeout=timeout)
-    except urllib.error.HTTPError as exc:
-        response = exc
-    with response:
-        return response.status, response.read()
 
 
 class ReplayBackend:
@@ -369,11 +344,6 @@ def _as_backend(backend_or_config):
     return backend_or_config
 
 
-def complete(backend_or_config, request: ChatRequest) -> ChatResponse:
-    """Single chat completion; see the backend classes for error semantics."""
-    return _as_backend(backend_or_config).complete(request)
-
-
 def complete_batch(
     backend_or_config,
     requests_: Sequence[ChatRequest],
@@ -431,27 +401,17 @@ def cassette_entry(request: ChatRequest, response_text: str) -> dict:
 
 
 def write_cassette(path: str | Path, entries: Sequence[dict]) -> None:
-    """Write cassette entries ({hash, response} dicts) as JSON Lines."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for entry in entries:
-            fh.write(json.dumps({"hash": entry["hash"], "response": entry["response"]}) + "\n")
+    """Write cassette entries ({hash, response} dicts) as JSON Lines, replaced atomically."""
+    write_jsonl(path, (json.dumps({"hash": entry["hash"], "response": entry["response"]}) for entry in entries))
 
 
 def load_cassette(path: str | Path) -> dict[str, str]:
     """Map request hash -> response; a hash recorded twice must carry the same response."""
     responses: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for line_no, line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        if "hash" not in record or "response" not in record:
-            raise DomainError(f"cassette line {line_no}: expected keys 'hash' and 'response'")
-        key = record["hash"]
-        if responses.setdefault(key, record["response"]) != record["response"]:
-            raise DomainError(
-                f"cassette lines {first_line[key]} and {line_no}: different responses for hash {key}"
-            )
+    for line_no, (key, response) in iter_jsonl(path, DomainError, lambda r: (r["hash"], r["response"])):
+        if responses.setdefault(key, response) != response:
+            raise DomainError(f"{path} lines {first_line[key]} and {line_no}: different responses for hash {key}")
         first_line.setdefault(key, line_no)
     return responses
 

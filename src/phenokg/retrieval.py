@@ -1,35 +1,21 @@
 """Embedding store and exact top-k cosine retrieval for dynamic few-shot selection.
 
-Two embedders: a remote OpenAI-compatible embeddings endpoint, and a
-deterministic hashed bag-of-words fallback (case-folded tokens, FNV-1a
-hashed into a fixed 256-dim count vector, L2-normalized). The fallback
-matches the remote embedder's interface and determinism guarantees only,
-not its retrieval quality. Search is exact and exhaustive; corpora here
-are at most a few thousand items.
+The embedder is a deterministic hashed bag-of-words model (case-folded
+tokens, FNV-1a hashed into a fixed 256-dim count vector, L2-normalized).
+An index is rebuilt from its texts on every run and is never persisted.
+Search is exact and exhaustive; corpora here are at most a few thousand
+items.
 """
 
 from __future__ import annotations
 
-import json
 import math
-import os
 import re
-import time
-from pathlib import Path
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import BackendUnavailableError, DomainError
-from .llm import (
-    API_KEY_ENV_VAR,
-    RetryPolicy,
-    _api_key_problems,
-    _build_opener,
-    _effective_endpoint,
-    _endpoint_problems,
-    _post_with_retry,
-)
+from .errors import DomainError
 
 DEFAULT_DIM = 256
 
@@ -66,39 +52,6 @@ class HashedEmbedder:
 
     def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
         return [self.embed_one(t) for t in texts]
-
-
-class RemoteEmbedder:
-    """OpenAI-compatible embeddings endpoint with the shared retry loop and transport."""
-
-    def __init__(
-        self,
-        endpoint_url: str,
-        model_name: str,
-        retry: RetryPolicy = RetryPolicy(),
-        timeout: float = 30.0,
-        sleep: Callable[[float], None] = time.sleep,
-    ):
-        self.endpoint_url = _effective_endpoint(endpoint_url)
-        self.api_key = os.environ.get(API_KEY_ENV_VAR, "")
-        problems = _endpoint_problems(self.endpoint_url) + _api_key_problems(self.api_key)
-        if problems:
-            raise DomainError("; ".join(problems))
-        self.model_name = model_name
-        self.retry = retry
-        self.timeout = timeout
-        self._sleep = sleep
-        self._opener = _build_opener()
-
-    def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
-        body = {"model": self.model_name, "input": list(texts)}
-        payload, attempts = _post_with_retry(
-            self._opener, self.endpoint_url, body, self.api_key, self.timeout, self.retry, self._sleep
-        )
-        try:
-            return [row["embedding"] for row in sorted(payload["data"], key=lambda r: r["index"])]
-        except (KeyError, TypeError) as exc:
-            raise BackendUnavailableError(f"malformed embeddings payload: {exc!r}", attempts=attempts) from None
 
 
 def embed(embedder, texts: Sequence[str]) -> list[list[float]]:
@@ -145,13 +98,6 @@ class EmbeddingIndex:
 
     def __contains__(self, item_id: str) -> bool:
         return item_id in self._rows
-
-    @property
-    def ids(self) -> list[str]:
-        return list(self._ids)
-
-    def vector(self, item_id: str) -> list[float]:
-        return self._matrix[self._rows[item_id]].tolist()
 
 
 def build_index(embedder, items: dict[str, str] | Sequence[tuple[str, str]]) -> EmbeddingIndex:
@@ -210,20 +156,3 @@ def top_k(
     ranked = [(index._ids[row], float(scores[row])) for row in candidates.tolist()]
     ranked.sort(key=lambda pair: (-round(pair[1], 12), pair[0]))
     return ranked[:k]
-
-
-def save_index(index: EmbeddingIndex, path: str | Path) -> None:
-    """Persist as JSON Lines of {item_id, vector}."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for item_id in index.ids:
-            fh.write(json.dumps({"item_id": item_id, "vector": index.vector(item_id)}) + "\n")
-
-
-def load_index(path: str | Path) -> EmbeddingIndex:
-    items = []
-    for line in Path(path).read_text(encoding="utf-8").splitlines():
-        if not line.strip():
-            continue
-        record = json.loads(line)
-        items.append((record["item_id"], record["vector"]))
-    return EmbeddingIndex(items)

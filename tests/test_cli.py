@@ -403,3 +403,42 @@ def test_cassette_record_cli(tmp_path, capsys):
     finally:
         server.shutdown()
         server.server_close()
+
+
+def _malformed_input_error(code, capsys, path, line_no):
+    """Check a run that exited 1 with a JSON error naming ``path`` and its line; return the error."""
+    assert code == 1
+    error = json.loads(capsys.readouterr().err)
+    assert f"{path} line {line_no}: " in error["message"]
+    return error
+
+
+@pytest.mark.parametrize("command", ["build", "query"])
+def test_kg_commands_reject_a_non_object_graph_line(tmp_path, graph_file, capsys, command):
+    path = tmp_path / "bad-graph.jsonl"
+    path.write_text(graph_file.read_text().splitlines()[0] + "\n[1, 2]\n")
+    flags = ["--graph", path, "--icd", "G40.83"] if command == "query" else ["--records", path, "--out", tmp_path]
+    error = _malformed_input_error(run_cli(["kg", command, *flags]), capsys, path, 2)
+    assert error == {"error": "GraphIntegrityError", "message": f"{path} line 2: expected a JSON object"}
+
+
+def test_cassette_record_rejects_a_request_without_user(tmp_path, capsys):
+    path = tmp_path / "requests.jsonl"
+    path.write_text(json.dumps({"system": "s", "user": "u"}) + "\n" + json.dumps({"system": "s"}) + "\n")
+    code = run_cli([
+        "cassette", "record", "--requests", path,
+        "--endpoint", "http://127.0.0.1:9/v1/chat/completions", "--out", tmp_path / "recorded.jsonl",
+    ])
+    error = _malformed_input_error(code, capsys, path, 2)
+    assert error == {"error": "DomainError", "message": f"{path} line 2: missing key 'user'"}
+    assert not (tmp_path / "recorded.jsonl").exists()
+
+
+def test_eval_rejects_a_bad_prediction_line(tmp_path, capsys):
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"doc_id": "d1", "text": "t", "hpo_ids": []}) + "\n")
+    pred = tmp_path / "predictions.jsonl"
+    pred.write_text(json.dumps({"key": "d1", "assertions": []}) + "\n\n{\"key\": \"d2\", \n")
+    code = run_cli(["eval", "--task", "hpo", "--gold", gold, "--pred", pred, "--out", tmp_path / "eval"])
+    error = _malformed_input_error(code, capsys, pred, 3)
+    assert error["error"] == "DomainError" and "invalid JSON" in error["message"]

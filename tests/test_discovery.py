@@ -252,6 +252,27 @@ def test_threshold_bounds(haystack, dravet_ontology):
         )
 
 
+@pytest.mark.parametrize(
+    "allowed_terms, has_ontology, match",
+    [(frozenset(), True, "allowed_terms"), (BPAN_ALLOWED_TERMS, False, "ontology")],
+    ids=["no allowed terms", "no ontology"],
+)
+def test_run_funnel_preconditions_send_nothing(haystack, dravet_ontology, allowed_terms, has_ontology, match):
+    graph, planted = haystack
+    backend = oracle_backend(planted, BPAN_ALLOWED_TERMS)
+    with pytest.raises(DomainError, match=match):
+        run_funnel(
+            graph,
+            bpan_rubric(),
+            keywords={"BPAN"},
+            generic_icd=set(BPAN_GENERIC_ICD10),
+            allowed_terms=allowed_terms,
+            backend=backend,
+            ontology=dravet_ontology if has_ontology else None,
+        )
+    assert backend.calls == []
+
+
 def test_threshold_zero_keeps_scored_stage(haystack, dravet_ontology):
     graph, planted = haystack
     report = run_funnel(

@@ -30,7 +30,6 @@ from phenokg.extraction import (
     build_prompt,
     extract,
     extract_corpus,
-    extract_hpo_for_patient,
     merge_gleaned,
     parse_model_output,
 )
@@ -605,35 +604,6 @@ def test_hpo_context_is_built_once_per_task(dravet_ontology, monkeypatch):
     assert set(extract_corpus(task, docs, backend, glean=GleanConfig(2))) == {"p0", "p1", "p2"}
     assert len(backend.calls) == 9
     assert len(calls) == len(dravet_allowed_terms())
-
-
-def test_extract_hpo_for_patient_oracle(dravet_ontology, demo_graph):
-    from phenokg.kg import patient_record
-
-    key = sorted(demo_graph.patient_keys())[0]
-    record = patient_record(demo_graph, key)
-    raw = json.dumps({key: [{"category": "HP:0011172", "confidence": 0.9, "reasoning": "note"}]})
-    result = extract_hpo_for_patient(
-        record,
-        disease_context=dravet_disease_context(),
-        allowed_terms=dravet_allowed_terms(),
-        backend=ScriptedBackend(queue=[raw, json.dumps({key: []})]),
-        ontology=dravet_ontology,
-    )
-    assert result.key == key
-    assert result.term_set() == {"HP:0011172"}
-
-
-def test_extract_hpo_for_patient_preconditions(dravet_ontology, demo_graph):
-    from phenokg.kg import patient_record
-
-    record = patient_record(demo_graph, sorted(demo_graph.patient_keys())[0])
-    with pytest.raises(DomainError):
-        extract_hpo_for_patient(record, "ctx", frozenset(), ScriptedBackend(queue=[]), ontology=dravet_ontology)
-    with pytest.raises(DomainError):
-        extract_hpo_for_patient(
-            record, "  ", dravet_allowed_terms(), ScriptedBackend(queue=[]), ontology=dravet_ontology
-        )
 
 
 def test_replay_miss_surfaces_through_extract(dravet_ontology, tmp_path):

@@ -21,7 +21,6 @@ from phenokg.llm import (
     ScriptedBackend,
     backoff_schedule,
     cassette_entry,
-    complete,
     complete_batch,
     load_cassette,
     make_backend,
@@ -30,7 +29,6 @@ from phenokg.llm import (
     validate_config,
     write_cassette,
 )
-from phenokg.retrieval import RemoteEmbedder
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
@@ -98,7 +96,7 @@ def test_chat_request_invariants():
 
 def test_http_success_reads_openai_shape(http_stub):
     http_stub.script[:] = [(200, "hi there")]
-    response = complete(_http_config(http_stub), REQ)
+    response = make_backend(_http_config(http_stub)).complete(REQ)
     assert response.text == "hi there"
     assert response.attempts == 1
     assert response.usage.prompt_tokens == 7
@@ -228,17 +226,13 @@ def test_record_cassette_failure_writes_nothing(tmp_path):
 
 @pytest.mark.parametrize(
     "reply, match",
-    [((400, ""), "non-retryable status 400"), ((200, "a chat reply has no data field"), "malformed")],
+    [((400, ""), "non-retryable status 400"), ((200, {"data": "a 200 reply without choices"}), "malformed")],
 )
-def test_embedder_fails_fast_without_retry(http_stub, reply, match):
+def test_http_fails_fast_without_retry(http_stub, reply, match):
     http_stub.script[:] = [reply, (200, "never reached")]
-    embedder = RemoteEmbedder(
-        endpoint_url=f"http://127.0.0.1:{http_stub.server_address[1]}/v1/embeddings",
-        model_name="stub-embedder",
-        retry=RetryPolicy(max_attempts=3, base_backoff=0),
-    )
+    backend = HttpBackend(_http_config(http_stub, max_attempts=3))
     with pytest.raises(BackendUnavailableError, match=match):
-        embedder.embed_many(["text"])
+        backend.complete(REQ)
     assert len(http_stub.requests_seen) == 1
 
 
@@ -253,7 +247,7 @@ def test_scripted_queue_and_exhaustion():
 def test_single_request_batch_equals_complete():
     backend = ScriptedBackend(responder=lambda req: req.user.upper())
     batch = complete_batch(backend, [REQ])
-    assert batch[0].text == complete(ScriptedBackend(responder=lambda req: req.user.upper()), REQ).text
+    assert batch[0].text == ScriptedBackend(responder=lambda req: req.user.upper()).complete(REQ).text
 
 
 def test_batch_preserves_input_order_under_reverse_completion():
@@ -399,21 +393,16 @@ def test_env_vars_override_endpoint_and_key(http_stub, monkeypatch):
     # config has no endpoint at all: the env var supplies it
     config = BackendConfig(kind="http", model_name="m", retry=RetryPolicy(max_attempts=1))
     assert not validate_config(config)
-    assert complete(config, REQ).text == "from env"
+    assert make_backend(config).complete(REQ).text == "from env"
 
 
-def test_embedder_backs_off_through_the_injected_sleep(http_stub, monkeypatch):
+def test_http_backs_off_through_the_injected_sleep(http_stub, monkeypatch):
     real_sleeps, injected = [], []
     monkeypatch.setattr(time, "sleep", real_sleeps.append)
-    http_stub.script[:] = [(500, ""), (500, ""), (200, {"data": [{"index": 0, "embedding": [1.0, 2.0]}]})]
+    http_stub.script[:] = [(500, ""), (500, ""), (200, "third time")]
     retry = RetryPolicy(max_attempts=3, base_backoff=0.25)
-    embedder = RemoteEmbedder(
-        endpoint_url=f"http://127.0.0.1:{http_stub.server_address[1]}/v1/embeddings",
-        model_name="stub-embedder",
-        retry=retry,
-        sleep=injected.append,
-    )
-    assert embedder.embed_many(["text"]) == [[1.0, 2.0]]
+    config = BackendConfig(kind="http", endpoint_url=_http_config(http_stub).endpoint_url, retry=retry)
+    assert HttpBackend(config, sleep=injected.append).complete(REQ).text == "third time"
     assert injected == backoff_schedule(retry)
     assert real_sleeps == []
 
@@ -425,13 +414,12 @@ def test_malformed_endpoint_is_rejected_at_construction(url, monkeypatch):
     assert len(validate_config(config)) == 1
     with pytest.raises(DomainError, match="endpoint URL"):
         make_backend(config)
-    with pytest.raises(DomainError, match="endpoint URL"):
-        RemoteEmbedder(endpoint_url=url, model_name="m")
     # the environment variable is the effective endpoint when set
     monkeypatch.setenv("PHENOKG_ENDPOINT_URL", url)
-    assert len(validate_config(BackendConfig(kind="http", endpoint_url="http://127.0.0.1:8000/v1"))) == 1
+    config = BackendConfig(kind="http", endpoint_url="http://127.0.0.1:8000/v1")
+    assert len(validate_config(config)) == 1
     with pytest.raises(DomainError, match="endpoint URL"):
-        RemoteEmbedder(endpoint_url="http://127.0.0.1:8000/v1", model_name="m")
+        make_backend(config)
 
 
 @pytest.mark.parametrize("key", ["sekrit\n", "sek\r\nX-Injected: 1", "ключ"])
@@ -444,7 +432,7 @@ def test_malformed_api_key_is_rejected_at_construction(key, monkeypatch):
     with pytest.raises(DomainError, match="PHENOKG_API_KEY"):
         make_backend(config)
     with pytest.raises(DomainError, match="PHENOKG_API_KEY"):
-        RemoteEmbedder(endpoint_url="http://127.0.0.1:8000/v1", model_name="m")
+        HttpBackend(config)
     # a replay backend sends no key, so the key does not matter to it
     assert validate_config(BackendConfig(kind="replay", cassette_path="c.jsonl")) == []
 

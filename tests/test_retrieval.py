@@ -12,8 +12,6 @@ from phenokg.retrieval import (
     HashedEmbedder,
     build_index,
     embed,
-    load_index,
-    save_index,
     top_k,
 )
 
@@ -140,62 +138,6 @@ def test_index_rejects_dim_mismatch_and_duplicates():
         EmbeddingIndex([("a", [1.0]), ("a", [2.0])])
     with pytest.raises(DomainError):
         EmbeddingIndex([("a", [float("nan")])])
-
-
-def test_index_save_load_round_trip(tmp_path):
-    embedder = HashedEmbedder(dim=32)
-    rng = random.Random(11)
-    ids = [f"doc-{i:05d}" for i in range(3000)]
-    rng.shuffle(ids)  # insertion order is not id order
-    index = build_index(embedder, {item_id: f"text {item_id} {rng.randint(0, 99)}" for item_id in ids})
-    path = tmp_path / "index.jsonl"
-    save_index(index, path)
-    loaded = load_index(path)
-    assert loaded.ids == index.ids == ids
-    assert loaded.dim == index.dim
-    for item_id in ids[:50]:
-        assert loaded.vector(item_id) == index.vector(item_id)
-    query = embedder.embed_one(f"text {ids[0]}")
-    assert top_k(loaded, query, k=5) == top_k(index, query, k=5)
-
-
-def test_remote_embedder_round_trip():
-    import json as _json
-    import threading
-    from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-
-    from phenokg.retrieval import RemoteEmbedder
-
-    class Handler(BaseHTTPRequestHandler):
-        def do_POST(self):
-            length = int(self.headers.get("Content-Length", 0))
-            body = _json.loads(self.rfile.read(length))
-            data = [
-                {"index": i, "embedding": [float(len(text)), 1.0]}
-                for i, text in enumerate(body["input"])
-            ]
-            encoded = _json.dumps({"data": data}).encode()
-            self.send_response(200)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(encoded)))
-            self.end_headers()
-            self.wfile.write(encoded)
-
-        def log_message(self, *args):
-            pass
-
-    server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
-    threading.Thread(target=server.serve_forever, daemon=True).start()
-    try:
-        embedder = RemoteEmbedder(
-            endpoint_url=f"http://127.0.0.1:{server.server_address[1]}/v1/embeddings",
-            model_name="stub-embedder",
-        )
-        vectors = embed(embedder, ["ab", "abcd"])
-        assert vectors == [[2.0, 1.0], [4.0, 1.0]]
-    finally:
-        server.shutdown()
-        server.server_close()
 
 
 def test_fallback_embedder_frozen_buckets():
