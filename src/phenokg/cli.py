@@ -61,7 +61,9 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, inputs: dict[str, str]) -> None:
+def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> None:
+    """Write ``manifest.json``: the config, and the SHA-256 of every path argument that is set."""
+    inputs = {name: getattr(args, name) for name in _PATH_ARGS if getattr(args, name, None)}
     config_snapshot = {
         k: v for k, v in sorted(vars(args).items()) if k not in ("handler",) and not k.startswith("_")
     }
@@ -69,7 +71,7 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace, input
         "command": command,
         "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in config_snapshot.items()},
         "inputs": {
-            name: {"path": str(p), "sha256": _sha256(Path(p))} for name, p in sorted(inputs.items()) if p
+            name: {"path": str(p), "sha256": _sha256(Path(p))} for name, p in sorted(inputs.items())
         },
         "versions": {"phenokg": __version__, "python": platform.python_version()},
     }
@@ -87,7 +89,7 @@ def _require(args, names: list[str]) -> None:
     missing = [
         f"path does not exist: {getattr(args, name)}"
         for name in names
-        if getattr(args, name) is not None and _is_path_arg(name) and not Path(getattr(args, name)).exists()
+        if getattr(args, name) is not None and name in _PATH_ARGS and not Path(getattr(args, name)).exists()
     ]
     problems.extend(missing)
     if problems:
@@ -112,10 +114,6 @@ _PATH_ARGS = {
     "requests",
     "cohort_file",
 }
-
-
-def _is_path_arg(name: str) -> bool:
-    return name in _PATH_ARGS
 
 
 def _or(value, default):
@@ -157,7 +155,7 @@ def cmd_ontology_stats(args) -> None:
     if args.out:
         out = _out_dir(args)
         (out / "stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
-        _write_manifest(out, "ontology stats", args, {"ontology": args.ontology})
+        _write_manifest(out, "ontology stats", args)
 
 
 def cmd_corpus_synth(args) -> None:
@@ -167,11 +165,9 @@ def cmd_corpus_synth(args) -> None:
     args.n_docs = _or(args.n_docs, 10)
     args.labels_per_doc = _or(args.labels_per_doc, 3)
     out = _out_dir(args)
-    inputs = {}
     if args.kind in ("hpo", "span"):
         _require(args, ["ontology"])
         ontology = load_ontology(args.ontology)
-        inputs["ontology"] = args.ontology
         docs = synthesize_fixture(args.seed, ontology, args.n_docs, args.labels_per_doc)
         if args.kind == "hpo":
             save_hpo_gold([(d.document, d.hpo_gold) for d in docs], out / "corpus.jsonl")
@@ -181,10 +177,11 @@ def cmd_corpus_synth(args) -> None:
         universe = frozenset(_read_lines(args.universe)) if args.universe else DEFAULT_LABEL_UNIVERSE
         corpus = synthesize_multilabel_fixture(args.seed, args.n_docs, args.labels_per_doc, universe)
         save_multilabel_gold(corpus, out / "corpus.jsonl")
-        if args.universe:
-            inputs["universe"] = args.universe
-    _write_manifest(out, "corpus synth", args, inputs)
+    _write_manifest(out, "corpus synth", args)
     print(f"wrote {args.n_docs} documents to {out}")
+
+
+_TASKS = {task.name: task for task in (NerTask, HpoTask, MultiLabelTask)}
 
 
 def _load_task_corpus(task_name: str, path: str, universe):
@@ -226,12 +223,7 @@ def cmd_extract(args) -> None:
     args.k = _or(args.k, 5)
     args.glean = _or(args.glean, 1)
     universe = frozenset(_read_lines(args.universe)) if args.universe else DEFAULT_LABEL_UNIVERSE
-    corpus = _load_task_corpus(args.task, args.corpus, universe)
-    if args.task == "ner":
-        gold_pairs = [(doc, anns) for doc, anns in corpus]
-    else:
-        gold_pairs = list(corpus)
-    documents = [doc for doc, _ in gold_pairs]
+    documents = [doc for doc, _ in _load_task_corpus(args.task, args.corpus, universe)]
     task = _build_task(args, universe)
     pool_corpus = _load_task_corpus(args.task, args.pool, universe) if args.pool else None
     policy = _build_policy(args, task, pool_corpus)
@@ -247,58 +239,18 @@ def cmd_extract(args) -> None:
         max_in_flight=args.max_in_flight,
     )
     out = _out_dir(args)
-    write_jsonl(out / "predictions.jsonl", (_prediction_record(args.task, results[key]) for key in sorted(results)))
+    write_jsonl(out / "predictions.jsonl", (json.dumps(results[key].to_record()) for key in sorted(results)))
     audit.save(out / "audit.jsonl")
-    inputs = {"corpus": args.corpus}
-    for name in ("ontology", "pool", "cassette", "allowed_terms", "disease_context", "universe"):
-        if getattr(args, name):
-            inputs[name] = getattr(args, name)
-    _write_manifest(out, "extract", args, inputs)
+    _write_manifest(out, "extract", args)
     if documents and not results:
         raise PhenoKGError(f"extracted 0/{len(documents)} documents; see {out / 'audit.jsonl'}")
     print(f"extracted {len(results)}/{len(documents)} documents -> {out / 'predictions.jsonl'}")
 
 
-def _prediction_record(task_name: str, result) -> str:
-    if task_name == "ner":
-        return json.dumps(
-            {
-                "doc_id": result.doc_id,
-                "mentions": [{"surface": s, "type": t.value} for s, t in sorted(result.mentions)],
-            }
-        )
-    if task_name == "hpo":
-        return json.dumps(
-            {
-                "key": result.key,
-                "assertions": [
-                    {"term": a.term, "confidence": a.confidence, "reasoning": a.reasoning}
-                    for a in result.assertions
-                ],
-            }
-        )
-    return json.dumps({"doc_id": result.doc_id, "labels": sorted(result.labels)})
-
-
-def _load_predictions(task_name: str, path: str):
-    from .corpus import EntityType
-    from .extraction import HpoAssertion, HpoExtraction, MultiLabelResult, NerResult, normalize_surface
-
-    def convert(record: dict):
-        if task_name == "ner":
-            mentions = frozenset(
-                (normalize_surface(m["surface"]), EntityType.from_label(m["type"])) for m in record["mentions"]
-            )
-            return record["doc_id"], NerResult(record["doc_id"], mentions)
-        if task_name == "hpo":
-            assertions = tuple(
-                HpoAssertion(TermId(a["term"]), float(a["confidence"]), a.get("reasoning", ""))
-                for a in record["assertions"]
-            )
-            return record["key"], HpoExtraction(record["key"], assertions)
-        return record["doc_id"], MultiLabelResult(record["doc_id"], frozenset(record["labels"]))
-
-    return dict(pair for _, pair in iter_jsonl(path, DomainError, convert))
+def _load_predictions(task_name: str, path: str) -> dict:
+    """``predictions.jsonl`` read back through the task's result type, by key."""
+    from_record = _TASKS[task_name].result_type.from_record
+    return {result.key: result for _, result in iter_jsonl(path, DomainError, from_record)}
 
 
 def cmd_eval(args) -> None:
@@ -323,7 +275,7 @@ def cmd_eval(args) -> None:
     suffix = "csv" if args.format == "csv" else "md"
     (out / f"report.{suffix}").write_text(text)
     (out / "report.json").write_text(report.to_json() + "\n")
-    _write_manifest(out, "eval", args, {"gold": args.gold, "pred": args.pred})
+    _write_manifest(out, "eval", args)
     print(text, end="")
 
 
@@ -334,10 +286,7 @@ def cmd_kg_build(args) -> None:
     out = _out_dir(args)
     save_graph(graph, out / "graph.jsonl")
     (out / "counts.json").write_text(json.dumps(graph.counts(), indent=2, sort_keys=True) + "\n")
-    inputs = {"records": args.records}
-    if args.ontology:
-        inputs["ontology"] = args.ontology
-    _write_manifest(out, "kg build", args, inputs)
+    _write_manifest(out, "kg build", args)
     print(json.dumps(graph.counts(), sort_keys=True))
 
 
@@ -359,7 +308,7 @@ def cmd_kg_query(args) -> None:
     if args.out:
         out = _out_dir(args)
         (out / "query.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
-        _write_manifest(out, "kg query", args, {"graph": args.graph})
+        _write_manifest(out, "kg query", args)
 
 
 def cmd_cohort_freq(args) -> None:
@@ -393,10 +342,7 @@ def cmd_cohort_freq(args) -> None:
         "counts": {t: c for t, c in sorted(frequencies.counts.items())},
     }
     (out / "frequencies.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    inputs = {"graph": args.graph, "ontology": args.ontology, "annotations": args.annotations}
-    if args.groups:
-        inputs["groups"] = args.groups
-    _write_manifest(out, "cohort-freq", args, inputs)
+    _write_manifest(out, "cohort-freq", args)
     print(f"cohort size {frequencies.cohort_size}; wrote {out / 'heatmap.csv'}")
 
 
@@ -431,10 +377,7 @@ def cmd_discover(args) -> None:
     (out / "funnel.json").write_text(report.to_json() + "\n")
     (out / "funnel.md").write_text(report.to_markdown())
     audit.save(out / "audit.jsonl")
-    inputs = {"graph": args.graph, "ontology": args.ontology, "rubric": args.rubric}
-    if args.cassette:
-        inputs["cassette"] = args.cassette
-    _write_manifest(out, "discover", args, inputs)
+    _write_manifest(out, "discover", args)
     stages = dict(report.stage_counts)
     if stages["candidates"] and not stages["scored"]:
         raise ScoringError(f"scored 0/{stages['candidates']} candidates; see {out / 'audit.jsonl'}")
@@ -463,7 +406,7 @@ def cmd_cassette_record(args) -> None:
     problems = validate_config(config)
     if problems:
         raise ConfigError(problems)
-    count = record_cassette(config, requests_, args.out)
+    count = record_cassette(make_backend(config), requests_, args.out)
     print(f"recorded {count} responses -> {args.out}")
 
 
@@ -501,7 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_synth.set_defaults(handler=cmd_corpus_synth)
 
     p_extract = sub.add_parser("extract", help="run extraction over a corpus")
-    p_extract.add_argument("--task", choices=["ner", "hpo", "multilabel"], default=None)
+    p_extract.add_argument("--task", choices=list(_TASKS), default=None)
     p_extract.add_argument("--corpus", default=None, help="input corpus (task-specific format)")
     p_extract.add_argument("--pool", default=None, help="few-shot example pool (same format)")
     p_extract.add_argument("--policy", choices=[m.value for m in PolicyMode], default=None)
@@ -516,7 +459,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_extract.set_defaults(handler=cmd_extract)
 
     p_eval = sub.add_parser("eval", help="score predictions against gold")
-    p_eval.add_argument("--task", choices=["ner", "hpo", "multilabel"], default=None)
+    p_eval.add_argument("--task", choices=list(_TASKS), default=None)
     p_eval.add_argument("--gold", default=None)
     p_eval.add_argument("--pred", default=None, help="predictions.jsonl from extract")
     p_eval.add_argument("--match-policy", choices=[m.value for m in MatchPolicy], default=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .corpus import Document
 from .errors import DomainError, PhenoKGError, ScoringError
@@ -28,7 +28,7 @@ from .extraction import (
     render_template,
 )
 from .kg import Graph, PatientRecord, cohort_by_icd, keyword_search, patient_record
-from .llm import ChatRequest, _as_backend, complete_batch
+from .llm import ChatRequest, complete_batch
 from .ontology import Ontology, TermId
 
 
@@ -121,7 +121,6 @@ def _score_records(records, rubric, backend, on_failure) -> dict[str, Likelihood
     A backend marked ``deterministic`` gets no retry. A record whose last
     attempt fails goes to ``on_failure(key, exc)``, in key order.
     """
-    backend = _as_backend(backend)
     requests = {key: build_score_prompt(records[key], rubric) for key in sorted(records)}
     outcomes: dict[str, LikelihoodScore | PhenoKGError | None] = dict.fromkeys(requests)
     for _ in range(1 if getattr(backend, "deterministic", False) else 2):
@@ -231,7 +230,6 @@ def run_funnel(
     if ontology is None:
         raise DomainError("ontology is required")
     audit = audit if audit is not None else AuditLog()
-    backend = _as_backend(backend)  # scoring and extraction share one resolved backend
 
     candidates = sorted(candidate_cohort(graph, keywords, generic_icd))
     stage_counts = [("candidates", len(candidates))]

@@ -12,7 +12,7 @@ import csv
 import enum
 import io
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Mapping
 
 from .corpus import EntityType, SpanAnnotation

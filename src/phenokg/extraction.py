@@ -25,10 +25,10 @@ from typing import Sequence
 
 from .corpus import Document, EntityType
 from .errors import DomainError, OutputParseError, OutputSchemaError, PhenoKGError
-from .jsonl import write_jsonl
-from .llm import ChatRequest, _as_backend, complete_batch
+from .jsonl import expect_type, write_jsonl
+from .llm import ChatRequest, complete_batch
 from .ontology import Ontology, TermId
-from .retrieval import EmbeddingIndex, HashedEmbedder, top_k
+from .retrieval import EmbeddingIndex, top_k
 
 logger = logging.getLogger(__name__)
 
@@ -80,15 +80,29 @@ class GleanConfig:
             raise DomainError(f"glean iterations must be in [0, 8], got {self.iterations}")
 
 
+def _mention_rows(mentions) -> list[dict]:
+    """(surface, type) mentions as JSON rows, sorted by (surface, type name)."""
+    return [{"surface": s, "type": t.value} for s, t in sorted(mentions, key=lambda m: (m[0], m[1].value))]
+
+
 @dataclass(frozen=True)
 class NerResult:
-    doc_id: str
+    key: str
     mentions: frozenset[tuple[str, EntityType]]
 
     def __post_init__(self):
         for surface, _ in self.mentions:
             if not surface or surface != normalize_surface(surface):
                 raise DomainError(f"mention surface {surface!r} is empty or not normalized")
+
+    def to_record(self) -> dict:
+        return {"doc_id": self.key, "mentions": _mention_rows(self.mentions)}
+
+    @classmethod
+    def from_record(cls, record: dict) -> NerResult:
+        mentions = expect_type(record["mentions"], list, "mentions")
+        pairs = ((m["surface"], expect_type(m["type"], str, "type")) for m in mentions)
+        return cls(record["doc_id"], frozenset((normalize_surface(s), EntityType.from_label(t)) for s, t in pairs))
 
 
 @dataclass(frozen=True)
@@ -116,11 +130,28 @@ class HpoExtraction:
                 return a.confidence
         raise KeyError(term)
 
+    def to_record(self) -> dict:
+        rows = [{"term": a.term, "confidence": a.confidence, "reasoning": a.reasoning} for a in self.assertions]
+        return {"key": self.key, "assertions": rows}
+
+    @classmethod
+    def from_record(cls, record: dict) -> HpoExtraction:
+        rows = expect_type(record["assertions"], list, "assertions")
+        assertions = (HpoAssertion(TermId(a["term"]), float(a["confidence"]), a.get("reasoning", "")) for a in rows)
+        return cls(record["key"], tuple(assertions))
+
 
 @dataclass(frozen=True)
 class MultiLabelResult:
-    doc_id: str
+    key: str
     labels: frozenset[str]
+
+    def to_record(self) -> dict:
+        return {"doc_id": self.key, "labels": sorted(self.labels)}
+
+    @classmethod
+    def from_record(cls, record: dict) -> MultiLabelResult:
+        return cls(record["doc_id"], frozenset(expect_type(record["labels"], list, "labels")))
 
 
 class AuditLog:
@@ -177,6 +208,7 @@ class NerTask:
 
     name = "ner"
     template_name = "ner"
+    result_type = NerResult
 
     def key_for(self, document: Document) -> str:
         return document.doc_id
@@ -189,13 +221,10 @@ class NerTask:
 
     def gold_to_json(self, key: str, gold) -> str:
         if isinstance(gold, NerResult):
-            mentions = sorted(gold.mentions)
+            mentions = gold.mentions
         else:  # iterable of SpanAnnotation
-            mentions = sorted({(normalize_surface(a.surface), a.entity_type) for a in gold})
-        return json.dumps(
-            {key: [{"surface": s, "type": t.value} for s, t in mentions]},
-            separators=(", ", ": "),
-        )
+            mentions = {(normalize_surface(a.surface), a.entity_type) for a in gold}
+        return json.dumps({key: _mention_rows(mentions)}, separators=(", ", ": "))
 
     def parse_output(self, raw: str, key: str) -> NerResult:
         body = parse_model_output(raw, KeyedListSchema(key))
@@ -217,15 +246,13 @@ class NerTask:
     def sanitize(self, result: NerResult, audit: AuditLog) -> NerResult:
         return result  # type/shape violations are schema errors; nothing semantic to drop
 
-    def result_to_json(self, result: NerResult) -> str:
-        return self.gold_to_json(result.doc_id, result)
-
 
 class HpoTask:
     """Ontology term extraction with optional allowed-term restriction."""
 
     name = "hpo"
     template_name = "hpo"
+    result_type = HpoExtraction
 
     def __init__(
         self,
@@ -308,15 +335,13 @@ class HpoTask:
             kept.append(assertion)
         return HpoExtraction(result.key, tuple(kept))
 
-    def result_to_json(self, result: HpoExtraction) -> str:
-        return self.gold_to_json(result.key, result)
-
 
 class MultiLabelTask:
     """Closed-universe multilabel classification."""
 
     name = "multilabel"
     template_name = "multilabel"
+    result_type = MultiLabelResult
 
     def __init__(self, universe: frozenset[str] | set[str]):
         if len(universe) != 15:
@@ -349,13 +374,10 @@ class MultiLabelTask:
         kept = set()
         for label in result.labels:
             if label not in self.universe:
-                audit.record("dropped_unknown_label", key=result.doc_id, label=label)
+                audit.record("dropped_unknown_label", key=result.key, label=label)
             else:
                 kept.add(label)
-        return MultiLabelResult(result.doc_id, frozenset(kept))
-
-    def result_to_json(self, result: MultiLabelResult) -> str:
-        return self.gold_to_json(result.doc_id, result)
+        return MultiLabelResult(result.key, frozenset(kept))
 
 
 # ---------------------------------------------------------------------------
@@ -585,7 +607,7 @@ def _render_prompt(task, document: Document, examples: str, previous, round_no: 
     placeholders = {
         "examples": examples,
         "document": task.render_input(document),
-        "previous_result": "" if previous is None else _glean_block(task.result_to_json(previous)),
+        "previous_result": "" if previous is None else _glean_block(task.gold_to_json(previous.key, previous)),
         "allowed_terms": "",
         "disease_context": "",
     }
@@ -628,22 +650,20 @@ def merge_gleaned(prev, new):
     """
     if type(prev) is not type(new):
         raise DomainError(f"cannot merge {type(prev).__name__} with {type(new).__name__}")
-    prev_key = getattr(prev, "doc_id", None) or getattr(prev, "key", None)
-    new_key = getattr(new, "doc_id", None) or getattr(new, "key", None)
-    if prev_key != new_key:
-        raise DomainError(f"cannot merge results for different keys {prev_key!r} and {new_key!r}")
+    if not isinstance(prev, (NerResult, MultiLabelResult, HpoExtraction)):
+        raise DomainError(f"unmergeable result type {type(prev).__name__}")
+    if prev.key != new.key:
+        raise DomainError(f"cannot merge results for different keys {prev.key!r} and {new.key!r}")
     if isinstance(prev, NerResult):
-        return NerResult(prev.doc_id, prev.mentions | new.mentions)
+        return NerResult(prev.key, prev.mentions | new.mentions)
     if isinstance(prev, MultiLabelResult):
-        return MultiLabelResult(prev.doc_id, prev.labels | new.labels)
-    if isinstance(prev, HpoExtraction):
-        merged: dict[TermId, HpoAssertion] = {a.term: a for a in prev.assertions}
-        for assertion in new.assertions:
-            existing = merged.get(assertion.term)
-            if existing is None or assertion.confidence > existing.confidence:
-                merged[assertion.term] = assertion
-        return HpoExtraction(prev.key, tuple(merged[t] for t in sorted(merged)))
-    raise DomainError(f"unmergeable result type {type(prev).__name__}")
+        return MultiLabelResult(prev.key, prev.labels | new.labels)
+    merged: dict[TermId, HpoAssertion] = {a.term: a for a in prev.assertions}
+    for assertion in new.assertions:
+        existing = merged.get(assertion.term)
+        if existing is None or assertion.confidence > existing.confidence:
+            merged[assertion.term] = assertion
+    return HpoExtraction(prev.key, tuple(merged[t] for t in sorted(merged)))
 
 
 def extract(
@@ -705,7 +725,6 @@ def _extract_rounds(task, documents, backend, policy, glean, audit, max_in_fligh
     sends no further rounds.
     """
     results: dict[str, object] = {}
-    backend = _as_backend(backend)  # a config is resolved (a cassette read) once, not once per round
     # examples are selected once per document and reused in every round
     examples_for = _example_renderer(task, policy)
     active = [(doc, examples_for(doc)) for doc in documents]

@@ -11,6 +11,8 @@ from .errors import PhenoKGError
 
 T = TypeVar("T")
 
+_JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string"}
+
 
 def iter_jsonl(path: str | Path, error_cls: type[Exception], convert: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
     """Stream ``(line_no, convert(record))`` for each non-blank line of ``path`` (blank lines are counted).
@@ -35,6 +37,13 @@ def iter_jsonl(path: str | Path, error_cls: type[Exception], convert: Callable[[
             except (TypeError, ValueError, PhenoKGError) as exc:
                 raise error_cls(f"{path} line {line_no}: {exc}") from None
             yield line_no, value
+
+
+def expect_type(value, kind: type, name: str):
+    """``value`` if it is a ``kind`` (dict, list or str); else a TypeError, which ``iter_jsonl`` gives a line number."""
+    if not isinstance(value, kind):
+        raise TypeError(f"{name} must be {_JSON_TYPE_NAMES[kind]}, got {json.dumps(value)[:80]}")
+    return value
 
 
 def write_jsonl(path: str | Path, lines: Iterable[str]) -> None:

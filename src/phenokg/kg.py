@@ -18,7 +18,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DomainError, GraphIntegrityError
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import expect_type, iter_jsonl, write_jsonl
 from .ontology import Ontology, TermId
 
 _WS_RE = re.compile(r"\s")
@@ -336,7 +336,7 @@ def record_to_node(record: dict) -> PatientNode | NoteNode | PhenotypeAssertion:
     """Parse one typed JSONL record into its node/edge object."""
     kind = record.get("kind")
     if kind == "patient":
-        demo = record.get("demographics") or {}
+        demo = expect_type(record.get("demographics") or {}, dict, "demographics")
         return PatientNode(
             key=record["key"],
             demographics=Demographics(
@@ -345,15 +345,15 @@ def record_to_node(record: dict) -> PatientNode | NoteNode | PhenotypeAssertion:
                 state=demo.get("state"),
                 zip=demo.get("zip"),
             ),
-            icd10=frozenset(record.get("icd10", ())),
-            cpt=frozenset(record.get("cpt", ())),
-            rxnorm=frozenset(record.get("rxnorm", ())),
+            icd10=frozenset(expect_type(record.get("icd10", []), list, "icd10")),
+            cpt=frozenset(expect_type(record.get("cpt", []), list, "cpt")),
+            rxnorm=frozenset(expect_type(record.get("rxnorm", []), list, "rxnorm")),
         )
     if kind == "note":
         return NoteNode(
             note_id=record["note_id"],
             patient=record["patient"],
-            text=record["text"],
+            text=expect_type(record["text"], str, "text"),
             kind=NoteKind(record.get("note_kind", "clinical_note")),
         )
     if kind == "assertion":

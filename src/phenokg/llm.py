@@ -1,7 +1,9 @@
 """Chat-completion backends: OpenAI-compatible HTTP, replay cassettes, scripted.
 
-Every backend has ``complete(request)``; ``complete_batch`` accepts either
-a BackendConfig or a backend object. The HTTP backend posts through one
+Every backend has ``complete(request)``; ``make_backend`` is the one place a
+BackendConfig becomes a backend, and everything else (``complete_batch``,
+extraction, the funnel, ``record_cassette``) takes the built backend, so a
+cassette is read once per run. The HTTP backend posts through one
 stdlib ``urllib`` opener (a fresh connection per request) and retries
 transport errors, 5xx and 429 with exponential backoff; the replay backend
 answers from a recorded cassette keyed by a stable hash of (system, user);
@@ -338,14 +340,8 @@ def make_backend(config: BackendConfig):
     return ReplayBackend(config.cassette_path, max_in_flight=config.max_in_flight)
 
 
-def _as_backend(backend_or_config):
-    if isinstance(backend_or_config, BackendConfig):
-        return make_backend(backend_or_config)
-    return backend_or_config
-
-
 def complete_batch(
-    backend_or_config,
+    backend,
     requests_: Sequence[ChatRequest],
     max_in_flight: int | None = None,
 ) -> list[ChatResponse | PhenoKGError]:
@@ -363,7 +359,6 @@ def complete_batch(
     """
     if not requests_:
         raise DomainError("complete_batch requires a nonempty request list")
-    backend = _as_backend(backend_or_config)
     bound = max_in_flight or getattr(backend, "max_in_flight", 4)
     if bound < 1:
         raise DomainError(f"max_in_flight must be >= 1, got {bound}")
@@ -416,7 +411,7 @@ def load_cassette(path: str | Path) -> dict[str, str]:
     return responses
 
 
-def record_cassette(backend_or_config, requests_: Sequence[ChatRequest], output_path: str | Path) -> int:
+def record_cassette(backend, requests_: Sequence[ChatRequest], output_path: str | Path) -> int:
     """Run requests against a live backend and persist (hash, response) pairs.
 
     Requests go out as one batch under the backend's ``max_in_flight``;
@@ -424,7 +419,7 @@ def record_cassette(backend_or_config, requests_: Sequence[ChatRequest], output_
     no file is written. An empty request list writes an empty, valid
     cassette. Returns the number of recorded entries.
     """
-    responses = complete_batch(backend_or_config, requests_) if requests_ else []
+    responses = complete_batch(backend, requests_) if requests_ else []
     for response in responses:
         if isinstance(response, PhenoKGError):
             raise response

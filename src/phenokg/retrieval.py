@@ -1,10 +1,11 @@
 """Embedding store and exact top-k cosine retrieval for dynamic few-shot selection.
 
 The embedder is a deterministic hashed bag-of-words model (case-folded
-tokens, FNV-1a hashed into a fixed 256-dim count vector, L2-normalized).
-An index is rebuilt from its texts on every run and is never persisted.
-Search is exact and exhaustive; corpora here are at most a few thousand
-items.
+tokens, FNV-1a hashed into a fixed 256-dim count vector, L2-normalized)
+with one method, ``embed_one(text)``, which ``build_index`` calls per item
+and few-shot selection per query document. An index is rebuilt from its
+texts on every run and is never persisted. Search is exact and
+exhaustive; corpora here are at most a few thousand items.
 """
 
 from __future__ import annotations
@@ -50,26 +51,6 @@ class HashedEmbedder:
             return counts  # no tokens: zero vector, cosine treats it as 0 similarity
         return [c / norm for c in counts]
 
-    def embed_many(self, texts: Sequence[str]) -> list[list[float]]:
-        return [self.embed_one(t) for t in texts]
-
-
-def embed(embedder, texts: Sequence[str]) -> list[list[float]]:
-    """One vector per text, order-preserving."""
-    if not texts:
-        raise DomainError("embed requires a nonempty text list")
-    vectors = embedder.embed_many(texts)
-    for vec in vectors:
-        _validate_vector(vec)
-    return vectors
-
-
-def _validate_vector(vec: Sequence[float]) -> None:
-    if len(vec) == 0:
-        raise DomainError("embedding vector must be nonempty")
-    if not all(math.isfinite(v) for v in vec):
-        raise DomainError("embedding vector contains non-finite entries")
-
 
 class EmbeddingIndex:
     """Immutable id -> vector store with uniform dimensionality."""
@@ -80,7 +61,10 @@ class EmbeddingIndex:
         vectors = []
         self.dim: int | None = None
         for item_id, vec in items:
-            _validate_vector(vec)
+            if len(vec) == 0:
+                raise DomainError("embedding vector must be nonempty")
+            if not all(math.isfinite(v) for v in vec):
+                raise DomainError("embedding vector contains non-finite entries")
             if self.dim is None:
                 self.dim = len(vec)
             elif len(vec) != self.dim:
@@ -101,12 +85,11 @@ class EmbeddingIndex:
 
 
 def build_index(embedder, items: dict[str, str] | Sequence[tuple[str, str]]) -> EmbeddingIndex:
-    """Embed a mapping of item_id -> text into an index (insertion order kept)."""
+    """Embed a mapping of item_id -> text into an index (insertion order kept), one ``embed_one`` per text."""
     pairs = list(items.items()) if isinstance(items, dict) else list(items)
     if not pairs:
         raise DomainError("cannot build an index from zero items")
-    vectors = embed(embedder, [text for _, text in pairs])
-    return EmbeddingIndex([(item_id, vec) for (item_id, _), vec in zip(pairs, vectors)])
+    return EmbeddingIndex([(item_id, embedder.embed_one(text)) for item_id, text in pairs])
 
 
 def top_k(

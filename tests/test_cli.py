@@ -1,17 +1,32 @@
+import hashlib
 import json
 
 import pytest
 
 from phenokg import fixtures
 from phenokg.cli import main
-from phenokg.corpus import save_hpo_gold, synthesize_fixture
-from phenokg.extraction import FewShotPolicy, GleanConfig, HpoTask, PolicyMode, extract_corpus
+from phenokg.corpus import (
+    DEFAULT_LABEL_UNIVERSE,
+    load_multilabel_gold,
+    load_span_corpus,
+    save_hpo_gold,
+    synthesize_fixture,
+)
+from phenokg.extraction import (
+    FewShotPolicy,
+    GleanConfig,
+    HpoTask,
+    MultiLabelTask,
+    NerTask,
+    PolicyMode,
+    extract_corpus,
+)
 from phenokg.kg import save_graph
 from phenokg.llm import ScriptedBackend, write_cassette
 from phenokg.ontology import dump_ontology
 from phenokg.retrieval import HashedEmbedder, build_index
 
-from conftest import gold_hpo_responder
+from conftest import gold_hpo_responder, record_replay_cassette
 
 
 @pytest.fixture()
@@ -103,6 +118,12 @@ def extract_setup(tmp_path, dravet_ontology, ontology_file):
     return corpus_path, pool_path, cassette_path, test_docs
 
 
+# predictions.jsonl bytes of the HPO, NER and multilabel round trips, pinned so a serialization change shows
+HPO_PREDICTIONS_SHA256 = "95b6d2aea51c815fb5d16f32aff3742bfd0a07f2f1d78e86a2bc35c5d219d08a"
+NER_PREDICTIONS_SHA256 = "4fe01f3bf309e6b552c47a2ecf8984ad497132da7c7660cbfe68ccd4683c3174"
+MULTILABEL_PREDICTIONS_SHA256 = "ade187e14e3ef6d1e039b94ca3b895ea109fa211b74c8902027af008879f55be"
+
+
 def test_extract_replay_deterministic(tmp_path, ontology_file, extract_setup):
     corpus_path, pool_path, cassette_path, test_docs = extract_setup
     outs = []
@@ -118,9 +139,45 @@ def test_extract_replay_deterministic(tmp_path, ontology_file, extract_setup):
         assert code == 0
         outs.append((out / "predictions.jsonl").read_bytes())
     assert outs[0] == outs[1]
+    assert hashlib.sha256(outs[0]).hexdigest() == HPO_PREDICTIONS_SHA256
     records = [json.loads(l) for l in outs[0].decode().splitlines()]
     by_key = {r["key"]: {a["term"] for a in r["assertions"]} for r in records}
     assert by_key == {d.document.doc_id: set(d.terms) for d in test_docs}
+
+
+@pytest.mark.parametrize(
+    "task_name, expected_sha256", [("ner", NER_PREDICTIONS_SHA256), ("multilabel", MULTILABEL_PREDICTIONS_SHA256)]
+)
+def test_extract_then_eval_round_trip(tmp_path, ontology_file, task_name, expected_sha256):
+    synth = tmp_path / "synth"
+    flags = ["--kind", "span", "--ontology", ontology_file] if task_name == "ner" else ["--kind", "multilabel"]
+    assert run_cli(["corpus", "synth", *flags, "--seed", "5", "--n-docs", "6", "--labels-per-doc", "3",
+                    "--out", synth]) == 0
+    if task_name == "ner":
+        corpus = synth / "corpus.pubtator"
+        task, gold_corpus = NerTask(), load_span_corpus(corpus)
+    else:
+        corpus = synth / "corpus.jsonl"
+        task, gold_corpus = MultiLabelTask(DEFAULT_LABEL_UNIVERSE), load_multilabel_gold(corpus)
+    documents = [doc for doc, _ in gold_corpus]
+    cassette = record_replay_cassette(
+        tmp_path,
+        "cassette.jsonl",
+        lambda backend: extract_corpus(task, documents, backend, glean=GleanConfig(1)),
+        gold_hpo_responder(task, {doc.doc_id: gold for doc, gold in gold_corpus}),
+    )
+    out = tmp_path / "extract"
+    assert run_cli(["extract", "--task", task_name, "--corpus", corpus,
+                    "--backend-kind", "replay", "--cassette", cassette, "--out", out]) == 0
+    predictions = out / "predictions.jsonl"
+    assert len(predictions.read_text().splitlines()) == 6
+    assert hashlib.sha256(predictions.read_bytes()).hexdigest() == expected_sha256
+    eval_out = tmp_path / "eval"
+    assert run_cli(["eval", "--task", task_name, "--gold", corpus, "--pred", predictions,
+                    "--format", "csv", "--model-name", "replay", "--out", eval_out]) == 0
+    report = json.loads((eval_out / "report.json").read_text())
+    expected_keys = {"Chemical", "Disease"} if task_name == "ner" else DEFAULT_LABEL_UNIVERSE | {"macro"}
+    assert {key: metrics["f1"] for key, metrics in report["per_key"].items()} == dict.fromkeys(expected_keys, 1.0)
 
 
 def test_eval_gold_equals_pred_all_ones(tmp_path, ontology_file, extract_setup, capsys):
@@ -442,3 +499,85 @@ def test_eval_rejects_a_bad_prediction_line(tmp_path, capsys):
     code = run_cli(["eval", "--task", "hpo", "--gold", gold, "--pred", pred, "--out", tmp_path / "eval"])
     error = _malformed_input_error(code, capsys, pred, 3)
     assert error["error"] == "DomainError" and "invalid JSON" in error["message"]
+
+
+BAD_GRAPH_LINES = [
+    ({"kind": "patient", "key": "p2", "icd10": "G40.83"}, 'icd10 must be an array, got "G40.83"'),
+    ({"kind": "patient", "key": "p2", "demographics": [1]}, "demographics must be an object, got [1]"),
+    ({"kind": "note", "note_id": "n2", "patient": "p1", "text": 5}, "text must be a string, got 5"),
+]
+
+
+@pytest.mark.parametrize("record, problem", BAD_GRAPH_LINES)
+def test_kg_build_rejects_a_field_of_the_wrong_shape(tmp_path, capsys, record, problem):
+    path = tmp_path / "records.jsonl"
+    path.write_text(json.dumps({"kind": "patient", "key": "p1"}) + "\n" + json.dumps(record) + "\n")
+    code = run_cli(["kg", "build", "--records", path, "--out", tmp_path / "kg"])
+    error = _malformed_input_error(code, capsys, path, 2)
+    assert error == {"error": "GraphIntegrityError", "message": f"{path} line 2: {problem}"}
+
+
+NER_GOLD = "d1|t|valproate\n"
+HPO_GOLD = json.dumps({"doc_id": "d1", "text": "t", "hpo_ids": []}) + "\n"
+MULTILABEL_GOLD = json.dumps({"doc_id": "d1", "text": "t", "labels": []}) + "\n"
+BAD_PREDICTION_LINES = [
+    ("ner", NER_GOLD, {"doc_id": "d1", "mentions": []}, {"doc_id": "d2", "mentions": {}},
+     "mentions must be an array, got {}"),
+    ("ner", NER_GOLD, {"doc_id": "d1", "mentions": []}, {"doc_id": "d2", "mentions": [{"surface": "x", "type": 5}]},
+     "type must be a string, got 5"),
+    ("hpo", HPO_GOLD, {"key": "d1", "assertions": []}, {"key": "d2", "assertions": {}},
+     "assertions must be an array, got {}"),
+    ("multilabel", MULTILABEL_GOLD, {"doc_id": "d1", "labels": []}, {"doc_id": "d2", "labels": "OBESITY"},
+     'labels must be an array, got "OBESITY"'),
+]
+
+
+@pytest.mark.parametrize("task_name, gold_text, good, bad, problem", BAD_PREDICTION_LINES)
+def test_eval_rejects_a_prediction_field_of_the_wrong_shape(tmp_path, capsys, task_name, gold_text, good, bad, problem):
+    gold = tmp_path / "gold"
+    gold.write_text(gold_text)
+    pred = tmp_path / "predictions.jsonl"
+    pred.write_text(json.dumps(good) + "\n" + json.dumps(bad) + "\n")
+    code = run_cli(["eval", "--task", task_name, "--gold", gold, "--pred", pred, "--out", tmp_path / "eval"])
+    error = _malformed_input_error(code, capsys, pred, 2)
+    assert error == {"error": "DomainError", "message": f"{pred} line 2: {problem}"}
+
+
+def _assert_manifest_input(out, name, path):
+    inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+    assert inputs[name] == {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
+
+
+def test_manifests_list_every_path_input(tmp_path, graph_file, ontology_file, annotations_file, demo_cohort):
+    from phenokg.discovery import save_rubric
+
+    universe = tmp_path / "universe.txt"
+    universe.write_text("\n".join(sorted(DEFAULT_LABEL_UNIVERSE)) + "\n")
+    gold = tmp_path / "gold.jsonl"
+    gold.write_text(json.dumps({"doc_id": "d1", "text": "t", "labels": ["OBESITY"]}) + "\n")
+    pred = tmp_path / "predictions.jsonl"
+    pred.write_text(json.dumps({"doc_id": "d1", "labels": ["OBESITY"]}) + "\n")
+    out = tmp_path / "eval"
+    assert run_cli(["eval", "--task", "multilabel", "--gold", gold, "--pred", pred, "--universe", universe,
+                    "--out", out]) == 0
+    _assert_manifest_input(out, "universe", universe)
+
+    cohort = tmp_path / "cohort.txt"
+    cohort.write_text("\n".join(sorted(demo_cohort)) + "\n")
+    out = tmp_path / "freq"
+    assert run_cli(["cohort-freq", "--graph", graph_file, "--ontology", ontology_file,
+                    "--annotations", annotations_file, "--cohort-file", cohort, "--out", out]) == 0
+    _assert_manifest_input(out, "cohort_file", cohort)
+
+    allowed = tmp_path / "allowed.txt"
+    allowed.write_text("\n".join(sorted(fixtures.BPAN_ALLOWED_TERMS)) + "\n")
+    rubric = tmp_path / "rubric.json"
+    save_rubric(fixtures.bpan_rubric(), rubric)
+    empty = tmp_path / "empty.jsonl"
+    write_cassette(empty, [])
+    out = tmp_path / "discover"
+    # an empty cassette scores nobody, so discover exits 1, but it still writes its manifest
+    assert run_cli(["discover", "--graph", graph_file, "--ontology", ontology_file, "--rubric", rubric,
+                    "--keyword", "BPAN", "--allowed-terms", allowed,
+                    "--backend-kind", "replay", "--cassette", empty, "--out", out]) == 1
+    _assert_manifest_input(out, "allowed_terms", allowed)

@@ -25,7 +25,14 @@ from phenokg.fixtures import (
     build_discovery_graph,
 )
 from phenokg.kg import NoteNode, PatientNode, build_graph, patient_record
-from phenokg.llm import BackendConfig, ReplayBackend, ScriptedBackend, cassette_entry, write_cassette
+from phenokg.llm import (
+    BackendConfig,
+    ReplayBackend,
+    ScriptedBackend,
+    cassette_entry,
+    make_backend,
+    write_cassette,
+)
 
 from conftest import record_replay_cassette
 
@@ -141,7 +148,7 @@ def test_run_funnel_reads_a_replay_config_cassette_once(haystack, dravet_ontolog
     loads = []
     load_cassette = phenokg.llm.load_cassette
     monkeypatch.setattr(phenokg.llm, "load_cassette", lambda p: loads.append(p) or load_cassette(p))
-    report = funnel(BackendConfig(kind="replay", cassette_path=str(path)))
+    report = funnel(make_backend(BackendConfig(kind="replay", cassette_path=str(path))))
     assert sorted(f.patient for f in report.finalists) == planted
     assert loads == [str(path)]  # not once per scoring batch and extraction round
 

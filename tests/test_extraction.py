@@ -34,7 +34,7 @@ from phenokg.extraction import (
     parse_model_output,
 )
 from phenokg.fixtures import dravet_allowed_terms, dravet_disease_context
-from phenokg.llm import BackendConfig, ScriptedBackend
+from phenokg.llm import BackendConfig, ScriptedBackend, make_backend
 from phenokg.ontology import TermId
 from phenokg.retrieval import HashedEmbedder, build_index
 
@@ -364,6 +364,38 @@ def test_merge_ner_and_multilabel_union():
     assert merge_gleaned(x, y).labels == {"OBESITY", "DEPRESSION"}
 
 
+def test_results_round_trip_through_their_records():
+    ner = NerResult("d", frozenset({("aspirin", EntityType.CHEMICAL), ("nausea", EntityType.DISEASE)}))
+    hpo = HpoExtraction("p", (HpoAssertion(TermId("HP:0011172"), 0.9, "why"), HpoAssertion(TermId("HP:0001250"), 1.0)))
+    labels = MultiLabelResult("d", frozenset({"OBESITY", "DEPRESSION"}))
+    assert ner.to_record() == {
+        "doc_id": "d",
+        "mentions": [{"surface": "aspirin", "type": "Chemical"}, {"surface": "nausea", "type": "Disease"}],
+    }
+    assert hpo.to_record()["key"] == "p"
+    assert [row["term"] for row in hpo.to_record()["assertions"]] == ["HP:0011172", "HP:0001250"]  # result order
+    assert labels.to_record() == {"doc_id": "d", "labels": ["DEPRESSION", "OBESITY"]}
+    for result in (ner, hpo, labels):
+        assert type(result).from_record(json.loads(json.dumps(result.to_record()))) == result
+    assert [task.result_type for task in (NerTask, HpoTask, MultiLabelTask)] == [NerResult, HpoExtraction, MultiLabelResult]
+
+
+def test_ner_surface_under_two_types_extracts_and_serializes():
+    # sorting (surface, EntityType) pairs used to compare the enums and raise TypeError
+    mentions = [{"surface": "valproate", "type": "Chemical"}, {"surface": "valproate", "type": "Disease"}]
+    backend = ScriptedBackend(
+        responder=lambda request: json.dumps({"d1": mentions if request.request_tag.endswith(":r0") else []})
+    )
+    audit = AuditLog()
+    document = Document("d1", "Valproate levels were checked; valproate toxicity was excluded.")
+    result = extract_corpus(NerTask(), [document], backend, glean=GleanConfig(1), audit=audit)["d1"]
+    assert len(audit) == 0
+    assert result.mentions == {("valproate", EntityType.CHEMICAL), ("valproate", EntityType.DISEASE)}
+    assert result.to_record() == {"doc_id": "d1", "mentions": mentions}
+    assert NerResult.from_record(result.to_record()) == result
+    assert json.dumps({"d1": mentions}) in backend.calls[1].user  # the glean round's previous result
+
+
 # -- extract and gleaning -----------------------------------------------------
 
 
@@ -388,7 +420,7 @@ def test_extract_reads_a_replay_config_cassette_once(dravet_ontology, synth_docs
     loads = []
     load_cassette = phenokg.llm.load_cassette
     monkeypatch.setattr(phenokg.llm, "load_cassette", lambda p: loads.append(p) or load_cassette(p))
-    result = extract(task, doc, BackendConfig(kind="replay", cassette_path=str(path)), glean=glean)
+    result = extract(task, doc, make_backend(BackendConfig(kind="replay", cassette_path=str(path))), glean=glean)
     assert result.term_set() == set(synth_docs[0].terms)
     assert len(loads) == 1  # not once per round
 

@@ -167,7 +167,7 @@ def test_record_then_replay_identical(tmp_path, http_stub):
     requests_ = [REQ, ChatRequest(system="sys", user="other prompt")]
     path = tmp_path / "recorded.jsonl"
     # the stub answers in arrival order, so only serial dispatch pins which request gets which text
-    count = record_cassette(_http_config(http_stub, max_in_flight=1), requests_, path)
+    count = record_cassette(make_backend(_http_config(http_stub, max_in_flight=1)), requests_, path)
     assert count == 2
     replay = ReplayBackend(path)
     assert [replay.complete(r).text for r in requests_] == ["first", "second"]
@@ -178,7 +178,7 @@ def test_record_then_replay_identical(tmp_path, http_stub):
 
 def test_record_empty_is_valid_cassette(tmp_path, http_stub):
     path = tmp_path / "empty.jsonl"
-    assert record_cassette(_http_config(http_stub), [], path) == 0
+    assert record_cassette(make_backend(_http_config(http_stub)), [], path) == 0
     assert load_cassette(path) == {}
 
 

@@ -11,7 +11,6 @@ from phenokg.retrieval import (
     EmbeddingIndex,
     HashedEmbedder,
     build_index,
-    embed,
     top_k,
 )
 
@@ -38,21 +37,21 @@ def brute_force_ranking(items, query, exclude=frozenset()):
 
 def test_fallback_embedder_deterministic():
     embedder = HashedEmbedder()
-    a, b = embed(embedder, ["a b", "a b"])
+    a, b = embedder.embed_one("a b"), embedder.embed_one("a b")
     assert a == b
-    again = embed(embedder, ["a b"])[0]
+    again = HashedEmbedder().embed_one("a b")
     assert again == a
 
 
 def test_fallback_embedder_unit_norm():
-    vec = embed(HashedEmbedder(), ["x"])[0]
+    vec = HashedEmbedder().embed_one("x")
     assert abs(math.sqrt(sum(v * v for v in vec)) - 1.0) <= 1e-9
     assert len(vec) == DEFAULT_DIM
 
 
 def test_fallback_embedder_overlap_orders_similarity():
     embedder = HashedEmbedder()
-    base, close, far = embed(embedder, ["the cat sat", "the cat sat on", "quantum flux"])
+    base, close, far = (embedder.embed_one(text) for text in ["the cat sat", "the cat sat on", "quantum flux"])
 
     def cosine(u, v):
         return sum(a * b for a, b in zip(u, v))  # unit-norm vectors
@@ -66,11 +65,11 @@ def test_fallback_embedder_overlap_orders_similarity():
 
 def test_embed_rejects_empty_input():
     with pytest.raises(DomainError):
-        embed(HashedEmbedder(), [])
+        build_index(HashedEmbedder(), [])
 
 
 def test_empty_text_embeds_to_zero_vector():
-    vec = embed(HashedEmbedder(), ["   "])[0]
+    vec = HashedEmbedder().embed_one("   ")
     assert all(v == 0.0 for v in vec)
 
 
