@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import CorpusIntegrityError, DomainError
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import expect_type, iter_jsonl, write_jsonl
 from .ontology import Ontology, TermId, normalize_label
 
 
@@ -188,7 +188,7 @@ def _load_labeled_docs(path: str | Path, labels_key: str, make_gold) -> list[tup
     seen: set[str] = set()
 
     def convert(record: dict) -> tuple[Document, object]:
-        doc = Document(record["doc_id"], record["text"])
+        doc = Document(expect_type(record["doc_id"], str, "doc_id"), expect_type(record["text"], str, "text"))
         if doc.doc_id in seen:
             raise CorpusIntegrityError(f"duplicate doc_id {doc.doc_id}")
         seen.add(doc.doc_id)

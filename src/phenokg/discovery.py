@@ -2,13 +2,17 @@
 
 Stages: candidate assembly (keyword hits union generic-ICD hits), rubric
 0-9 likelihood scoring, threshold filtering, per-patient phenotype
-extraction, and deterministic finalist ranking. Per-patient failures are
-audited and skipped; a sweep over tens of thousands of candidates must
-never abort on one bad response.
+extraction, and deterministic finalist ranking. Each candidate is scored by
+one chain (patient record, prompt, request, parse, at most one retry) on the
+backend's bounded worker pool; the rubric part of the score prompt is
+rendered once per rubric. Per-patient failures are audited in key order and
+skipped; a sweep over tens of thousands of candidates must never abort on
+one bad response.
 """
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from pathlib import Path
@@ -17,6 +21,7 @@ from typing import Iterable
 from .corpus import Document
 from .errors import DomainError, PhenoKGError, ScoringError
 from .extraction import (
+    USER_SECTION_MARKER,
     AuditLog,
     GleanConfig,
     HpoExtraction,
@@ -25,10 +30,10 @@ from .extraction import (
     extract_corpus,
     load_template,
     parse_model_output,
-    render_template,
+    substitute,
 )
 from .kg import Graph, PatientRecord, cohort_by_icd, keyword_search, patient_record
-from .llm import ChatRequest, complete_batch
+from .llm import ChatRequest, _run_bounded
 from .ontology import Ontology, TermId
 
 
@@ -54,6 +59,15 @@ class ScoringRubric:
     def __post_init__(self):
         if not self.criteria:
             raise DomainError("rubric needs at least one criterion")
+
+    @functools.cached_property
+    def _score_frame(self) -> tuple[str, str, str]:
+        """(system, user text before the record, user text after it) of the score template, rendered once."""
+        fill = dict(disease_name=self.disease_name, disease_context=self.disease_context, scale_note=self.scale_note)
+        fill["criteria"] = "\n".join(f"- (weight {c.weight:g}) {c.description}" for c in self.criteria)
+        before, after = (substitute(part, **fill) for part in load_template("score").split("{document}"))
+        system, head = before.split(USER_SECTION_MARKER, 1)
+        return system.strip() + "\n", head, after
 
 
 def load_rubric(path: str | Path) -> ScoringRubric:
@@ -88,15 +102,9 @@ class LikelihoodScore:
 
 
 def build_score_prompt(record: PatientRecord, rubric: ScoringRubric) -> ChatRequest:
-    criteria = "\n".join(f"- (weight {c.weight:g}) {c.description}" for c in rubric.criteria)
-    system, user = render_template(
-        load_template("score"),
-        disease_name=rubric.disease_name,
-        disease_context=rubric.disease_context,
-        criteria=criteria,
-        scale_note=rubric.scale_note,
-        document=record.render(),
-    )
+    """The score template rendered for ``record``: byte for byte one single-pass ``render_template``."""
+    system, head, tail = rubric._score_frame
+    user = (head + record.render() + tail).strip() + "\n"
     return ChatRequest(system=system, user=user, request_tag=f"score:{record.key}")
 
 
@@ -108,39 +116,22 @@ def score_patient(record: PatientRecord, rubric: ScoringRubric, backend) -> Like
     is raised. A deterministic backend (replay) would only repeat its
     answer, so it gets no retry.
     """
+    try:
+        return _score_chain(record, rubric, backend)
+    except PhenoKGError as exc:
+        raise ScoringError(f"could not score patient {record.key}: {exc}") from None
 
-    def fail(key: str, exc: PhenoKGError):
-        raise ScoringError(f"could not score patient {key}: {exc}")
 
-    return _score_records({record.key: record}, rubric, backend, fail)[record.key]
-
-
-def _score_records(records, rubric, backend, on_failure) -> dict[str, LikelihoodScore]:
-    """Score records in key order; every failure is retried once, the retries as one more batch.
-
-    A backend marked ``deterministic`` gets no retry. A record whose last
-    attempt fails goes to ``on_failure(key, exc)``, in key order.
-    """
-    requests = {key: build_score_prompt(records[key], rubric) for key in sorted(records)}
-    outcomes: dict[str, LikelihoodScore | PhenoKGError | None] = dict.fromkeys(requests)
-    for _ in range(1 if getattr(backend, "deterministic", False) else 2):
-        pending = [key for key, outcome in outcomes.items() if not isinstance(outcome, LikelihoodScore)]
-        if not pending:
-            break
-        for key, response in zip(pending, complete_batch(backend, [requests[key] for key in pending])):
-            try:
-                if isinstance(response, PhenoKGError):
-                    raise response
-                outcomes[key] = LikelihoodScore(key, *parse_model_output(response.text, ScoreSchema()))
-            except PhenoKGError as exc:
-                outcomes[key] = exc
-    scores = {}
-    for key, outcome in outcomes.items():
-        if isinstance(outcome, LikelihoodScore):
-            scores[key] = outcome
-        else:
-            on_failure(key, outcome)
-    return scores
+def _score_chain(record: PatientRecord, rubric: ScoringRubric, backend) -> LikelihoodScore:
+    """Prompt, send and parse one record's score; a failure is re-sent once unless the backend is ``deterministic``."""
+    request = build_score_prompt(record, rubric)
+    attempts = 1 if getattr(backend, "deterministic", False) else 2
+    for attempt in range(1, attempts + 1):
+        try:
+            return LikelihoodScore(record.key, *parse_model_output(backend.complete(request).text, ScoreSchema()))
+        except PhenoKGError:
+            if attempt == attempts:
+                raise
 
 
 def candidate_cohort(graph: Graph, keywords: Iterable[str], generic_icd: Iterable[str]) -> set[str]:
@@ -234,17 +225,24 @@ def run_funnel(
     candidates = sorted(candidate_cohort(graph, keywords, generic_icd))
     stage_counts = [("candidates", len(candidates))]
 
-    records = {key: patient_record(graph, key) for key in candidates}
-    scores = _score_records(
-        records, rubric, backend, lambda key, exc: audit.record("scoring_failed", patient=key, error=str(exc))
-    )
-    stage_counts.append(("scored", len(scores)))
+    def score(key: str) -> tuple[LikelihoodScore, PatientRecord | None]:
+        record = patient_record(graph, key)
+        result = _score_chain(record, rubric, backend)
+        return result, (record if result.score >= threshold else None)  # only survivors keep their record
 
-    filtered = sorted(key for key, s in scores.items() if s.score >= threshold)
-    stage_counts.append(("filtered", len(filtered)))
+    scores, survivors = {}, {}
+    for key, outcome in zip(candidates, _run_bounded(candidates, score, getattr(backend, "max_in_flight", 4))):
+        if isinstance(outcome, PhenoKGError):
+            audit.record("scoring_failed", patient=key, error=str(outcome))
+            continue
+        scores[key], record = outcome
+        if record is not None:
+            survivors[key] = record
+    stage_counts.append(("scored", len(scores)))
+    stage_counts.append(("filtered", len(survivors)))
 
     task = HpoTask(ontology, allowed_terms=allowed_terms, disease_context=rubric.disease_context)
-    documents = [Document(key, records[key].render()) for key in filtered]
+    documents = [Document(key, record.render()) for key, record in survivors.items()]
     extractions: dict[str, HpoExtraction] = (
         extract_corpus(task, documents, backend, glean=glean, audit=audit) if documents else {}
     )

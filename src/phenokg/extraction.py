@@ -102,7 +102,8 @@ class NerResult:
     def from_record(cls, record: dict) -> NerResult:
         mentions = expect_type(record["mentions"], list, "mentions")
         pairs = ((m["surface"], expect_type(m["type"], str, "type")) for m in mentions)
-        return cls(record["doc_id"], frozenset((normalize_surface(s), EntityType.from_label(t)) for s, t in pairs))
+        key = expect_type(record["doc_id"], str, "doc_id")
+        return cls(key, frozenset((normalize_surface(s), EntityType.from_label(t)) for s, t in pairs))
 
 
 @dataclass(frozen=True)
@@ -138,7 +139,7 @@ class HpoExtraction:
     def from_record(cls, record: dict) -> HpoExtraction:
         rows = expect_type(record["assertions"], list, "assertions")
         assertions = (HpoAssertion(TermId(a["term"]), float(a["confidence"]), a.get("reasoning", "")) for a in rows)
-        return cls(record["key"], tuple(assertions))
+        return cls(expect_type(record["key"], str, "key"), tuple(assertions))
 
 
 @dataclass(frozen=True)
@@ -151,7 +152,8 @@ class MultiLabelResult:
 
     @classmethod
     def from_record(cls, record: dict) -> MultiLabelResult:
-        return cls(record["doc_id"], frozenset(expect_type(record["labels"], list, "labels")))
+        labels = frozenset(expect_type(record["labels"], list, "labels"))
+        return cls(expect_type(record["doc_id"], str, "doc_id"), labels)
 
 
 class AuditLog:
@@ -188,15 +190,19 @@ def _placeholder_pattern(names: tuple[str, ...]) -> re.Pattern:
     return re.compile("|".join(re.escape("{" + name + "}") for name in names))
 
 
-def render_template(template: str, **placeholders: str) -> tuple[str, str]:
-    """Substitute literal {name} tokens and split into (system, user) sections.
+def substitute(template: str, **placeholders: str) -> str:
+    """Replace literal {name} tokens in a single pass over the template.
 
-    Substitution is a single pass over the template, so JSON braces in
-    template bodies survive and placeholder-like tokens inside substituted
-    values are never re-substituted.
+    JSON braces in template bodies survive, and placeholder-like tokens
+    inside substituted values are never re-substituted.
     """
     pattern = _placeholder_pattern(tuple(placeholders))
-    rendered = pattern.sub(lambda match: placeholders[match.group(0)[1:-1]], template)
+    return pattern.sub(lambda match: placeholders[match.group(0)[1:-1]], template)
+
+
+def render_template(template: str, **placeholders: str) -> tuple[str, str]:
+    """``substitute`` the placeholders, then split into (system, user) sections."""
+    rendered = substitute(template, **placeholders)
     if USER_SECTION_MARKER not in rendered:
         raise DomainError(f"template missing {USER_SECTION_MARKER} section marker")
     system, user = rendered.split(USER_SECTION_MARKER, 1)

@@ -25,7 +25,7 @@ from .kg import (
     cohort_by_icd,
     upsert_assertion,
 )
-from .llm import cassette_entry
+from .llm import request_hash
 from .ontology import DiseaseAnnotation, Ontology, TermId, load_annotations, parse_obo
 
 DRAVET_ICD10_CODES: tuple[str, ...] = ("G40.83", "G40.833", "G40.834")
@@ -315,17 +315,24 @@ class RecordingBackend:
 
     Run a pipeline once against a scripted oracle wrapped in this class,
     then persist ``entries`` with llm.write_cassette to get a replay
-    cassette that covers exactly the requests the pipeline makes.
+    cassette that covers exactly the requests the pipeline makes. The
+    entries come out sorted by hash, each identical one once, so a
+    recording does not depend on which request finished first.
     """
 
     def __init__(self, inner):
         self.inner = inner
-        self.entries: list[dict] = []
+        self._pairs: set[tuple[str, str]] = set()
         self._lock = threading.Lock()
         self.max_in_flight = getattr(inner, "max_in_flight", 4)
+
+    @property
+    def entries(self) -> list[dict]:
+        with self._lock:
+            return [{"hash": key, "response": text} for key, text in sorted(self._pairs)]
 
     def complete(self, request):
         response = self.inner.complete(request)
         with self._lock:
-            self.entries.append(cassette_entry(request, response.text))
+            self._pairs.add((request_hash(request.system, request.user), response.text))
         return response

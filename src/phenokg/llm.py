@@ -3,16 +3,21 @@
 Every backend has ``complete(request)``; ``make_backend`` is the one place a
 BackendConfig becomes a backend, and everything else (``complete_batch``,
 extraction, the funnel, ``record_cassette``) takes the built backend, so a
-cassette is read once per run. The HTTP backend posts through one
+cassette is read once per run. One claim-an-index dispatcher,
+``_run_bounded``, keeps at most ``max_in_flight`` calls running: for
+``complete_batch`` an item is one request, for the funnel one candidate's
+whole score chain. The HTTP backend posts through one
 stdlib ``urllib`` opener (a fresh connection per request) and retries
 transport errors, 5xx and 429 with exponential backoff; the replay backend
-answers from a recorded cassette keyed by a stable hash of (system, user);
+answers from a recorded cassette keyed by a stable hash of (system, user),
+with the hash state of each distinct system text kept once;
 the scripted backend answers from an in-process responder and exists for
 oracle runs and tests.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import http.client
 import itertools
@@ -137,25 +142,26 @@ class ChatResponse:
     attempts: int
 
 
+@functools.lru_cache(maxsize=64)
+def _system_part(system: str):
+    """(sha256 state after the length-prefixed system part, system word count); copy the state before updating it."""
+    sys_b = system.encode("utf-8")
+    h = hashlib.sha256(b"%d:%b|" % (len(sys_b), sys_b))
+    return h, len(system.split())
+
+
 def request_hash(system: str, user: str) -> str:
     """Stable content hash keying cassette entries; length-prefixed to avoid collisions."""
-    sys_b = system.encode("utf-8")
     usr_b = user.encode("utf-8")
-    h = hashlib.sha256()
-    h.update(str(len(sys_b)).encode("ascii"))
-    h.update(b":")
-    h.update(sys_b)
-    h.update(b"|")
-    h.update(str(len(usr_b)).encode("ascii"))
-    h.update(b":")
-    h.update(usr_b)
+    h = _system_part(system)[0].copy()
+    h.update(b"%d:%b" % (len(usr_b), usr_b))
     return h.hexdigest()
 
 
 def _approx_usage(request: ChatRequest, text: str) -> Usage:
     # deterministic whitespace-token counts for offline backends
     return Usage(
-        prompt_tokens=len(request.system.split()) + len(request.user.split()),
+        prompt_tokens=_system_part(request.system)[1] + len(request.user.split()),
         completion_tokens=len(text.split()),
     )
 
@@ -345,25 +351,29 @@ def complete_batch(
     requests_: Sequence[ChatRequest],
     max_in_flight: int | None = None,
 ) -> list[ChatResponse | PhenoKGError]:
-    """Complete many requests with bounded concurrency.
-
-    ``min(max_in_flight, len(requests_))`` workers, the calling thread one
-    of them, each take the next unsent request until none is left. Results
-    come back in input order regardless of completion order. An expected
-    failure (a PhenoKGError: backend unavailable, replay miss) is returned
-    positionally as its exception instead of aborting the rest (the
-    asyncio.gather(return_exceptions=True) idiom). Any other exception,
-    including an interrupt, is a program bug: it stops the workers taking
-    new requests (unsent requests are never sent) and, once every worker
-    has returned, the first one is re-raised.
-    """
+    """``backend.complete`` each request through ``_run_bounded`` (bound: ``max_in_flight`` or the backend's)."""
     if not requests_:
         raise DomainError("complete_batch requires a nonempty request list")
-    bound = max_in_flight or getattr(backend, "max_in_flight", 4)
+    return _run_bounded(requests_, backend.complete, max_in_flight or getattr(backend, "max_in_flight", 4))
+
+
+def _run_bounded(items: Sequence, fn: Callable, bound: int) -> list:
+    """``[fn(item) for item in items]`` on at most ``bound`` threads, results in input order.
+
+    ``min(bound, len(items))`` workers, the calling thread one of them, each
+    claim the next unclaimed index until none is left, so at most ``bound``
+    calls run at once and each item is started once. An expected failure (a
+    PhenoKGError: backend unavailable, replay miss, unparseable reply) is
+    returned in place as its exception instead of aborting the rest (the
+    asyncio.gather(return_exceptions=True) idiom). Any other exception,
+    including an interrupt, is a program bug: it stops the workers claiming
+    new items (unclaimed items are never started) and, once every worker has
+    returned, the first one is re-raised.
+    """
     if bound < 1:
         raise DomainError(f"max_in_flight must be >= 1, got {bound}")
-    n = len(requests_)
-    results: list[ChatResponse | PhenoKGError] = [None] * n  # type: ignore[list-item]
+    n = len(items)
+    results: list = [None] * n
     bugs: list[BaseException] = []
     claim = itertools.count().__next__  # atomic under the GIL: each index goes to one worker
 
@@ -374,7 +384,7 @@ def complete_batch(
                 if i >= n:
                     return
                 try:
-                    results[i] = backend.complete(requests_[i])
+                    results[i] = fn(items[i])
                 except PhenoKGError as exc:
                     results[i] = exc
         except BaseException as exc:  # re-raised on the calling thread once every worker is joined

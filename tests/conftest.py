@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -22,6 +23,20 @@ id: HP:0000003
 name: Second child
 is_a: HP:0000001
 """
+
+
+@pytest.fixture(autouse=True)
+def fast_thread_switches(request):
+    """Tests marked ``threads`` run with a 10 us switch interval, so worker threads interleave often."""
+    if request.node.get_closest_marker("threads") is None:
+        yield
+        return
+    old = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        yield
+    finally:
+        sys.setswitchinterval(old)
 
 
 @pytest.fixture(scope="session")

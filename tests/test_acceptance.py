@@ -574,6 +574,7 @@ def test_criterion_8_discovery_funnel_recovery(tmp_path, dravet_ontology):
 # -- 9. concurrency bound ----------------------------------------------------------
 
 
+@pytest.mark.threads
 def test_criterion_9_concurrency_bound():
     with criterion(9, "batch completion never exceeds max_in_flight and preserves input order", 5.0):
         lock = threading.Lock()

@@ -543,6 +543,25 @@ def test_eval_rejects_a_prediction_field_of_the_wrong_shape(tmp_path, capsys, ta
     assert error == {"error": "DomainError", "message": f"{pred} line 2: {problem}"}
 
 
+NUMERIC_KEY_LINES = [
+    ("pred", {"doc_id": 5, "labels": []}, "DomainError", "doc_id must be a string, got 5"),
+    ("gold", {"doc_id": 7, "text": "t", "labels": ["OBESITY"]}, "CorpusIntegrityError",
+     "doc_id must be a string, got 7"),
+]
+
+
+@pytest.mark.parametrize("side, line, error_name, problem", NUMERIC_KEY_LINES, ids=["pred", "gold"])
+def test_eval_rejects_a_document_key_that_is_not_a_string(tmp_path, capsys, side, line, error_name, problem):
+    paths = {"gold": tmp_path / "gold.jsonl", "pred": tmp_path / "predictions.jsonl"}
+    paths["gold"].write_text(MULTILABEL_GOLD)
+    paths["pred"].write_text(json.dumps({"doc_id": "d1", "labels": []}) + "\n")
+    paths[side].write_text(json.dumps(line) + "\n")
+    flags = ["--gold", paths["gold"], "--pred", paths["pred"], "--out", tmp_path / "eval"]
+    code = run_cli(["eval", "--task", "multilabel", *flags])
+    error = _malformed_input_error(code, capsys, paths[side], 1)
+    assert error == {"error": error_name, "message": f"{paths[side]} line 1: {problem}"}
+
+
 def _assert_manifest_input(out, name, path):
     inputs = json.loads((out / "manifest.json").read_text())["inputs"]
     assert inputs[name] == {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}

@@ -3,6 +3,7 @@ import threading
 import time
 
 import pytest
+from hypothesis import given, strategies as st
 
 from phenokg.discovery import (
     FunnelReport,
@@ -17,7 +18,7 @@ from phenokg.discovery import (
     score_patient,
 )
 from phenokg.errors import DomainError, ScoringError
-from phenokg.extraction import AuditLog, GleanConfig
+from phenokg.extraction import AuditLog, GleanConfig, load_template, render_template
 from phenokg.fixtures import (
     BPAN_ALLOWED_TERMS,
     BPAN_GENERIC_ICD10,
@@ -325,6 +326,7 @@ def test_scoring_failures_skip_and_audit(haystack, dravet_ontology):
     assert counts["scored"] == counts["candidates"] - 1
 
 
+@pytest.mark.threads
 def test_score_retries_run_as_a_concurrent_batch(haystack, dravet_ontology):
     graph, planted = haystack
     lock = threading.Lock()
@@ -363,6 +365,7 @@ def test_score_retries_run_as_a_concurrent_batch(haystack, dravet_ontology):
     assert 2 <= active["peak"] <= 4
 
 
+@pytest.mark.threads
 def test_program_bug_propagates_from_run_funnel(haystack, dravet_ontology):
     graph, _ = haystack
 
@@ -386,6 +389,143 @@ def test_program_bug_propagates_from_run_funnel(haystack, dravet_ontology):
         )
     assert len(backend.calls) < 200
     assert audit.entries == []
+
+
+def _funnel(graph, backend, dravet_ontology, audit=None):
+    return run_funnel(
+        graph,
+        bpan_rubric(),
+        keywords={"BPAN"},
+        generic_icd=set(BPAN_GENERIC_ICD10),
+        threshold=7,
+        allowed_terms=BPAN_ALLOWED_TERMS,
+        backend=backend,
+        ontology=dravet_ontology,
+        audit=audit,
+    )
+
+
+def _score_keys(graph):
+    return sorted(candidate_cohort(graph, {"BPAN"}, set(BPAN_GENERIC_ICD10)))
+
+
+@pytest.mark.threads
+def test_funnel_output_does_not_depend_on_completion_order(haystack, dravet_ontology):
+    graph, planted = haystack
+    rank = {key: i for i, key in enumerate(_score_keys(graph))}
+    inner = oracle_backend(planted, BPAN_ALLOWED_TERMS)._responder
+    lock = threading.Lock()
+
+    def run(bound):
+        active = {"now": 0, "peak": 0}
+
+        def responder(request):
+            key = request.request_tag.split(":")[1]
+            with lock:
+                active["now"] += 1
+                active["peak"] = max(active["peak"], active["now"])
+            time.sleep((len(rank) - rank[key]) * 1e-5)  # earlier keys answer last
+            with lock:
+                active["now"] -= 1
+            if request.request_tag.startswith("score:") and rank[key] % 7 == 3:
+                return "prose, no score"  # audited in key order, whatever order it failed in
+            return inner(request)
+
+        audit = AuditLog()
+        report = _funnel(graph, ScriptedBackend(responder=responder, max_in_flight=bound), dravet_ontology, audit)
+        return report, audit.entries, active["peak"]
+
+    serial, parallel = run(1), run(4)
+    assert serial[:2] == parallel[:2]
+    assert [e["patient"] for e in serial[1]] == sorted(key for key in rank if rank[key] % 7 == 3)
+    assert serial[2] == 1
+    assert 2 <= parallel[2] <= 4
+
+
+def test_an_out_of_range_score_is_retried_once_for_that_candidate_only(haystack, dravet_ontology):
+    graph, planted = haystack
+    odd = _score_keys(graph)[5]
+    inner = oracle_backend(planted, BPAN_ALLOWED_TERMS)._responder
+    sent = []
+
+    def responder(request):
+        sent.append(request.request_tag)
+        if request.request_tag == f"score:{odd}" and sent.count(request.request_tag) == 1:
+            return json.dumps({"score": 12, "rationale": "off the scale"})
+        return inner(request)
+
+    audit = AuditLog()
+    report = _funnel(graph, ScriptedBackend(responder=responder), dravet_ontology, audit)
+    scores_sent = [tag for tag in sent if tag.startswith("score:")]
+    assert sorted(scores_sent) == sorted([f"score:{key}" for key in _score_keys(graph)] + [f"score:{odd}"])
+    assert audit.entries == []
+    assert dict(report.stage_counts)["scored"] == len(_score_keys(graph))
+
+
+def test_a_replayed_score_is_sent_exactly_once(haystack, dravet_ontology, tmp_path):
+    graph, planted = haystack
+    broken = _score_keys(graph)[5]
+    inner = oracle_backend(planted, BPAN_ALLOWED_TERMS)._responder
+
+    def responder(request):
+        return "prose, no score" if request.request_tag == f"score:{broken}" else inner(request)
+
+    path = record_replay_cassette(tmp_path, "funnel.jsonl", lambda b: _funnel(graph, b, dravet_ontology), responder)
+    replay = ReplayBackend(path)
+    sent = []
+    replay_complete = replay.complete
+    replay.complete = lambda request: sent.append(request.request_tag) or replay_complete(request)
+    audit = AuditLog()
+    _funnel(graph, replay, dravet_ontology, audit)
+    assert sorted(tag for tag in sent if tag.startswith("score:")) == [f"score:{key}" for key in _score_keys(graph)]
+    assert [e["patient"] for e in audit.entries] == [broken]
+
+
+@pytest.mark.threads
+@pytest.mark.parametrize("bound", [1, 3])
+def test_a_bug_in_one_candidate_propagates_and_unclaimed_candidates_are_never_sent(haystack, dravet_ontology, bound):
+    graph, _ = haystack
+    keys = _score_keys(graph)
+
+    def responder(request):
+        if request.request_tag == f"score:{keys[9]}":
+            raise TypeError("a bug, not a backend failure")
+        time.sleep(0.002)
+        return json.dumps({"score": 2, "rationale": "weak match"})
+
+    backend = ScriptedBackend(responder=responder, max_in_flight=bound)
+    audit = AuditLog()
+    with pytest.raises(TypeError):
+        _funnel(graph, backend, dravet_ontology, audit)
+    sent = [request.request_tag for request in backend.calls]
+    if bound == 1:
+        assert sent == [f"score:{key}" for key in keys[:10]]
+    assert not {f"score:{key}" for key in keys[100:]} & set(sent)
+    assert audit.entries == []
+
+
+TEMPLATE_TRAPS = st.lists(
+    st.sampled_from(["{document}", "{criteria}", "{scale_note}", "{disease_name}", '{"score": 1}', "---USER---",
+                     " ", "\n", "x", "\u00e9"]),
+    max_size=6,
+).map("".join)
+
+
+@given(TEMPLATE_TRAPS, TEMPLATE_TRAPS, TEMPLATE_TRAPS, TEMPLATE_TRAPS, TEMPLATE_TRAPS)
+def test_score_prompt_equals_the_single_pass_render(name, context, description, scale_note, note):
+    rubric = ScoringRubric(name, context, (RubricCriterion(description, 2.0), RubricCriterion("x", 0.5)), scale_note)
+    graph = build_graph([PatientNode("p1"), NoteNode("p1-n", "p1", note + "tail")])
+    record = patient_record(graph, "p1")
+    request = build_score_prompt(record, rubric)
+    system, user = render_template(
+        load_template("score"),
+        disease_name=name,
+        disease_context=context,
+        criteria=f"- (weight 2) {description}\n- (weight 0.5) x",
+        scale_note=scale_note,
+        document=record.render(),
+    )
+    assert (request.system, request.user) == (system, user)
 
 
 def test_min_assertions_filter(haystack, dravet_ontology):

@@ -1,4 +1,5 @@
 import contextlib
+import hashlib
 import json
 import os
 import socket
@@ -10,12 +11,14 @@ from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
 from phenokg.errors import BackendUnavailableError, DomainError, ReplayMissError
 from phenokg.llm import (
     BackendConfig,
     ChatRequest,
     HttpBackend,
+    Usage,
     ReplayBackend,
     RetryPolicy,
     ScriptedBackend,
@@ -28,7 +31,9 @@ from phenokg.llm import (
     request_hash,
     validate_config,
     write_cassette,
+    _approx_usage,
 )
+from phenokg.fixtures import RecordingBackend
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
@@ -199,6 +204,7 @@ def _peak_tracker():
     return responder, active
 
 
+@pytest.mark.threads
 def test_record_cassette_runs_as_one_bounded_batch(tmp_path):
     responder, active = _peak_tracker()
     backend = ScriptedBackend(responder=lambda req: responder(req) + req.user, max_in_flight=3)
@@ -250,6 +256,7 @@ def test_single_request_batch_equals_complete():
     assert batch[0].text == ScriptedBackend(responder=lambda req: req.user.upper()).complete(REQ).text
 
 
+@pytest.mark.threads
 def test_batch_preserves_input_order_under_reverse_completion():
     # earlier requests sleep longer, so completion order is reversed
     def responder(request):
@@ -263,6 +270,7 @@ def test_batch_preserves_input_order_under_reverse_completion():
     assert [r.text for r in results] == [f"answer-{i}" for i in range(5)]
 
 
+@pytest.mark.threads
 def test_batch_failure_is_positional():
     def responder(request):
         if request.user == "boom":
@@ -281,6 +289,7 @@ def test_batch_failure_is_positional():
     assert results[2].text == "fine"
 
 
+@pytest.mark.threads
 def test_batch_respects_max_in_flight_bound():
     responder, active = _peak_tracker()
     backend = ScriptedBackend(responder=responder)
@@ -290,6 +299,7 @@ def test_batch_respects_max_in_flight_bound():
     assert active["peak"] >= 2  # parallelism actually happened
 
 
+@pytest.mark.threads
 def test_batch_program_bug_propagates_and_cancels_unsent():
     def responder(request):
         time.sleep(0.01)
@@ -302,6 +312,7 @@ def test_batch_program_bug_propagates_and_cancels_unsent():
     assert len(backend.calls) < len(requests_)
 
 
+@pytest.mark.threads
 @pytest.mark.parametrize("bound", [1, 4])
 def test_batch_runs_on_the_calling_thread_and_joins_its_workers(bound):
     threads = []
@@ -322,6 +333,7 @@ def test_batch_runs_on_the_calling_thread_and_joins_its_workers(bound):
     assert set(threading.enumerate()) <= before
 
 
+@pytest.mark.threads
 def test_batch_program_bug_stops_every_worker():
     def responder(request):
         if request.user == "0":
@@ -338,6 +350,7 @@ def test_batch_program_bug_stops_every_worker():
     assert set(threading.enumerate()) <= before  # every worker joined before the bug propagates
 
 
+@pytest.mark.threads
 def test_batch_interrupt_in_a_request_propagates():
     def responder(request):
         if request.user == "3":
@@ -363,6 +376,37 @@ def test_conflicting_duplicate_cassette_hash_is_rejected(tmp_path):
         request_hash(REQ.system, REQ.user): "same",
         request_hash(other.system, other.user): "x",
     }
+
+
+def _reference_request_hash(system, user):
+    sys_b, usr_b = system.encode("utf-8"), user.encode("utf-8")
+    return hashlib.sha256(b"%d:%b|%d:%b" % (len(sys_b), sys_b, len(usr_b), usr_b)).hexdigest()
+
+
+@given(st.text(), st.text(), st.text(min_size=1))
+def test_request_hash_and_usage_match_the_uncached_formulas(system, text, user):
+    # an equal system string built anew must hit the same cached system part
+    for system_copy in (system, "".join(list(system)), system.encode("utf-8").decode("utf-8")):
+        assert request_hash(system_copy, user) == _reference_request_hash(system, user)
+        usage = _approx_usage(ChatRequest(system=system_copy, user=user), text)
+        assert usage == Usage(len(system.split()) + len(user.split()), len(text.split()))
+
+
+@pytest.mark.threads
+def test_recording_is_the_same_file_at_any_concurrency(tmp_path):
+    def responder(request):
+        time.sleep((8 - int(request.user[1:])) * 0.002)  # later requests finish first
+        return f"reply-{request.user}"
+
+    requests_ = [ChatRequest(system="s", user=f"x{i}") for i in range(8)] * 2  # each request sent twice
+    recorded = []
+    for bound in (1, 4):
+        recorder = RecordingBackend(ScriptedBackend(responder=responder, max_in_flight=bound))
+        complete_batch(recorder, requests_)
+        write_cassette(tmp_path / f"bound{bound}.jsonl", recorder.entries)
+        recorded.append((tmp_path / f"bound{bound}.jsonl").read_bytes())
+    assert recorded[0] == recorded[1]
+    assert len(recorded[0].splitlines()) == 8
 
 
 def test_batch_rejects_empty():
