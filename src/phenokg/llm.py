@@ -10,7 +10,8 @@ whole score chain. The HTTP backend posts through one
 stdlib ``urllib`` opener (a fresh connection per request) and retries
 transport errors, 5xx and 429 with exponential backoff; the replay backend
 answers from a recorded cassette keyed by a stable hash of (system, user),
-with the hash state of each distinct system text kept once;
+with the hash state of each distinct system text kept once, on one thread
+(a lookup never waits, so its ``max_in_flight`` is 1);
 the scripted backend answers from an in-process responder and exists for
 oracle runs and tests.
 """
@@ -287,10 +288,12 @@ class ReplayBackend:
 
     # a re-sent request gets the same answer, so callers need not retry it
     deterministic = True
+    # an answer is a dict lookup that never waits, so a second worker thread
+    # overlaps nothing and only adds interpreter-lock handoffs
+    max_in_flight = 1
 
-    def __init__(self, cassette_path: str | Path, max_in_flight: int = 4):
+    def __init__(self, cassette_path: str | Path):
         self.cassette_path = str(cassette_path)
-        self.max_in_flight = max_in_flight
         self._responses = load_cassette(cassette_path)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
@@ -343,7 +346,7 @@ def make_backend(config: BackendConfig):
         raise DomainError("; ".join(problems))
     if config.kind == "http":
         return HttpBackend(config)
-    return ReplayBackend(config.cassette_path, max_in_flight=config.max_in_flight)
+    return ReplayBackend(config.cassette_path)
 
 
 def complete_batch(

@@ -159,6 +159,16 @@ def test_replay_round_trip(tmp_path):
     assert ReplayBackend(path).complete(REQ).text == "ok"
 
 
+def test_replay_batches_start_no_worker_thread(tmp_path, monkeypatch):
+    """A replay answer never waits, so a batch runs on the calling thread whatever the configured bound."""
+    path = tmp_path / "cassette.jsonl"
+    requests_ = [ChatRequest(system="sys", user=f"u{i}") for i in range(8)]
+    write_cassette(path, [cassette_entry(r, r.user) for r in requests_])
+    backend = make_backend(BackendConfig(kind="replay", cassette_path=str(path), max_in_flight=4))
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a worker thread was started"))
+    assert [r.text for r in complete_batch(backend, requests_)] == [r.user for r in requests_]
+
+
 def test_replay_miss_names_hash(tmp_path):
     path = tmp_path / "cassette.jsonl"
     write_cassette(path, [])
