@@ -46,7 +46,7 @@ from .extraction import (
     extract_corpus,
 )
 from .fixtures import GROUP_SUBTREE_ROOTS
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import iter_jsonl, write_atomic, write_jsonl
 from .kg import cohort_by_icd, ingest_patients, build_graph, keyword_search, load_graph, save_graph
 from .llm import BackendConfig, ChatRequest, make_backend, record_cassette, validate_config
 from .ontology import TermId, load_annotations, load_ontology
@@ -75,7 +75,7 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> No
         },
         "versions": {"phenokg": __version__, "python": platform.python_version()},
     }
-    (out_dir / "manifest.json").write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+    write_atomic(out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
 
 
 def _out_dir(args) -> Path:
@@ -154,7 +154,7 @@ def cmd_ontology_stats(args) -> None:
     print(json.dumps(stats, indent=2, sort_keys=True))
     if args.out:
         out = _out_dir(args)
-        (out / "stats.json").write_text(json.dumps(stats, indent=2, sort_keys=True) + "\n")
+        write_atomic(out / "stats.json", [json.dumps(stats, indent=2, sort_keys=True) + "\n"])
         _write_manifest(out, "ontology stats", args)
 
 
@@ -273,8 +273,8 @@ def cmd_eval(args) -> None:
     text = render_report({model: report}, fmt=args.format)
     out = _out_dir(args)
     suffix = "csv" if args.format == "csv" else "md"
-    (out / f"report.{suffix}").write_text(text)
-    (out / "report.json").write_text(report.to_json() + "\n")
+    write_atomic(out / f"report.{suffix}", [text])
+    write_atomic(out / "report.json", [report.to_json() + "\n"])
     _write_manifest(out, "eval", args)
     print(text, end="")
 
@@ -285,7 +285,7 @@ def cmd_kg_build(args) -> None:
     graph = build_graph(ingest_patients(args.records), ontology)
     out = _out_dir(args)
     save_graph(graph, out / "graph.jsonl")
-    (out / "counts.json").write_text(json.dumps(graph.counts(), indent=2, sort_keys=True) + "\n")
+    write_atomic(out / "counts.json", [json.dumps(graph.counts(), indent=2, sort_keys=True) + "\n"])
     _write_manifest(out, "kg build", args)
     print(json.dumps(graph.counts(), sort_keys=True))
 
@@ -307,7 +307,7 @@ def cmd_kg_query(args) -> None:
     print(json.dumps(result, indent=2, sort_keys=True))
     if args.out:
         out = _out_dir(args)
-        (out / "query.json").write_text(json.dumps(result, indent=2, sort_keys=True) + "\n")
+        write_atomic(out / "query.json", [json.dumps(result, indent=2, sort_keys=True) + "\n"])
         _write_manifest(out, "kg query", args)
 
 
@@ -332,16 +332,16 @@ def cmd_cohort_freq(args) -> None:
     else:
         grouping = derive_groups(ontology, GROUP_SUBTREE_ROOTS)
     out = _out_dir(args)
-    (out / "heatmap.csv").write_text(heatmap_csv(comparisons, grouping, ontology))
+    write_atomic(out / "heatmap.csv", [heatmap_csv(comparisons, grouping, ontology)])
     freq_rows = ["term,name,count,fraction"]
     for term, (count, fraction) in frequencies.items():
         freq_rows.append(f"{term},{ontology.name_of(term)},{count},{fraction:.3f}")
-    (out / "frequencies.csv").write_text("\n".join(freq_rows) + "\n")
+    write_atomic(out / "frequencies.csv", ["\n".join(freq_rows) + "\n"])
     payload = {
         "cohort_size": frequencies.cohort_size,
         "counts": {t: c for t, c in sorted(frequencies.counts.items())},
     }
-    (out / "frequencies.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+    write_atomic(out / "frequencies.json", [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
     _write_manifest(out, "cohort-freq", args)
     print(f"cohort size {frequencies.cohort_size}; wrote {out / 'heatmap.csv'}")
 
@@ -374,8 +374,8 @@ def cmd_discover(args) -> None:
         audit=audit,
     )
     out = _out_dir(args)
-    (out / "funnel.json").write_text(report.to_json() + "\n")
-    (out / "funnel.md").write_text(report.to_markdown())
+    write_atomic(out / "funnel.json", [report.to_json() + "\n"])
+    write_atomic(out / "funnel.md", [report.to_markdown()])
     audit.save(out / "audit.jsonl")
     _write_manifest(out, "discover", args)
     stages = dict(report.stage_counts)

@@ -17,7 +17,7 @@ from pathlib import Path
 from typing import Sequence
 
 from .errors import CorpusIntegrityError, DomainError
-from .jsonl import expect_type, iter_jsonl, write_jsonl
+from .jsonl import expect_type, iter_jsonl, write_atomic, write_jsonl
 from .ontology import Ontology, TermId, normalize_label
 
 
@@ -180,7 +180,7 @@ def save_span_corpus(corpus: Sequence[tuple[Document, Sequence[SpanAnnotation]]]
                 cells.append(ann.concept_id)
             lines.append("\t".join(cells))
         blocks.append("\n".join(lines))
-    Path(path).write_text("\n\n".join(blocks) + "\n", encoding="utf-8")
+    write_atomic(path, ["\n\n".join(blocks) + "\n"])
 
 
 def _load_labeled_docs(path: str | Path, labels_key: str, make_gold) -> list[tuple[Document, object]]:

@@ -32,6 +32,7 @@ from .extraction import (
     parse_model_output,
     substitute,
 )
+from .jsonl import write_atomic
 from .kg import Graph, PatientRecord, cohort_by_icd, keyword_search, patient_record
 from .llm import ChatRequest, _run_bounded
 from .ontology import Ontology, TermId
@@ -87,7 +88,7 @@ def save_rubric(rubric: ScoringRubric, path: str | Path) -> None:
         "criteria": [{"description": c.description, "weight": c.weight} for c in rubric.criteria],
         "scale_note": rubric.scale_note,
     }
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_atomic(path, [json.dumps(payload, indent=2) + "\n"])
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
-"""JSON Lines files: the one reader and the one writer every format goes through."""
+"""JSON Lines files: the one reader (one ``raw_decode`` per line, accepting exactly what ``json.loads``
+accepts) and the one atomic writer, which also writes the CLI's JSON, Markdown and CSV outputs."""
 
 from __future__ import annotations
 
@@ -12,6 +13,20 @@ from .errors import PhenoKGError
 T = TypeVar("T")
 
 _JSON_TYPE_NAMES = {dict: "an object", list: "an array", str: "a string"}
+_DECODER = json.JSONDecoder()
+_JSON_WS = " \t\n\r"
+
+
+def _loads(line: str):
+    """``json.loads(line)``, decoded with one ``raw_decode`` of the line stripped of JSON whitespace."""
+    stripped = line.strip(_JSON_WS)
+    try:
+        value, end = _DECODER.raw_decode(stripped)
+        if end == len(stripped):
+            return value
+    except ValueError:
+        pass
+    return json.loads(line)  # invalid (trailing data too): raises json.loads's error, placed in the original line
 
 
 def iter_jsonl(path: str | Path, error_cls: type[Exception], convert: Callable[[dict], T]) -> Iterator[tuple[int, T]]:
@@ -25,7 +40,7 @@ def iter_jsonl(path: str | Path, error_cls: type[Exception], convert: Callable[[
             if not line.strip():
                 continue
             try:
-                record = json.loads(line)
+                record = _loads(line)
             except ValueError as exc:
                 raise error_cls(f"{path} line {line_no}: invalid JSON ({exc})") from None
             if not isinstance(record, dict):
@@ -47,17 +62,22 @@ def expect_type(value, kind: type, name: str):
 
 
 def write_jsonl(path: str | Path, lines: Iterable[str]) -> None:
-    """Write each line plus a newline to a temporary sibling file, then os.replace it onto ``path``.
+    """Write each line plus a newline to ``path`` through ``write_atomic``."""
+    write_atomic(path, (line + "\n" for line in lines))
 
-    If ``lines`` raises, the old file is left as it was and the temporary file is removed; a killed
-    process also leaves the old file (and perhaps the temporary one). No fsync: a power loss can lose the write.
+
+def write_atomic(path: str | Path, chunks: Iterable[str]) -> None:
+    """Write the chunks as UTF-8 to a temporary sibling file, then os.replace it onto ``path``.
+
+    If ``chunks`` raises, or the write is interrupted before the replace, the old file is left as it
+    was and the temporary file is removed; a killed process also leaves the old file (and perhaps the
+    temporary one). No fsync: a power loss can lose the write.
     """
     path = Path(path)
     tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
-            for line in lines:
-                fh.write(line + "\n")
+            fh.writelines(chunks)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)

@@ -3,13 +3,16 @@
 A property-graph shape persisted as typed JSON Lines (one record per
 node/edge with a ``kind`` field). Referential integrity (notes and
 assertions resolve to patients, assertion terms resolve in the ontology)
-is enforced at mutation time and re-verified at load. Single writer,
-concurrent readers.
+is enforced at mutation time and re-verified at load. Loading builds every
+record through the same validating constructors as ingest; each distinct
+code set and term id is validated once and then shared by every record
+that repeats it. Single writer, concurrent readers.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import itertools
 import json
 import re
@@ -25,7 +28,7 @@ _WS_RE = re.compile(r"\s")
 
 
 def _normalize_code(code: str) -> str:
-    cleaned = code.strip().upper()
+    cleaned = expect_type(code, str, "code").strip().upper()
     if not cleaned:
         raise DomainError("code strings must be nonempty")
     if _WS_RE.search(cleaned):
@@ -35,6 +38,13 @@ def _normalize_code(code: str) -> str:
 
 def _normalize_codes(codes: Iterable[str]) -> frozenset[str]:
     return frozenset(_normalize_code(c) for c in codes)
+
+
+# One shared, normalized set per distinct raw set; an invalid code is not cached, so it raises every time.
+# Kept small: an entry holds its raw set alive, and on diverse code sets a large cache slowed loading.
+_normalized_code_set = functools.lru_cache(maxsize=64)(_normalize_codes)
+# One shared, validated id per distinct raw string.
+_term_id = functools.lru_cache(maxsize=256)(TermId)
 
 
 @dataclass(frozen=True)
@@ -56,9 +66,9 @@ class PatientNode:
     def __post_init__(self):
         if not self.key:
             raise DomainError("patient key must be nonempty")
-        object.__setattr__(self, "icd10", _normalize_codes(self.icd10))
-        object.__setattr__(self, "cpt", _normalize_codes(self.cpt))
-        object.__setattr__(self, "rxnorm", _normalize_codes(self.rxnorm))
+        object.__setattr__(self, "icd10", _normalized_code_set(frozenset(self.icd10)))
+        object.__setattr__(self, "cpt", _normalized_code_set(frozenset(self.cpt)))
+        object.__setattr__(self, "rxnorm", _normalized_code_set(frozenset(self.rxnorm)))
 
 
 class NoteKind(enum.Enum):
@@ -206,10 +216,9 @@ def upsert_assertion(graph: Graph, assertion: PhenotypeAssertion, ontology: Onto
         raise GraphIntegrityError(f"assertion term {assertion.term} not in ontology")
     if assertion.source_note is not None and assertion.source_note not in graph._notes:
         raise GraphIntegrityError(f"assertion references unknown note {assertion.source_note}")
-    if assertion in graph._assertions:
-        return False
-    graph._assertions[assertion] = None
-    return True
+    before = len(graph._assertions)
+    graph._assertions.setdefault(assertion, None)
+    return len(graph._assertions) > before
 
 
 def cohort_by_icd(graph: Graph, codes: Iterable[str], mode: str = "any") -> set[str]:
@@ -338,7 +347,7 @@ def record_to_node(record: dict) -> PatientNode | NoteNode | PhenotypeAssertion:
     if kind == "patient":
         demo = expect_type(record.get("demographics") or {}, dict, "demographics")
         return PatientNode(
-            key=record["key"],
+            key=expect_type(record["key"], str, "key"),
             demographics=Demographics(
                 age_years=demo.get("age_years"),
                 race=demo.get("race"),
@@ -351,35 +360,33 @@ def record_to_node(record: dict) -> PatientNode | NoteNode | PhenotypeAssertion:
         )
     if kind == "note":
         return NoteNode(
-            note_id=record["note_id"],
-            patient=record["patient"],
+            note_id=expect_type(record["note_id"], str, "note_id"),
+            patient=expect_type(record["patient"], str, "patient"),
             text=expect_type(record["text"], str, "text"),
             kind=NoteKind(record.get("note_kind", "clinical_note")),
         )
     if kind == "assertion":
+        source_note = record.get("source_note")
         return PhenotypeAssertion(
-            patient=record["patient"],
-            term=TermId(record["term"]),
+            patient=expect_type(record["patient"], str, "patient"),
+            term=_term_id(expect_type(record["term"], str, "term")),
             confidence=float(record["confidence"]),
-            reasoning=record.get("reasoning", ""),
-            source_note=record.get("source_note"),
-            extractor_version=record.get("extractor_version", ""),
+            reasoning=expect_type(record.get("reasoning", ""), str, "reasoning"),
+            source_note=None if source_note is None else expect_type(source_note, str, "source_note"),
+            extractor_version=expect_type(record.get("extractor_version", ""), str, "extractor_version"),
         )
     raise GraphIntegrityError(f"unknown record kind {kind!r}")
 
 
 def save_graph(graph: Graph, path: str | Path) -> None:
     """Persist as JSON Lines, replaced atomically: patients, then notes, then assertions, sorted."""
-    assertions = sorted(
-        (_assertion_to_record(a) for a in graph.assertions()),
-        key=lambda r: (r["patient"], r["term"], r["confidence"], r["source_note"] or ""),
-    )
+    assertions = sorted(graph._assertions, key=lambda a: (a.patient, a.term, a.confidence, a.source_note or ""))
     records = itertools.chain(
         (_patient_to_record(graph.patient(key)) for key in graph.patient_keys()),
         (_note_to_record(note) for note in graph.iter_notes()),
-        assertions,
+        (_assertion_to_record(a) for a in assertions),
     )
-    write_jsonl(path, (json.dumps(record, sort_keys=True) for record in records))
+    write_jsonl(path, map(json.JSONEncoder(sort_keys=True).encode, records))
 
 
 def load_graph(path: str | Path, ontology: Ontology | None = None) -> Graph:

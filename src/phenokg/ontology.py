@@ -14,6 +14,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .errors import DomainError, OboParseError, OntologyValidationError
+from .jsonl import write_atomic
 
 _TERM_ID_RE = re.compile(r"^HP:\d{7}$")
 _QUOTED_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
@@ -314,7 +315,7 @@ def dump_ontology(ontology: Ontology) -> str:
 
 
 def save_ontology(ontology: Ontology, path: str | Path) -> None:
-    Path(path).write_text(dump_ontology(ontology), encoding="utf-8")
+    write_atomic(path, [dump_ontology(ontology)])
 
 
 def load_annotations(path: str | Path, ontology: Ontology) -> list[DiseaseAnnotation]:

@@ -1,5 +1,7 @@
 import hashlib
 import json
+import os
+from pathlib import Path
 
 import pytest
 
@@ -62,6 +64,24 @@ def test_ontology_stats(ontology_file, capsys):
     assert run_cli(["ontology", "stats", "--ontology", ontology_file]) == 0
     stats = json.loads(capsys.readouterr().out)
     assert stats["term_count"] == 52
+
+
+def test_a_manifest_write_interrupted_before_the_replace_leaves_the_old_manifest(tmp_path, ontology_file, monkeypatch):
+    out = tmp_path / "stats"
+    out.mkdir()
+    (out / "manifest.json").write_bytes(b'{"command": "old"}\n')
+    replace = os.replace
+
+    def interrupted_replace(src, dst):
+        if Path(dst).name == "manifest.json":
+            raise KeyboardInterrupt
+        replace(src, dst)
+
+    monkeypatch.setattr(os, "replace", interrupted_replace)
+    with pytest.raises(KeyboardInterrupt):
+        run_cli(["ontology", "stats", "--ontology", ontology_file, "--out", out])
+    assert (out / "manifest.json").read_bytes() == b'{"command": "old"}\n'
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json", "stats.json"]
 
 
 def test_corpus_synth_deterministic(tmp_path, ontology_file):
@@ -501,10 +521,19 @@ def test_eval_rejects_a_bad_prediction_line(tmp_path, capsys):
     assert error["error"] == "DomainError" and "invalid JSON" in error["message"]
 
 
+ASSERTION = {"kind": "assertion", "patient": "p1", "term": "HP:0011172", "confidence": 0.5}
 BAD_GRAPH_LINES = [
     ({"kind": "patient", "key": "p2", "icd10": "G40.83"}, 'icd10 must be an array, got "G40.83"'),
     ({"kind": "patient", "key": "p2", "demographics": [1]}, "demographics must be an object, got [1]"),
     ({"kind": "note", "note_id": "n2", "patient": "p1", "text": 5}, "text must be a string, got 5"),
+    ({"kind": "patient", "key": "p2", "icd10": [5]}, "code must be a string, got 5"),
+    ({"kind": "patient", "key": 5}, "key must be a string, got 5"),
+    ({"kind": "note", "note_id": 5, "patient": "p1", "text": "t"}, "note_id must be a string, got 5"),
+    ({"kind": "note", "note_id": "n2", "patient": 5, "text": "t"}, "patient must be a string, got 5"),
+    ({**ASSERTION, "patient": ["p1"]}, 'patient must be a string, got ["p1"]'),
+    ({**ASSERTION, "extractor_version": [1]}, "extractor_version must be a string, got [1]"),
+    ({**ASSERTION, "reasoning": 5}, "reasoning must be a string, got 5"),
+    ({**ASSERTION, "source_note": 5}, "source_note must be a string, got 5"),
 ]
 
 

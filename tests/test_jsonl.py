@@ -62,6 +62,48 @@ def test_line_numbers_count_blank_lines(tmp_path):
         list(iter_jsonl(path, DomainError, lambda r: r["a"]))
 
 
+# line 2 of a file, by what it tests
+LINES_AS_JSON_LOADS_READS_THEM = {
+    "leading space": ' {"a": 1}',
+    "tabs and spaces around": '\t{"a": 1}\t ',
+    "trailing form feed": '{"a": 1}\x0c',
+    "trailing ideographic space": '{"a": 1}\u3000',
+    "byte order mark": '\ufeff{"a": 1}',
+    "two objects": '{"a": 1}{"b": 2}',
+    "two objects and a space": '{"a": 1} {"b": 2}',
+    "trailing garbage": '{"a": 1} garbage',
+    "NaN and Infinity values": '{"a": NaN, "b": -Infinity}',
+    "bare NaN": "NaN",
+    "form feed only": "\x0c",
+    "unicode whitespace only": "\u3000 \t",
+    "escapes": '{"a": "caf\u00e9 \\u00e9"}',
+    "unterminated": '{"a": 1',
+}
+
+
+@pytest.mark.parametrize("case", sorted(LINES_AS_JSON_LOADS_READS_THEM))
+def test_a_line_is_accepted_or_rejected_exactly_as_json_loads_does(tmp_path, case):
+    line = LINES_AS_JSON_LOADS_READS_THEM[case]
+    path = tmp_path / "records.jsonl"
+    path.write_text('{"first": true}\n' + line + "\n", encoding="utf-8")
+    read = partial(iter_jsonl, path, DomainError, partial(json.dumps, sort_keys=True))
+    if not line.strip():  # blank to str.strip, so skipped though json.loads would reject it
+        assert [n for n, _ in read()] == [1]
+        return
+    try:
+        expected = json.loads(line + "\n")
+    except ValueError as exc:
+        with pytest.raises(DomainError) as raised:
+            list(read())
+        assert str(raised.value) == f"{path} line 2: invalid JSON ({exc})"
+        return
+    if isinstance(expected, dict):
+        assert list(read())[1] == (2, json.dumps(expected, sort_keys=True))
+    else:
+        with pytest.raises(DomainError, match=re.escape(f"{path} line 2: expected a JSON object")):
+            list(read())
+
+
 def test_conflicting_cassette_duplicate_names_both_lines_across_blank_lines(tmp_path):
     first, other, second = (
         json.dumps(cassette_entry(ChatRequest(system="s", user=user), text))

@@ -1,7 +1,11 @@
 import json
+import tempfile
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
+from phenokg import kg
 from phenokg.errors import DomainError, GraphIntegrityError
 from phenokg.fixtures import DRAVET_ICD10_CODES, build_demo_graph
 from phenokg.kg import (
@@ -11,9 +15,11 @@ from phenokg.kg import (
     NoteNode,
     PatientNode,
     PhenotypeAssertion,
+    _normalize_codes,
     build_graph,
     cohort_by_icd,
     expand_icd_prefix,
+    ingest_patients,
     keyword_search,
     load_graph,
     patient_record,
@@ -63,6 +69,51 @@ def test_codes_normalized_and_validated():
         PatientNode("p", icd10=frozenset({"G40 83"}))
     with pytest.raises(DomainError):
         PatientNode("p", icd10=frozenset({"  "}))
+
+
+# a code as ingest may spell it: either case, padded with whitespace
+RAW_CODES = st.builds(
+    lambda code, lower, pad: pad + (code.lower() if lower else code) + pad,
+    st.text(alphabet="CEG0138.", min_size=1, max_size=6),
+    st.booleans(),
+    st.sampled_from(["", " ", "\t"]),
+)
+
+
+@given(st.lists(RAW_CODES, max_size=6), st.lists(RAW_CODES, max_size=3))
+def test_patient_codes_equal_the_uncached_normalizer_and_share_one_set(icd10, cpt):
+    icd10 = icd10 + [code.swapcase() for code in icd10[:2]]  # duplicates that differ only by case
+    node = PatientNode("p", icd10=icd10, cpt=frozenset(cpt), rxnorm=tuple(cpt))
+    assert node.icd10 == _normalize_codes(icd10)
+    assert node.cpt == node.rxnorm == _normalize_codes(cpt)
+    assert node.cpt is node.rxnorm
+    assert PatientNode("q", icd10=list(reversed(icd10))).icd10 is node.icd10
+
+
+@given(RAW_CODES, st.sampled_from(["", "  ", "G40 83", "e66\t9"]))
+def test_an_invalid_code_raises_on_every_construction(good, bad):
+    for _ in range(2):
+        with pytest.raises(DomainError):
+            PatientNode("p", icd10=[good, bad])
+
+
+def test_loading_shared_code_sets_normalizes_each_distinct_raw_code_once(tmp_path, monkeypatch):
+    code_sets = [[" g40.83", "E66.9"], ["G40.833"], ["f80.1 ", "q93.5"]]
+    path = tmp_path / "graph.jsonl"
+    path.write_text(
+        "".join(
+            json.dumps({"kind": "patient", "key": f"p{i}", "icd10": code_sets[i % 3], "cpt": ["99213"]}) + "\n"
+            for i in range(1000)
+        ),
+        encoding="utf-8",
+    )
+    calls = []
+    normalize_code = kg._normalize_code
+    monkeypatch.setattr(kg, "_normalize_code", lambda code: calls.append(code) or normalize_code(code))
+    kg._normalized_code_set.cache_clear()
+    graph = load_graph(path)
+    assert graph.patient_count == 1000 and graph.patient("p2").icd10 == {"F80.1", "Q93.5"}
+    assert len(calls) <= len({code for codes in code_sets for code in codes} | {"99213"})
 
 
 def test_cohort_by_icd_modes():
@@ -195,6 +246,58 @@ def test_assertion_term_revalidated_at_load(tmp_path, dravet_ontology):
         load_graph(path, dravet_ontology)
     # without an ontology the same file loads (format-level checks only)
     assert load_graph(path).assertion_count == 1
+
+
+@st.composite
+def ingest_records(draw):
+    """Patient, note and assertion ingest records in any order, with raw codes and ``hp:`` term ids."""
+    texts = st.text(max_size=12)
+    keys = draw(st.lists(st.text(alphabet="pq01", min_size=1, max_size=3), min_size=1, max_size=4, unique=True))
+    records = [
+        {
+            "kind": "patient",
+            "key": key,
+            "demographics": {
+                "age_years": draw(st.none() | st.integers(0, 99)),
+                "race": draw(st.none() | texts),
+                "state": draw(st.none() | st.sampled_from(["PA", "NY"])),
+                "zip": None,
+            },
+            "icd10": draw(st.lists(RAW_CODES, max_size=3)),
+            "cpt": draw(st.lists(RAW_CODES, max_size=2)),
+            "rxnorm": draw(st.lists(RAW_CODES, max_size=1)),
+        }
+        for key in keys
+    ]
+    note_patients = draw(st.lists(st.sampled_from(keys), max_size=3))
+    for i, key in enumerate(note_patients):
+        kind = draw(st.sampled_from([k.value for k in NoteKind]))
+        records.append({"kind": "note", "note_id": f"n{i}", "patient": key, "text": draw(texts), "note_kind": kind})
+    for _ in range(draw(st.integers(0, 6))):
+        records.append({
+            "kind": "assertion",
+            "patient": draw(st.sampled_from(keys)),
+            "term": f"hp:{draw(st.integers(0, 9_999_999)):07d}",
+            "confidence": draw(st.floats(0, 1)),
+            "reasoning": draw(texts),
+            "source_note": draw(st.none() | st.sampled_from([f"n{i}" for i in range(len(note_patients))] or [None])),
+            "extractor_version": draw(st.sampled_from(["", "v1"])),
+        })
+    return draw(st.permutations(records))
+
+
+@given(ingest_records())
+def test_save_load_save_round_trips_ingested_graphs_byte_identically(records):
+    with tempfile.TemporaryDirectory() as tmp:
+        ingest, first, second = (Path(tmp) / name for name in ("records.jsonl", "first.jsonl", "second.jsonl"))
+        ingest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+        graph = build_graph(ingest_patients(ingest))
+        save_graph(graph, first)
+        loaded = load_graph(first)
+        save_graph(loaded, second)
+        assert loaded == graph
+        assert first.read_bytes() == second.read_bytes()
+    assert all(a.term.startswith("HP:") for a in loaded.assertions())
 
 
 def test_patient_record_render_is_deterministic(demo_graph):
