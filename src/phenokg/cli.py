@@ -48,7 +48,7 @@ from .extraction import (
 from .fixtures import GROUP_SUBTREE_ROOTS
 from .jsonl import iter_jsonl, write_atomic, write_jsonl
 from .kg import cohort_by_icd, ingest_patients, build_graph, keyword_search, load_graph, save_graph
-from .llm import BackendConfig, ChatRequest, make_backend, record_cassette, validate_config
+from .llm import BackendConfig, CassetteBackend, ChatRequest, complete_batch, make_backend, validate_config
 from .ontology import TermId, load_annotations, load_ontology
 from .retrieval import HashedEmbedder, build_index
 
@@ -229,15 +229,7 @@ def cmd_extract(args) -> None:
     policy = _build_policy(args, task, pool_corpus)
     backend = make_backend(_backend_config(args))
     audit = AuditLog()
-    results = extract_corpus(
-        task,
-        documents,
-        backend,
-        policy=policy,
-        glean=GleanConfig(args.glean),
-        audit=audit,
-        max_in_flight=args.max_in_flight,
-    )
+    results = extract_corpus(task, documents, backend, policy=policy, glean=GleanConfig(args.glean), audit=audit)
     out = _out_dir(args)
     write_jsonl(out / "predictions.jsonl", (json.dumps(results[key].to_record()) for key in sorted(results)))
     audit.save(out / "audit.jsonl")
@@ -397,17 +389,13 @@ def cmd_cassette_record(args) -> None:
         )
 
     requests_ = [request for _, request in iter_jsonl(args.requests, DomainError, convert)]
-    config = BackendConfig(
-        kind="http",
-        model_name=args.model or "",
-        endpoint_url=args.endpoint or "",
-        max_in_flight=args.max_in_flight or 4,
-    )
-    problems = validate_config(config)
-    if problems:
-        raise ConfigError(problems)
-    count = record_cassette(make_backend(config), requests_, args.out)
-    print(f"recorded {count} responses -> {args.out}")
+    args.backend_kind, args.cassette = "http", None  # a recording is always sent to a live endpoint
+    recorder = CassetteBackend(inner=make_backend(_backend_config(args)))
+    for response in complete_batch(recorder, requests_) if requests_ else []:
+        if isinstance(response, PhenoKGError):
+            raise response  # before any write, so a failure leaves no file
+    recorder.save(args.out)
+    print(f"recorded {len(recorder.responses)} responses -> {args.out}")
 
 
 # -- parser -------------------------------------------------------------------

@@ -25,7 +25,7 @@ from typing import Sequence
 
 from .corpus import Document, EntityType
 from .errors import DomainError, OutputParseError, OutputSchemaError, PhenoKGError
-from .jsonl import expect_type, write_jsonl
+from .jsonl import expect_number, expect_type, write_jsonl
 from .llm import ChatRequest, complete_batch
 from .ontology import Ontology, TermId
 from .retrieval import EmbeddingIndex, top_k
@@ -138,7 +138,10 @@ class HpoExtraction:
     @classmethod
     def from_record(cls, record: dict) -> HpoExtraction:
         rows = expect_type(record["assertions"], list, "assertions")
-        assertions = (HpoAssertion(TermId(a["term"]), float(a["confidence"]), a.get("reasoning", "")) for a in rows)
+        assertions = (
+            HpoAssertion(TermId(a["term"]), expect_number(a["confidence"], "confidence"), a.get("reasoning", ""))
+            for a in rows
+        )
         return cls(expect_type(record["key"], str, "key"), tuple(assertions))
 
 

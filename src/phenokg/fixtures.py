@@ -4,12 +4,13 @@ Everything here is generated or hand-authored demo material shipped so the
 toolkit runs end to end without restricted clinical data. Builders are
 deterministic for a fixed seed; the demo cohort's per-term patient counts
 are fixed reference values so frequency analyses produce stable output.
+A replay cassette for this data is recorded by wrapping a scripted oracle in
+``llm.CassetteBackend`` and saving it after one run.
 """
 
 from __future__ import annotations
 
 import random
-import threading
 from importlib import resources
 
 from .cohortstats import derive_groups
@@ -25,7 +26,6 @@ from .kg import (
     cohort_by_icd,
     upsert_assertion,
 )
-from .llm import request_hash
 from .ontology import DiseaseAnnotation, Ontology, TermId, load_annotations, parse_obo
 
 DRAVET_ICD10_CODES: tuple[str, ...] = ("G40.83", "G40.833", "G40.834")
@@ -308,31 +308,3 @@ def build_discovery_graph(
                 )
             )
     return build_graph(records), planted
-
-
-class RecordingBackend:
-    """Wraps any backend, capturing (hash, response) cassette entries.
-
-    Run a pipeline once against a scripted oracle wrapped in this class,
-    then persist ``entries`` with llm.write_cassette to get a replay
-    cassette that covers exactly the requests the pipeline makes. The
-    entries come out sorted by hash, each identical one once, so a
-    recording does not depend on which request finished first.
-    """
-
-    def __init__(self, inner):
-        self.inner = inner
-        self._pairs: set[tuple[str, str]] = set()
-        self._lock = threading.Lock()
-        self.max_in_flight = getattr(inner, "max_in_flight", 4)
-
-    @property
-    def entries(self) -> list[dict]:
-        with self._lock:
-            return [{"hash": key, "response": text} for key, text in sorted(self._pairs)]
-
-    def complete(self, request):
-        response = self.inner.complete(request)
-        with self._lock:
-            self._pairs.add((request_hash(request.system, request.user), response.text))
-        return response

@@ -61,6 +61,13 @@ def expect_type(value, kind: type, name: str):
     return value
 
 
+def expect_number(value, name: str, integer: bool = False):
+    """``value`` as a float if it is a JSON number and not a bool (an int, kept as is, if ``integer``); else a TypeError."""
+    if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
+        raise TypeError(f"{name} must be {'an integer' if integer else 'a number'}, got {json.dumps(value)[:80]}")
+    return value if integer else float(value)
+
+
 def write_jsonl(path: str | Path, lines: Iterable[str]) -> None:
     """Write each line plus a newline to ``path`` through ``write_atomic``."""
     write_atomic(path, (line + "\n" for line in lines))

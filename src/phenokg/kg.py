@@ -21,7 +21,7 @@ from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DomainError, GraphIntegrityError
-from .jsonl import expect_type, iter_jsonl, write_jsonl
+from .jsonl import expect_number, expect_type, iter_jsonl, write_jsonl
 from .ontology import Ontology, TermId
 
 _WS_RE = re.compile(r"\s")
@@ -346,13 +346,14 @@ def record_to_node(record: dict) -> PatientNode | NoteNode | PhenotypeAssertion:
     kind = record.get("kind")
     if kind == "patient":
         demo = expect_type(record.get("demographics") or {}, dict, "demographics")
+        age, race, state, zip_ = demo.get("age_years"), demo.get("race"), demo.get("state"), demo.get("zip")
         return PatientNode(
             key=expect_type(record["key"], str, "key"),
             demographics=Demographics(
-                age_years=demo.get("age_years"),
-                race=demo.get("race"),
-                state=demo.get("state"),
-                zip=demo.get("zip"),
+                age_years=None if age is None else expect_number(age, "age_years", integer=True),
+                race=None if race is None else expect_type(race, str, "race"),
+                state=None if state is None else expect_type(state, str, "state"),
+                zip=None if zip_ is None else expect_type(zip_, str, "zip"),
             ),
             icd10=frozenset(expect_type(record.get("icd10", []), list, "icd10")),
             cpt=frozenset(expect_type(record.get("cpt", []), list, "cpt")),
@@ -370,7 +371,7 @@ def record_to_node(record: dict) -> PatientNode | NoteNode | PhenotypeAssertion:
         return PhenotypeAssertion(
             patient=expect_type(record["patient"], str, "patient"),
             term=_term_id(expect_type(record["term"], str, "term")),
-            confidence=float(record["confidence"]),
+            confidence=expect_number(record["confidence"], "confidence"),
             reasoning=expect_type(record.get("reasoning", ""), str, "reasoning"),
             source_note=None if source_note is None else expect_type(source_note, str, "source_note"),
             extractor_version=expect_type(record.get("extractor_version", ""), str, "extractor_version"),

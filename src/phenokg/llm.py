@@ -1,17 +1,18 @@
-"""Chat-completion backends: OpenAI-compatible HTTP, replay cassettes, scripted.
+"""Chat-completion backends: OpenAI-compatible HTTP, cassettes, scripted.
 
 Every backend has ``complete(request)``; ``make_backend`` is the one place a
 BackendConfig becomes a backend, and everything else (``complete_batch``,
-extraction, the funnel, ``record_cassette``) takes the built backend, so a
+extraction, the funnel, ``cassette record``) takes the built backend, so a
 cassette is read once per run. One claim-an-index dispatcher,
 ``_run_bounded``, keeps at most ``max_in_flight`` calls running: for
 ``complete_batch`` an item is one request, for the funnel one candidate's
 whole score chain. The HTTP backend posts through one
 stdlib ``urllib`` opener (a fresh connection per request) and retries
-transport errors, 5xx and 429 with exponential backoff; the replay backend
+transport errors, 5xx and 429 with exponential backoff; the cassette backend
 answers from a recorded cassette keyed by a stable hash of (system, user),
 with the hash state of each distinct system text kept once, on one thread
-(a lookup never waits, so its ``max_in_flight`` is 1);
+(a lookup never waits, so its ``max_in_flight`` is 1), and, wrapped around
+another backend, records that backend's answers and saves them sorted by hash;
 the scripted backend answers from an in-process responder and exists for
 oracle runs and tests.
 """
@@ -35,7 +36,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import BackendUnavailableError, DomainError, PhenoKGError, ReplayMissError
-from .jsonl import iter_jsonl, write_jsonl
+from .jsonl import expect_type, iter_jsonl, write_jsonl
 
 ENDPOINT_ENV_VAR = "PHENOKG_ENDPOINT_URL"
 API_KEY_ENV_VAR = "PHENOKG_API_KEY"
@@ -283,26 +284,43 @@ def _error_snippet(payload: dict) -> str:
     return json.dumps(payload, sort_keys=True)[:200]
 
 
-class ReplayBackend:
-    """Bit-deterministic backend answering from a recorded cassette."""
+class CassetteBackend:
+    """Answers from a cassette (request hash -> response); with an ``inner`` backend it also records.
 
-    # a re-sent request gets the same answer, so callers need not retry it
+    With no ``inner`` a miss raises ReplayMissError. With one, a miss is sent
+    to ``inner`` and the first answer stored for its hash is the one returned,
+    so the run and ``save`` agree even when two threads miss on one request at
+    once; a request already in the cassette is never sent again.
+    """
+
+    # a re-sent request is answered from the cassette, so callers need not retry it
     deterministic = True
-    # an answer is a dict lookup that never waits, so a second worker thread
-    # overlaps nothing and only adds interpreter-lock handoffs
-    max_in_flight = 1
 
-    def __init__(self, cassette_path: str | Path):
-        self.cassette_path = str(cassette_path)
-        self._responses = load_cassette(cassette_path)
+    def __init__(self, responses: dict[str, str] | None = None, inner=None):
+        self.responses = {} if responses is None else responses
+        self.inner = inner
+        # a replay answer is a dict lookup that never waits, so a second worker
+        # thread overlaps nothing and only adds interpreter-lock handoffs
+        self.max_in_flight = 1 if inner is None else getattr(inner, "max_in_flight", 4)
+        self._lock = threading.Lock()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         key = request_hash(request.system, request.user)
-        try:
-            text = self._responses[key]
-        except KeyError:
-            raise ReplayMissError(key) from None
-        return ChatResponse(text=text, usage=_approx_usage(request, text), attempts=1)
+        text = self.responses.get(key)
+        if text is not None:
+            return ChatResponse(text=text, usage=_approx_usage(request, text), attempts=1)
+        if self.inner is None:
+            raise ReplayMissError(key)
+        response = self.inner.complete(request)
+        with self._lock:
+            text = self.responses.setdefault(key, response.text)
+        return ChatResponse(text=text, usage=response.usage, attempts=response.attempts)
+
+    def save(self, path: str | Path) -> None:
+        """Write the cassette as ``{hash, response}`` JSON Lines sorted by hash, replaced atomically."""
+        with self._lock:
+            entries = sorted(self.responses.items())
+        write_jsonl(path, (json.dumps({"hash": key, "response": text}) for key, text in entries))
 
 
 class ScriptedBackend:
@@ -346,7 +364,7 @@ def make_backend(config: BackendConfig):
         raise DomainError("; ".join(problems))
     if config.kind == "http":
         return HttpBackend(config)
-    return ReplayBackend(config.cassette_path)
+    return CassetteBackend(load_cassette(config.cassette_path))
 
 
 def complete_batch(
@@ -404,38 +422,13 @@ def _run_bounded(items: Sequence, fn: Callable, bound: int) -> list:
     return results
 
 
-def cassette_entry(request: ChatRequest, response_text: str) -> dict:
-    return {"hash": request_hash(request.system, request.user), "response": response_text}
-
-
-def write_cassette(path: str | Path, entries: Sequence[dict]) -> None:
-    """Write cassette entries ({hash, response} dicts) as JSON Lines, replaced atomically."""
-    write_jsonl(path, (json.dumps({"hash": entry["hash"], "response": entry["response"]}) for entry in entries))
-
-
 def load_cassette(path: str | Path) -> dict[str, str]:
-    """Map request hash -> response; a hash recorded twice must carry the same response."""
+    """Map request hash -> response (a string); a hash recorded twice must carry the same response."""
     responses: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    for line_no, (key, response) in iter_jsonl(path, DomainError, lambda r: (r["hash"], r["response"])):
+    entries = iter_jsonl(path, DomainError, lambda r: (r["hash"], expect_type(r["response"], str, "response")))
+    for line_no, (key, response) in entries:
         if responses.setdefault(key, response) != response:
             raise DomainError(f"{path} lines {first_line[key]} and {line_no}: different responses for hash {key}")
         first_line.setdefault(key, line_no)
     return responses
-
-
-def record_cassette(backend, requests_: Sequence[ChatRequest], output_path: str | Path) -> int:
-    """Run requests against a live backend and persist (hash, response) pairs.
-
-    Requests go out as one batch under the backend's ``max_in_flight``;
-    entries are written in request order. The first failure is raised and
-    no file is written. An empty request list writes an empty, valid
-    cassette. Returns the number of recorded entries.
-    """
-    responses = complete_batch(backend, requests_) if requests_ else []
-    for response in responses:
-        if isinstance(response, PhenoKGError):
-            raise response
-    entries = [cassette_entry(request, response.text) for request, response in zip(requests_, responses)]
-    write_cassette(output_path, entries)
-    return len(entries)

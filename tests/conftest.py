@@ -5,7 +5,7 @@ import pytest
 
 from phenokg import fixtures
 from phenokg.corpus import synthesize_fixture
-from phenokg.llm import ScriptedBackend, write_cassette
+from phenokg.llm import CassetteBackend, ScriptedBackend
 
 TINY_OBO = """\
 [Term]
@@ -87,8 +87,8 @@ def gold_hpo_responder(task, gold_by_key):
 def record_replay_cassette(tmp_path, name, run_pipeline, responder):
     """Run ``run_pipeline(backend)`` against a recording scripted backend and
     persist the captured cassette; returns the cassette path."""
-    backend = fixtures.RecordingBackend(ScriptedBackend(responder=responder))
+    backend = CassetteBackend(inner=ScriptedBackend(responder=responder))
     run_pipeline(backend)
     path = tmp_path / name
-    write_cassette(path, backend.entries)
+    backend.save(path)
     return path

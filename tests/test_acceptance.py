@@ -40,13 +40,12 @@ from phenokg.extraction import (
 )
 from phenokg.kg import cohort_by_icd, load_graph, save_graph
 from phenokg.llm import (
+    CassetteBackend,
     ChatRequest,
-    ReplayBackend,
     ScriptedBackend,
     complete_batch,
     load_cassette,
     request_hash,
-    write_cassette,
 )
 from phenokg.ontology import FrequencyCategory, TermId, frequency_bin
 from phenokg.retrieval import HashedEmbedder, build_index, top_k
@@ -284,11 +283,15 @@ def test_criterion_4_dynamic_few_shot_correctness():
 
 
 def _record_and_replay(tmp_path, name, task, documents, responder):
-    backend = fixtures.RecordingBackend(ScriptedBackend(responder=responder))
+    backend = CassetteBackend(inner=ScriptedBackend(responder=responder))
     extract_corpus(task, documents, backend, glean=GleanConfig(0))
     path = tmp_path / name
-    write_cassette(path, backend.entries)
+    backend.save(path)
     return path
+
+
+def _replay(path):
+    return CassetteBackend(load_cassette(path))
 
 
 def _mutate_cassette(path, request, mutate):
@@ -297,7 +300,7 @@ def _mutate_cassette(path, request, mutate):
     payload = json.loads(responses[key])
     mutate(payload)
     responses[key] = json.dumps(payload)
-    write_cassette(path, [{"hash": h, "response": r} for h, r in responses.items()])
+    CassetteBackend(responses).save(path)
 
 
 def test_criterion_5_end_to_end_oracle_run(tmp_path, dravet_ontology):
@@ -324,7 +327,7 @@ def test_criterion_5_end_to_end_oracle_run(tmp_path, dravet_ontology):
             return hpo_task.gold_to_json(key, hpo_gold[key])
 
         cassette = _record_and_replay(tmp_path, "hpo.jsonl", hpo_task, documents, hpo_responder)
-        results = extract_corpus(hpo_task, documents, ReplayBackend(cassette), glean=glean0)
+        results = extract_corpus(hpo_task, documents, _replay(cassette), glean=glean0)
         report = score_hpo(hpo_gold, results).per_key["HPO"]
         assert (report.precision, report.recall, report.f1) == (1.0, 1.0, 1.0)
 
@@ -332,7 +335,7 @@ def test_criterion_5_end_to_end_oracle_run(tmp_path, dravet_ontology):
         target_doc = documents[0]
         request = build_prompt(hpo_task, target_doc, round_no=0)
         _mutate_cassette(cassette, request, lambda payload: payload[target_doc.doc_id].pop(0))
-        mutated = extract_corpus(hpo_task, documents, ReplayBackend(cassette), glean=glean0)
+        mutated = extract_corpus(hpo_task, documents, _replay(cassette), glean=glean0)
         metrics = score_hpo(hpo_gold, mutated).per_key["HPO"]
         expected_recall = (total_terms - 1) / total_terms
         assert metrics.precision == 1.0
@@ -349,7 +352,7 @@ def test_criterion_5_end_to_end_oracle_run(tmp_path, dravet_ontology):
             return ner_task.gold_to_json(key, ner_gold[key])
 
         cassette = _record_and_replay(tmp_path, "ner.jsonl", ner_task, documents, ner_responder)
-        results = extract_corpus(ner_task, documents, ReplayBackend(cassette), glean=glean0)
+        results = extract_corpus(ner_task, documents, _replay(cassette), glean=glean0)
         report = score_ner(ner_gold, results)
         for ent in ("Chemical", "Disease"):
             assert (report.per_key[ent].precision, report.per_key[ent].recall) == (1.0, 1.0)
@@ -365,7 +368,7 @@ def test_criterion_5_end_to_end_oracle_run(tmp_path, dravet_ontology):
             items.pop(idx)
 
         _mutate_cassette(cassette, request, drop_one_disease)
-        mutated = extract_corpus(ner_task, documents, ReplayBackend(cassette), glean=glean0)
+        mutated = extract_corpus(ner_task, documents, _replay(cassette), glean=glean0)
         report = score_ner(ner_gold, mutated)
         assert report.per_key["Chemical"].f1 == 1.0  # untouched type unchanged
         disease = report.per_key["Disease"]
@@ -383,7 +386,7 @@ def test_criterion_5_end_to_end_oracle_run(tmp_path, dravet_ontology):
             return ml_task.gold_to_json(key, ml_gold[key])
 
         cassette = _record_and_replay(tmp_path, "ml.jsonl", ml_task, ml_docs, ml_responder)
-        results = extract_corpus(ml_task, ml_docs, ReplayBackend(cassette), glean=glean0)
+        results = extract_corpus(ml_task, ml_docs, _replay(cassette), glean=glean0)
         report = score_multilabel(ml_gold, results, DEFAULT_LABEL_UNIVERSE)
         assert report.per_key["macro"].f1 == 1.0
         assert report.micro_accuracy == 1.0
@@ -392,7 +395,7 @@ def test_criterion_5_end_to_end_oracle_run(tmp_path, dravet_ontology):
         dropped_label = sorted(ml_gold[target_ml.doc_id])[0]
         request = build_prompt(ml_task, target_ml, round_no=0)
         _mutate_cassette(cassette, request, lambda payload: payload[target_ml.doc_id].remove(dropped_label))
-        mutated = extract_corpus(ml_task, ml_docs, ReplayBackend(cassette), glean=glean0)
+        mutated = extract_corpus(ml_task, ml_docs, _replay(cassette), glean=glean0)
         report = score_multilabel(ml_gold, mutated, DEFAULT_LABEL_UNIVERSE)
         cells = len(ml_docs) * 15
         assert abs(report.micro_accuracy - (cells - 1) / cells) <= 1e-12
@@ -557,12 +560,12 @@ def test_criterion_8_discovery_funnel_recovery(tmp_path, dravet_ontology):
                 glean=GleanConfig(1),
             )
 
-        recorder = fixtures.RecordingBackend(ScriptedBackend(responder=responder))
+        recorder = CassetteBackend(inner=ScriptedBackend(responder=responder))
         recorded_report = run(recorder)
         cassette = tmp_path / "funnel.jsonl"
-        write_cassette(cassette, recorder.entries)
+        recorder.save(cassette)
 
-        replay_report = run(ReplayBackend(cassette))
+        replay_report = run(_replay(cassette))
         assert replay_report == recorded_report  # deterministic given the cassette
         assert sorted(f.patient for f in replay_report.finalists) == planted
         counts = [count for _, count in replay_report.stage_counts]

@@ -1,6 +1,9 @@
+import contextlib
 import hashlib
+import itertools
 import json
 import os
+import threading
 from pathlib import Path
 
 import pytest
@@ -24,7 +27,7 @@ from phenokg.extraction import (
     extract_corpus,
 )
 from phenokg.kg import save_graph
-from phenokg.llm import ScriptedBackend, write_cassette
+from phenokg.llm import CassetteBackend, ScriptedBackend, request_hash
 from phenokg.ontology import dump_ontology
 from phenokg.retrieval import HashedEmbedder, build_index
 
@@ -131,10 +134,10 @@ def extract_setup(tmp_path, dravet_ontology, ontology_file):
         mode=PolicyMode.DYNAMIC_FEW_SHOT, k=5, example_pool=pool, index=index, embedder=embedder
     )
     gold = {d.document.doc_id: d.terms for d in pool_docs + test_docs}
-    backend = fixtures.RecordingBackend(ScriptedBackend(responder=gold_hpo_responder(task, gold)))
+    backend = CassetteBackend(inner=ScriptedBackend(responder=gold_hpo_responder(task, gold)))
     extract_corpus(task, [d.document for d in test_docs], backend, policy=policy, glean=GleanConfig(1))
     cassette_path = tmp_path / "cassette.jsonl"
-    write_cassette(cassette_path, backend.entries)
+    backend.save(cassette_path)
     return corpus_path, pool_path, cassette_path, test_docs
 
 
@@ -163,6 +166,19 @@ def test_extract_replay_deterministic(tmp_path, ontology_file, extract_setup):
     records = [json.loads(l) for l in outs[0].decode().splitlines()]
     by_key = {r["key"]: {a["term"] for a in r["assertions"]} for r in records}
     assert by_key == {d.document.doc_id: set(d.terms) for d in test_docs}
+
+
+def test_extract_on_replay_starts_no_worker_thread_whatever_max_in_flight_says(
+    tmp_path, ontology_file, extract_setup, monkeypatch
+):
+    corpus_path, pool_path, cassette_path, _ = extract_setup
+    monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a worker thread was started"))
+    assert run_cli([
+        "extract", "--task", "hpo", "--corpus", corpus_path, "--pool", pool_path,
+        "--policy", "dynamic-fewshot", "--k", "5", "--glean", "1", "--ontology", ontology_file,
+        "--backend-kind", "replay", "--cassette", cassette_path, "--max-in-flight", "4",
+        "--out", tmp_path / "extract",
+    ]) == 0
 
 
 @pytest.mark.parametrize(
@@ -366,7 +382,7 @@ def test_discover_cli_with_replay(tmp_path, dravet_ontology, ontology_file, caps
         )
 
     # record a cassette covering exactly the prompts the CLI run will make
-    recorder = fixtures.RecordingBackend(ScriptedBackend(responder=responder))
+    recorder = CassetteBackend(inner=ScriptedBackend(responder=responder))
     run_funnel(
         graph,
         rubric,
@@ -379,7 +395,7 @@ def test_discover_cli_with_replay(tmp_path, dravet_ontology, ontology_file, caps
         glean=GleanConfig(1),
     )
     cassette = tmp_path / "funnel-cassette.jsonl"
-    write_cassette(cassette, recorder.entries)
+    recorder.save(cassette)
 
     out = tmp_path / "discover"
     code = run_cli([
@@ -411,7 +427,7 @@ def _failed_run_audit(code, out, capsys, error):
 def test_extract_with_nothing_extracted_exits_nonzero(tmp_path, ontology_file, extract_setup, capsys):
     corpus_path, _, _, test_docs = extract_setup
     empty = tmp_path / "empty.jsonl"
-    write_cassette(empty, [])
+    CassetteBackend().save(empty)
     out = tmp_path / "extract"
     code = run_cli([
         "extract", "--task", "hpo", "--corpus", corpus_path, "--ontology", ontology_file,
@@ -431,7 +447,7 @@ def test_discover_with_nothing_scored_exits_nonzero(tmp_path, ontology_file, cap
     rubric_path = tmp_path / "rubric.json"
     save_rubric(fixtures.bpan_rubric(), rubric_path)
     empty = tmp_path / "empty.jsonl"
-    write_cassette(empty, [])
+    CassetteBackend().save(empty)
     out = tmp_path / "discover"
     code = run_cli([
         "discover", "--graph", graph_path, "--ontology", ontology_file, "--rubric", rubric_path,
@@ -443,16 +459,19 @@ def test_discover_with_nothing_scored_exits_nonzero(tmp_path, ontology_file, cap
     assert len(audit) == 20
 
 
-def test_cassette_record_cli(tmp_path, capsys):
-    import threading
+@contextlib.contextmanager
+def _chat_stub():
+    """An OpenAI-compatible endpoint answering every request "reply <n>", n counting from 1; yields its URL."""
     from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+    served = itertools.count(1)
 
     class Handler(BaseHTTPRequestHandler):
         def do_POST(self):
             length = int(self.headers.get("Content-Length", 0))
             self.rfile.read(length)
             encoded = json.dumps(
-                {"choices": [{"message": {"content": "recorded reply"}}], "usage": {}}
+                {"choices": [{"message": {"content": f"reply {next(served)}"}}], "usage": {}}
             ).encode()
             self.send_response(200)
             self.send_header("Content-Type", "application/json")
@@ -466,20 +485,40 @@ def test_cassette_record_cli(tmp_path, capsys):
     server = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
     threading.Thread(target=server.serve_forever, daemon=True).start()
     try:
+        yield f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions"
+    finally:
+        server.shutdown()
+        server.server_close()
+
+
+def test_cassette_record_cli(tmp_path, capsys):
+    with _chat_stub() as endpoint:
         requests_path = tmp_path / "requests.jsonl"
         requests_path.write_text(json.dumps({"system": "s", "user": "hello"}) + "\n")
         out_path = tmp_path / "recorded.jsonl"
         code = run_cli([
             "cassette", "record", "--requests", requests_path,
-            "--endpoint", f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions",
+            "--endpoint", endpoint,
             "--model", "stub", "--out", out_path,
         ])
         assert code == 0
         entries = [json.loads(l) for l in out_path.read_text().splitlines()]
-        assert entries[0]["response"] == "recorded reply"
-    finally:
-        server.shutdown()
-        server.server_close()
+        assert entries[0]["response"] == "reply 1"
+
+
+def test_cassette_record_writes_a_duplicated_request_once(tmp_path, capsys):
+    requests_path = tmp_path / "requests.jsonl"
+    requests_path.write_text((json.dumps({"system": "s", "user": "hello"}) + "\n") * 2)
+    out_path = tmp_path / "recorded.jsonl"
+    with _chat_stub() as endpoint:
+        code = run_cli([
+            "cassette", "record", "--requests", requests_path, "--endpoint", endpoint, "--max-in-flight", "1",
+            "--out", out_path,
+        ])
+    assert code == 0
+    line = json.dumps({"hash": request_hash("s", "hello"), "response": "reply 1"})
+    assert out_path.read_text().splitlines() == [line]
+    assert capsys.readouterr().out == f"recorded 1 responses -> {out_path}\n"
 
 
 def _malformed_input_error(code, capsys, path, line_no):
@@ -534,6 +573,14 @@ BAD_GRAPH_LINES = [
     ({**ASSERTION, "extractor_version": [1]}, "extractor_version must be a string, got [1]"),
     ({**ASSERTION, "reasoning": 5}, "reasoning must be a string, got 5"),
     ({**ASSERTION, "source_note": 5}, "source_note must be a string, got 5"),
+    ({**ASSERTION, "confidence": "0.9"}, 'confidence must be a number, got "0.9"'),
+    ({**ASSERTION, "confidence": True}, "confidence must be a number, got true"),
+    ({"kind": "patient", "key": "p2", "demographics": {"age_years": [1]}}, "age_years must be an integer, got [1]"),
+    ({"kind": "patient", "key": "p2", "demographics": {"age_years": 1.5}}, "age_years must be an integer, got 1.5"),
+    ({"kind": "patient", "key": "p2", "demographics": {"age_years": True}}, "age_years must be an integer, got true"),
+    ({"kind": "patient", "key": "p2", "demographics": {"race": 5}}, "race must be a string, got 5"),
+    ({"kind": "patient", "key": "p2", "demographics": {"state": ["PA"]}}, 'state must be a string, got ["PA"]'),
+    ({"kind": "patient", "key": "p2", "demographics": {"zip": 19104}}, "zip must be a string, got 19104"),
 ]
 
 
@@ -556,6 +603,9 @@ BAD_PREDICTION_LINES = [
      "type must be a string, got 5"),
     ("hpo", HPO_GOLD, {"key": "d1", "assertions": []}, {"key": "d2", "assertions": {}},
      "assertions must be an array, got {}"),
+    ("hpo", HPO_GOLD, {"key": "d1", "assertions": []},
+     {"key": "d2", "assertions": [{"term": "HP:0000001", "confidence": "0.9"}]},
+     'confidence must be a number, got "0.9"'),
     ("multilabel", MULTILABEL_GOLD, {"doc_id": "d1", "labels": []}, {"doc_id": "d2", "labels": "OBESITY"},
      'labels must be an array, got "OBESITY"'),
 ]
@@ -622,7 +672,7 @@ def test_manifests_list_every_path_input(tmp_path, graph_file, ontology_file, an
     rubric = tmp_path / "rubric.json"
     save_rubric(fixtures.bpan_rubric(), rubric)
     empty = tmp_path / "empty.jsonl"
-    write_cassette(empty, [])
+    CassetteBackend().save(empty)
     out = tmp_path / "discover"
     # an empty cassette scores nobody, so discover exits 1, but it still writes its manifest
     assert run_cli(["discover", "--graph", graph_file, "--ontology", ontology_file, "--rubric", rubric,

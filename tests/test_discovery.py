@@ -28,11 +28,11 @@ from phenokg.fixtures import (
 from phenokg.kg import NoteNode, PatientNode, build_graph, patient_record
 from phenokg.llm import (
     BackendConfig,
-    ReplayBackend,
+    CassetteBackend,
     ScriptedBackend,
-    cassette_entry,
+    load_cassette,
     make_backend,
-    write_cassette,
+    request_hash,
 )
 
 from conftest import record_replay_cassette
@@ -108,13 +108,11 @@ def test_score_patient_prose_twice_is_scoring_error(haystack):
         score_patient(record, bpan_rubric(), backend)
 
 
-def test_score_patient_retries_on_scripted_but_not_on_replay(haystack, tmp_path):
+def test_score_patient_retries_on_scripted_but_not_on_replay(haystack):
     graph, planted = haystack
     record = patient_record(graph, planted[0])
     request = build_score_prompt(record, bpan_rubric())
-    path = tmp_path / "bad_score.jsonl"
-    write_cassette(path, [cassette_entry(request, "not json at all")])
-    replay = ReplayBackend(path)
+    replay = CassetteBackend({request_hash(request.system, request.user): "not json at all"})
     replay_calls = []
     replay_complete = replay.complete
     replay.complete = lambda req: replay_calls.append(req) or replay_complete(req)
@@ -471,7 +469,7 @@ def test_a_replayed_score_is_sent_exactly_once(haystack, dravet_ontology, tmp_pa
         return "prose, no score" if request.request_tag == f"score:{broken}" else inner(request)
 
     path = record_replay_cassette(tmp_path, "funnel.jsonl", lambda b: _funnel(graph, b, dravet_ontology), responder)
-    replay = ReplayBackend(path)
+    replay = CassetteBackend(load_cassette(path))
     sent = []
     replay_complete = replay.complete
     replay.complete = lambda request: sent.append(request.request_tag) or replay_complete(request)

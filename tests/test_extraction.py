@@ -638,14 +638,12 @@ def test_hpo_context_is_built_once_per_task(dravet_ontology, monkeypatch):
     assert len(calls) == len(dravet_allowed_terms())
 
 
-def test_replay_miss_surfaces_through_extract(dravet_ontology, tmp_path):
-    from phenokg.llm import ReplayBackend, write_cassette
+def test_replay_miss_surfaces_through_extract(dravet_ontology):
+    from phenokg.llm import CassetteBackend
 
-    path = tmp_path / "empty.jsonl"
-    write_cassette(path, [])
     task = HpoTask(dravet_ontology)
     with pytest.raises(RoundError) as err:
-        extract(task, Document("p", "t"), ReplayBackend(path), glean=GleanConfig(0))
+        extract(task, Document("p", "t"), CassetteBackend(), glean=GleanConfig(0))
     assert isinstance(err.value.cause, ReplayMissError)
 
 

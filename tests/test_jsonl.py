@@ -13,7 +13,7 @@ from phenokg.errors import CorpusIntegrityError, DomainError, GraphIntegrityErro
 from phenokg.extraction import AuditLog
 from phenokg.jsonl import iter_jsonl, write_jsonl
 from phenokg.kg import ingest_patients, load_graph, save_graph
-from phenokg.llm import ChatRequest, cassette_entry, load_cassette, write_cassette
+from phenokg.llm import CassetteBackend, load_cassette, request_hash
 
 
 def _read_requests(path):
@@ -106,7 +106,7 @@ def test_a_line_is_accepted_or_rejected_exactly_as_json_loads_does(tmp_path, cas
 
 def test_conflicting_cassette_duplicate_names_both_lines_across_blank_lines(tmp_path):
     first, other, second = (
-        json.dumps(cassette_entry(ChatRequest(system="s", user=user), text))
+        json.dumps({"hash": request_hash("s", user), "response": text})
         for user, text in (("u", "first"), ("v", "x"), ("u", "second"))
     )
     path = tmp_path / "cassette.jsonl"
@@ -123,7 +123,6 @@ def _interrupted(items):
 # each writer takes the path and an iterable of keys, one output line per key
 WRITERS = {
     "write_jsonl": lambda path, keys: write_jsonl(path, (json.dumps({"key": k}) for k in keys)),
-    "write_cassette": lambda path, keys: write_cassette(path, ({"hash": k, "response": "r"} for k in keys)),
     "save_hpo_gold": lambda path, keys: save_hpo_gold(
         ((Document(k, "text"), HpoGoldLabel(k, frozenset())) for k in keys), path
     ),
@@ -154,6 +153,24 @@ def test_an_unserializable_audit_entry_leaves_the_old_audit_file(tmp_path):
         audit.save(path)
     assert path.read_bytes() == old
     assert list(tmp_path.iterdir()) == [path]
+
+
+def test_an_interrupted_cassette_save_leaves_the_old_file_and_no_temp_file(tmp_path):
+    path = tmp_path / "cassette.jsonl"
+    CassetteBackend({"h1": "old"}).save(path)
+    old = path.read_bytes()
+    # "h1" is written before the unserializable "h2" stops the write
+    with pytest.raises(TypeError):
+        CassetteBackend({"h2": object(), "h1": "new"}).save(path)
+    assert path.read_bytes() == old
+    assert list(tmp_path.iterdir()) == [path]
+
+
+def test_a_cassette_response_must_be_a_string(tmp_path):
+    path = tmp_path / "cassette.jsonl"
+    path.write_text('{"hash": "h1", "response": "r"}\n{"hash": "h2", "response": null}\n')
+    with pytest.raises(DomainError, match=re.escape(f"{path} line 2: response must be a string, got null")):
+        load_cassette(path)
 
 
 def test_saved_demo_graph_bytes_are_unchanged(tmp_path, demo_graph):

@@ -16,24 +16,23 @@ from hypothesis import given, strategies as st
 from phenokg.errors import BackendUnavailableError, DomainError, ReplayMissError
 from phenokg.llm import (
     BackendConfig,
+    CassetteBackend,
     ChatRequest,
+    ChatResponse,
     HttpBackend,
     Usage,
-    ReplayBackend,
     RetryPolicy,
     ScriptedBackend,
     backoff_schedule,
-    cassette_entry,
     complete_batch,
     load_cassette,
     make_backend,
-    record_cassette,
     request_hash,
     validate_config,
-    write_cassette,
     _approx_usage,
 )
-from phenokg.fixtures import RecordingBackend
+from phenokg.jsonl import write_jsonl
+import phenokg.cli
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
@@ -150,20 +149,41 @@ def test_backoff_non_decreasing():
     assert delays[0] == 0.25 and delays[-1] == 2.0
 
 
+def _record(path, pairs):
+    """Save a cassette answering each (request, text) pair."""
+    CassetteBackend({request_hash(r.system, r.user): text for r, text in pairs}).save(path)
+
+
+def _replay(path):
+    return CassetteBackend(load_cassette(path))
+
+
+def _record_batch(monkeypatch, inner, requests_, path):
+    """Run ``cassette record`` over ``requests_`` with ``inner`` as its live backend; return the lines it saved."""
+    requests_path = path.with_name(f"{path.name}.requests")
+    write_jsonl(requests_path, (json.dumps({"system": r.system, "user": r.user}) for r in requests_))
+    monkeypatch.setattr(phenokg.cli, "make_backend", lambda config: inner)
+    args = phenokg.cli.build_parser().parse_args(
+        ["cassette", "record", "--requests", str(requests_path), "--endpoint", "http://127.0.0.1:9/", "--out", str(path)]
+    )
+    args.handler(args)
+    return len(path.read_text().splitlines())
+
+
 def test_replay_round_trip(tmp_path):
     path = tmp_path / "cassette.jsonl"
-    write_cassette(path, [cassette_entry(REQ, "ok")])
-    backend = ReplayBackend(path)
+    _record(path, [(REQ, "ok")])
+    backend = _replay(path)
     assert backend.complete(REQ).text == "ok"
     # bit-deterministic across backends
-    assert ReplayBackend(path).complete(REQ).text == "ok"
+    assert _replay(path).complete(REQ).text == "ok"
 
 
 def test_replay_batches_start_no_worker_thread(tmp_path, monkeypatch):
     """A replay answer never waits, so a batch runs on the calling thread whatever the configured bound."""
     path = tmp_path / "cassette.jsonl"
     requests_ = [ChatRequest(system="sys", user=f"u{i}") for i in range(8)]
-    write_cassette(path, [cassette_entry(r, r.user) for r in requests_])
+    _record(path, [(r, r.user) for r in requests_])
     backend = make_backend(BackendConfig(kind="replay", cassette_path=str(path), max_in_flight=4))
     monkeypatch.setattr(threading.Thread, "start", lambda self: pytest.fail("a worker thread was started"))
     assert [r.text for r in complete_batch(backend, requests_)] == [r.user for r in requests_]
@@ -171,29 +191,29 @@ def test_replay_batches_start_no_worker_thread(tmp_path, monkeypatch):
 
 def test_replay_miss_names_hash(tmp_path):
     path = tmp_path / "cassette.jsonl"
-    write_cassette(path, [])
+    _record(path, [])
     with pytest.raises(ReplayMissError) as err:
-        ReplayBackend(path).complete(REQ)
+        _replay(path).complete(REQ)
     assert err.value.request_hash == request_hash(REQ.system, REQ.user)
 
 
-def test_record_then_replay_identical(tmp_path, http_stub):
+def test_record_then_replay_identical(tmp_path, http_stub, monkeypatch):
     http_stub.script[:] = [(200, "first"), (200, "second")]
     requests_ = [REQ, ChatRequest(system="sys", user="other prompt")]
     path = tmp_path / "recorded.jsonl"
     # the stub answers in arrival order, so only serial dispatch pins which request gets which text
-    count = record_cassette(make_backend(_http_config(http_stub, max_in_flight=1)), requests_, path)
+    count = _record_batch(monkeypatch, make_backend(_http_config(http_stub, max_in_flight=1)), requests_, path)
     assert count == 2
-    replay = ReplayBackend(path)
+    replay = _replay(path)
     assert [replay.complete(r).text for r in requests_] == ["first", "second"]
     altered = ChatRequest(system="sys", user="other prompt!")
     with pytest.raises(ReplayMissError):
         replay.complete(altered)
 
 
-def test_record_empty_is_valid_cassette(tmp_path, http_stub):
+def test_record_empty_is_valid_cassette(tmp_path, http_stub, monkeypatch):
     path = tmp_path / "empty.jsonl"
-    assert record_cassette(make_backend(_http_config(http_stub)), [], path) == 0
+    assert _record_batch(monkeypatch, make_backend(_http_config(http_stub)), [], path) == 0
     assert load_cassette(path) == {}
 
 
@@ -215,19 +235,20 @@ def _peak_tracker():
 
 
 @pytest.mark.threads
-def test_record_cassette_runs_as_one_bounded_batch(tmp_path):
+def test_record_cassette_runs_as_one_bounded_batch(tmp_path, monkeypatch):
     responder, active = _peak_tracker()
     backend = ScriptedBackend(responder=lambda req: responder(req) + req.user, max_in_flight=3)
     requests_ = [ChatRequest(system="s", user=f"prompt {i}") for i in range(8)]
     path = tmp_path / "recorded.jsonl"
-    assert record_cassette(backend, requests_, path) == 8
+    assert _record_batch(monkeypatch, backend, requests_, path) == 8
     assert 2 <= active["peak"] <= 3
     lines = [json.loads(line) for line in path.read_text().splitlines()]
-    assert [line["hash"] for line in lines] == [request_hash(r.system, r.user) for r in requests_]
-    assert [line["response"] for line in lines] == [f"done{r.user}" for r in requests_]
+    by_hash = sorted((request_hash(r.system, r.user), f"done{r.user}") for r in requests_)
+    assert [line["hash"] for line in lines] == [key for key, _ in by_hash]
+    assert [line["response"] for line in lines] == [text for _, text in by_hash]
 
 
-def test_record_cassette_failure_writes_nothing(tmp_path):
+def test_record_cassette_failure_writes_nothing(tmp_path, monkeypatch):
     def responder(request):
         if request.user == "boom":
             raise BackendUnavailableError("scripted failure", attempts=1)
@@ -236,7 +257,7 @@ def test_record_cassette_failure_writes_nothing(tmp_path):
     requests_ = [ChatRequest(system="s", user=u) for u in ("one", "boom", "three")]
     path = tmp_path / "recorded.jsonl"
     with pytest.raises(BackendUnavailableError):
-        record_cassette(ScriptedBackend(responder=responder), requests_, path)
+        _record_batch(monkeypatch, ScriptedBackend(responder=responder), requests_, path)
     assert not path.exists()
 
 
@@ -378,10 +399,12 @@ def test_batch_interrupt_in_a_request_propagates():
 def test_conflicting_duplicate_cassette_hash_is_rejected(tmp_path):
     path = tmp_path / "cassette.jsonl"
     other = ChatRequest(system="sys", user="other prompt")
-    write_cassette(path, [cassette_entry(REQ, "first"), cassette_entry(other, "x"), cassette_entry(REQ, "second")])
+    lines = [(REQ, "first"), (other, "x"), (REQ, "second")]
+    write_jsonl(path, (json.dumps({"hash": request_hash(r.system, r.user), "response": t}) for r, t in lines))
     with pytest.raises(DomainError, match="lines 1 and 3"):
         load_cassette(path)
-    write_cassette(path, [cassette_entry(REQ, "same"), cassette_entry(other, "x"), cassette_entry(REQ, "same")])
+    lines = [(REQ, "same"), (other, "x"), (REQ, "same")]
+    write_jsonl(path, (json.dumps({"hash": request_hash(r.system, r.user), "response": t}) for r, t in lines))
     assert load_cassette(path) == {
         request_hash(REQ.system, REQ.user): "same",
         request_hash(other.system, other.user): "x",
@@ -411,12 +434,43 @@ def test_recording_is_the_same_file_at_any_concurrency(tmp_path):
     requests_ = [ChatRequest(system="s", user=f"x{i}") for i in range(8)] * 2  # each request sent twice
     recorded = []
     for bound in (1, 4):
-        recorder = RecordingBackend(ScriptedBackend(responder=responder, max_in_flight=bound))
+        recorder = CassetteBackend(inner=ScriptedBackend(responder=responder, max_in_flight=bound))
         complete_batch(recorder, requests_)
-        write_cassette(tmp_path / f"bound{bound}.jsonl", recorder.entries)
+        recorder.save(tmp_path / f"bound{bound}.jsonl")
         recorded.append((tmp_path / f"bound{bound}.jsonl").read_bytes())
     assert recorded[0] == recorded[1]
     assert len(recorded[0].splitlines()) == 8
+
+
+def test_a_recorded_request_reaches_the_inner_backend_once():
+    inner = ScriptedBackend(responder=lambda request: f"reply-{request.user}")
+    recorder = CassetteBackend(inner=inner)
+    other = ChatRequest(system="sys", user="other prompt")
+    assert [recorder.complete(r).text for r in (REQ, other, REQ, other)] == ["reply-hello", "reply-other prompt"] * 2
+    assert inner.calls == [REQ, other]
+    assert recorder.complete(REQ) == ChatResponse("reply-hello", _approx_usage(REQ, "reply-hello"), attempts=1)
+
+
+@pytest.mark.threads
+def test_two_simultaneous_misses_on_one_request_get_the_saved_text(tmp_path):
+    both_sent = threading.Barrier(2, timeout=5)
+    answers = iter(["first answer", "second answer"])
+    lock = threading.Lock()
+
+    def responder(request):
+        both_sent.wait()  # both callers have missed before either answer is stored
+        with lock:
+            return next(answers)
+
+    recorder = CassetteBackend(inner=ScriptedBackend(responder=responder, max_in_flight=2))
+    responses = complete_batch(recorder, [REQ, REQ])
+    saved = recorder.responses[request_hash(REQ.system, REQ.user)]
+    assert saved in ("first answer", "second answer")
+    assert [r.text for r in responses] == [saved, saved]
+    recorder.save(tmp_path / "recorded.jsonl")
+    assert (tmp_path / "recorded.jsonl").read_text().splitlines() == [
+        json.dumps({"hash": request_hash(REQ.system, REQ.user), "response": saved})
+    ]
 
 
 def test_batch_rejects_empty():
