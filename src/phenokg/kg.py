@@ -1,27 +1,27 @@
 """Patient knowledge graphs: structured codes plus unstructured notes.
 
-A property-graph shape persisted as typed JSON Lines (one record per
-node/edge with a ``kind`` field). Referential integrity (notes and
-assertions resolve to patients, assertion terms resolve in the ontology)
-is enforced at mutation time and re-verified at load. Loading builds every
-record through the same validating constructors as ingest; each distinct
-code set and term id is validated once and then shared by every record
-that repeats it. Single writer, concurrent readers.
+Nodes are frozen, slotted dataclasses. A graph is persisted as typed JSON Lines (one record per
+node/edge with a ``kind`` field), each line exactly as ``json.dumps(record, sort_keys=True)`` writes
+it. Referential integrity (notes and assertions resolve to patients, assertion terms resolve in the
+ontology) is enforced at mutation time and re-verified at load. Loading builds every record through
+the same validating constructors as ingest; each distinct code set and term id is validated once and
+then shared by every record that repeats it. Single writer, concurrent readers.
 """
 
 from __future__ import annotations
 
 import enum
 import functools
-import itertools
 import json
+import math
 import re
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
 from .errors import DomainError, GraphIntegrityError
-from .jsonl import expect_number, expect_type, iter_jsonl, write_jsonl
+from .jsonl import expect_number, expect_type, iter_jsonl, write_atomic
 from .ontology import Ontology, TermId
 
 _WS_RE = re.compile(r"\s")
@@ -47,7 +47,7 @@ _normalized_code_set = functools.lru_cache(maxsize=64)(_normalize_codes)
 _term_id = functools.lru_cache(maxsize=256)(TermId)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Demographics:
     age_years: int | None = None
     race: str | None = None
@@ -55,7 +55,7 @@ class Demographics:
     zip: str | None = None
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatientNode:
     key: str
     demographics: Demographics = field(default_factory=Demographics)
@@ -79,7 +79,7 @@ class NoteKind(enum.Enum):
     OTHER = "other"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NoteNode:
     note_id: str
     patient: str
@@ -91,7 +91,7 @@ class NoteNode:
             raise DomainError("note_id must be nonempty")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PhenotypeAssertion:
     patient: str
     term: TermId
@@ -210,7 +210,7 @@ def upsert_assertion(graph: Graph, assertion: PhenotypeAssertion, ontology: Onto
     re-extraction with a different confidence or source note adds a second
     edge (frequency counting deduplicates per patient).
     """
-    if assertion.patient not in graph:
+    if assertion.patient not in graph._patients:
         raise GraphIntegrityError(f"assertion references unknown patient {assertion.patient}")
     if ontology is not None and assertion.term not in ontology:
         raise GraphIntegrityError(f"assertion term {assertion.term} not in ontology")
@@ -266,7 +266,7 @@ def keyword_search(graph: Graph, pattern: str) -> list[tuple[str, str]]:
     return sorted(hits)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class PatientRecord:
     """One patient's node plus notes, rendered deterministically for prompts."""
 
@@ -301,93 +301,112 @@ def patient_record(graph: Graph, key: str) -> PatientRecord:
 
 # -- persistence (typed JSON Lines) -----------------------------------------
 
+_encode = json.JSONEncoder(sort_keys=True).encode
+_NOTE_KINDS = {kind.value: kind for kind in NoteKind}
 
-def _patient_to_record(node: PatientNode) -> dict:
+
+def _value(value) -> str:
+    """``value`` as ``json.dumps`` writes it: a str, None, int or finite float directly, the rest by the encoder."""
+    if isinstance(value, str):
+        return encode_basestring_ascii(value)
+    if value is None:
+        return "null"
+    if type(value) is int or type(value) is float and math.isfinite(value):
+        return repr(value)
+    return _encode(value)
+
+
+@functools.lru_cache(maxsize=64)
+def _codes(codes: frozenset[str]) -> str:
+    """A code set as a JSON array; every code is a ``str``, as ``PatientNode`` normalizes it."""
+    return "[" + ", ".join(map(encode_basestring_ascii, sorted(codes))) + "]"
+
+
+# One line writer per kind: the keys in sorted order, as ``json.dumps(record, sort_keys=True)`` writes
+# them. ``s`` writes the string fields: ``encode_basestring_ascii``, or ``_value`` for a node holding
+# a field of another type.
+def _patient_line(node: PatientNode, s) -> str:
     demo = node.demographics
-    return {
-        "kind": "patient",
-        "key": node.key,
-        "demographics": {
-            "age_years": demo.age_years,
-            "race": demo.race,
-            "state": demo.state,
-            "zip": demo.zip,
-        },
-        "icd10": sorted(node.icd10),
-        "cpt": sorted(node.cpt),
-        "rxnorm": sorted(node.rxnorm),
-    }
+    return (
+        f'{{"cpt": {_codes(node.cpt)}, "demographics": {{"age_years": {_value(demo.age_years)}, '
+        f'"race": {_value(demo.race)}, "state": {_value(demo.state)}, "zip": {_value(demo.zip)}}}, '
+        f'"icd10": {_codes(node.icd10)}, "key": {s(node.key)}, "kind": "patient", "rxnorm": {_codes(node.rxnorm)}}}\n'
+    )
 
 
-def _note_to_record(note: NoteNode) -> dict:
-    return {
-        "kind": "note",
-        "note_id": note.note_id,
-        "patient": note.patient,
-        "text": note.text,
-        "note_kind": note.kind.value,
-    }
+def _note_line(note: NoteNode, s) -> str:
+    return (
+        f'{{"kind": "note", "note_id": {s(note.note_id)}, "note_kind": {s(note.kind.value)}, '
+        f'"patient": {s(note.patient)}, "text": {s(note.text)}}}\n'
+    )
 
 
-def _assertion_to_record(assertion: PhenotypeAssertion) -> dict:
-    return {
-        "kind": "assertion",
-        "patient": assertion.patient,
-        "term": assertion.term,
-        "confidence": assertion.confidence,
-        "reasoning": assertion.reasoning,
-        "source_note": assertion.source_note,
-        "extractor_version": assertion.extractor_version,
-    }
+def _assertion_line(a: PhenotypeAssertion, s) -> str:
+    return (
+        f'{{"confidence": {_value(a.confidence)}, "extractor_version": {s(a.extractor_version)}, '
+        f'"kind": "assertion", "patient": {s(a.patient)}, "reasoning": {s(a.reasoning)}, '
+        f'"source_note": {_value(a.source_note)}, "term": {s(a.term)}}}\n'
+    )
+
+
+def _lines(*writers: tuple) -> Iterator[str]:
+    """The lines of each ``(line writer, nodes)`` pair in turn."""
+    for line, nodes in writers:
+        for node in nodes:
+            try:
+                yield line(node, encode_basestring_ascii)
+            except TypeError:  # a string field holds another type
+                yield line(node, _value)
+
+
+# One reader per kind. Each field is ``v if <v has the right type> else expect_type(v, ...)``: the check
+# runs inline, and expect_type/expect_number are called only to raise, on the first bad field in order.
+def _read_patient(record: dict) -> PatientNode:
+    demo = v if isinstance(v := record.get("demographics") or {}, dict) else expect_type(v, dict, "demographics")
+    key = v if isinstance(v := record["key"], str) else expect_type(v, str, "key")
+    age = v if (v := demo.get("age_years")) is None or type(v) is int else expect_number(v, "age_years", integer=True)
+    race = v if (v := demo.get("race")) is None or isinstance(v, str) else expect_type(v, str, "race")
+    state = v if (v := demo.get("state")) is None or isinstance(v, str) else expect_type(v, str, "state")
+    zip_ = v if (v := demo.get("zip")) is None or isinstance(v, str) else expect_type(v, str, "zip")
+    icd10 = v if isinstance(v := record.get("icd10", []), list) else expect_type(v, list, "icd10")
+    cpt = v if isinstance(v := record.get("cpt", []), list) else expect_type(v, list, "cpt")
+    rxnorm = v if isinstance(v := record.get("rxnorm", []), list) else expect_type(v, list, "rxnorm")
+    return PatientNode(key, Demographics(age, race, state, zip_), icd10, cpt, rxnorm)
+
+
+def _read_note(record: dict) -> NoteNode:
+    note_id = v if isinstance(v := record["note_id"], str) else expect_type(v, str, "note_id")
+    patient = v if isinstance(v := record["patient"], str) else expect_type(v, str, "patient")
+    text = v if isinstance(v := record["text"], str) else expect_type(v, str, "text")
+    kind = _NOTE_KINDS.get(v) if isinstance(v := record.get("note_kind", "clinical_note"), str) else None
+    return NoteNode(note_id, patient, text, NoteKind(v) if kind is None else kind)
+
+
+def _read_assertion(record: dict) -> PhenotypeAssertion:
+    patient = v if isinstance(v := record["patient"], str) else expect_type(v, str, "patient")
+    term = _term_id(v if isinstance(v := record["term"], str) else expect_type(v, str, "term"))
+    confidence = v if type(v := record["confidence"]) is float else expect_number(v, "confidence")
+    reasoning = v if isinstance(v := record.get("reasoning", ""), str) else expect_type(v, str, "reasoning")
+    source = v if (v := record.get("source_note")) is None or isinstance(v, str) else expect_type(v, str, "source_note")
+    version = v if isinstance(v := record.get("extractor_version", ""), str) else expect_type(v, str, "extractor_version")
+    return PhenotypeAssertion(patient, term, confidence, reasoning, source, version)
+
+
+_READERS = {"patient": _read_patient, "note": _read_note, "assertion": _read_assertion}
 
 
 def record_to_node(record: dict) -> PatientNode | NoteNode | PhenotypeAssertion:
     """Parse one typed JSONL record into its node/edge object."""
-    kind = record.get("kind")
-    if kind == "patient":
-        demo = expect_type(record.get("demographics") or {}, dict, "demographics")
-        age, race, state, zip_ = demo.get("age_years"), demo.get("race"), demo.get("state"), demo.get("zip")
-        return PatientNode(
-            key=expect_type(record["key"], str, "key"),
-            demographics=Demographics(
-                age_years=None if age is None else expect_number(age, "age_years", integer=True),
-                race=None if race is None else expect_type(race, str, "race"),
-                state=None if state is None else expect_type(state, str, "state"),
-                zip=None if zip_ is None else expect_type(zip_, str, "zip"),
-            ),
-            icd10=frozenset(expect_type(record.get("icd10", []), list, "icd10")),
-            cpt=frozenset(expect_type(record.get("cpt", []), list, "cpt")),
-            rxnorm=frozenset(expect_type(record.get("rxnorm", []), list, "rxnorm")),
-        )
-    if kind == "note":
-        return NoteNode(
-            note_id=expect_type(record["note_id"], str, "note_id"),
-            patient=expect_type(record["patient"], str, "patient"),
-            text=expect_type(record["text"], str, "text"),
-            kind=NoteKind(record.get("note_kind", "clinical_note")),
-        )
-    if kind == "assertion":
-        source_note = record.get("source_note")
-        return PhenotypeAssertion(
-            patient=expect_type(record["patient"], str, "patient"),
-            term=_term_id(expect_type(record["term"], str, "term")),
-            confidence=expect_number(record["confidence"], "confidence"),
-            reasoning=expect_type(record.get("reasoning", ""), str, "reasoning"),
-            source_note=None if source_note is None else expect_type(source_note, str, "source_note"),
-            extractor_version=expect_type(record.get("extractor_version", ""), str, "extractor_version"),
-        )
+    if isinstance(kind := record.get("kind"), str) and (reader := _READERS.get(kind)):
+        return reader(record)
     raise GraphIntegrityError(f"unknown record kind {kind!r}")
 
 
 def save_graph(graph: Graph, path: str | Path) -> None:
     """Persist as JSON Lines, replaced atomically: patients, then notes, then assertions, sorted."""
     assertions = sorted(graph._assertions, key=lambda a: (a.patient, a.term, a.confidence, a.source_note or ""))
-    records = itertools.chain(
-        (_patient_to_record(graph.patient(key)) for key in graph.patient_keys()),
-        (_note_to_record(note) for note in graph.iter_notes()),
-        (_assertion_to_record(a) for a in assertions),
-    )
-    write_jsonl(path, map(json.JSONEncoder(sort_keys=True).encode, records))
+    patients = (graph._patients[key] for key in graph.patient_keys())
+    write_atomic(path, _lines((_patient_line, patients), (_note_line, graph.iter_notes()), (_assertion_line, assertions)))
 
 
 def load_graph(path: str | Path, ontology: Ontology | None = None) -> Graph:

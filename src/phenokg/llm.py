@@ -36,7 +36,7 @@ from pathlib import Path
 from typing import Callable, Sequence
 
 from .errors import BackendUnavailableError, DomainError, PhenoKGError, ReplayMissError
-from .jsonl import expect_type, iter_jsonl, write_jsonl
+from .jsonl import expect_number, expect_type, iter_jsonl, write_jsonl
 
 ENDPOINT_ENV_VAR = "PHENOKG_ENDPOINT_URL"
 API_KEY_ENV_VAR = "PHENOKG_API_KEY"
@@ -219,14 +219,15 @@ class HttpBackend:
         }
         payload, attempts = self._post_with_retry(json.dumps(body).encode("utf-8"))
         try:
-            text = payload["choices"][0]["message"]["content"]
-        except (KeyError, IndexError, TypeError):
+            text = expect_type(payload["choices"][0]["message"]["content"], str, "content")
+            usage = payload.get("usage")
+            usage = {} if usage is None else expect_type(usage, dict, "usage")
+            counts = [int(expect_number(usage.get(name, 0), name)) for name in ("prompt_tokens", "completion_tokens")]
+        except (KeyError, IndexError, TypeError, ValueError, OverflowError):
             raise BackendUnavailableError(
                 f"malformed completion payload: {_error_snippet(payload)}", attempts=attempts
             ) from None
-        usage = payload.get("usage") or {}
-        tokens = Usage(int(usage.get("prompt_tokens", 0)), int(usage.get("completion_tokens", 0)))
-        return ChatResponse(text=text, usage=tokens, attempts=attempts)
+        return ChatResponse(text=text, usage=Usage(*counts), attempts=attempts)
 
     def _post_with_retry(self, data: bytes) -> tuple[dict, int]:
         """POST a JSON body; return (payload, attempts) of the first 200 reply.
@@ -324,37 +325,16 @@ class CassetteBackend:
 
 
 class ScriptedBackend:
-    """In-process deterministic backend for oracle runs and tests.
+    """In-process deterministic backend for oracle runs and tests: answers from a responder (request -> text)."""
 
-    Answers either from a responder callable (request -> text) or from a
-    queue of texts consumed in call order. Thread-safe.
-    """
-
-    def __init__(
-        self,
-        responder: Callable[[ChatRequest], str] | None = None,
-        queue: Sequence[str] | None = None,
-        max_in_flight: int = 4,
-    ):
-        if (responder is None) == (queue is None):
-            raise DomainError("provide exactly one of responder or queue")
+    def __init__(self, responder: Callable[[ChatRequest], str], max_in_flight: int = 4):
         self._responder = responder
-        self._queue = list(queue) if queue is not None else None
-        self._lock = threading.Lock()
         self.max_in_flight = max_in_flight
         self.calls: list[ChatRequest] = []
 
     def complete(self, request: ChatRequest) -> ChatResponse:
-        with self._lock:
-            self.calls.append(request)
-            if self._queue is not None:
-                if not self._queue:
-                    raise BackendUnavailableError("scripted queue exhausted", attempts=1)
-                text = self._queue.pop(0)
-            else:
-                text = None
-        if text is None:
-            text = self._responder(request)
+        self.calls.append(request)  # atomic, so it is safe from worker threads
+        text = self._responder(request)
         return ChatResponse(text=text, usage=_approx_usage(request, text), attempts=1)
 
 

@@ -86,7 +86,8 @@ def test_rubric_validation():
 def test_score_patient_oracle(haystack):
     graph, planted = haystack
     record = patient_record(graph, planted[0])
-    backend = ScriptedBackend(queue=[json.dumps({"score": 8, "rationale": "clear"})])
+    replies = iter([json.dumps({"score": 8, "rationale": "clear"})])
+    backend = ScriptedBackend(responder=lambda request: next(replies))
     score = score_patient(record, bpan_rubric(), backend)
     assert score == LikelihoodScore(planted[0], 8, "clear")
 
@@ -94,16 +95,16 @@ def test_score_patient_oracle(haystack):
 def test_score_patient_retry_contract(haystack):
     graph, planted = haystack
     record = patient_record(graph, planted[0])
-    backend = ScriptedBackend(
-        queue=[json.dumps({"score": 12, "rationale": "too high"}), json.dumps({"score": 7, "rationale": "ok"})]
-    )
+    replies = iter([json.dumps({"score": 12, "rationale": "too high"}), json.dumps({"score": 7, "rationale": "ok"})])
+    backend = ScriptedBackend(responder=lambda request: next(replies))
     assert score_patient(record, bpan_rubric(), backend).score == 7
 
 
 def test_score_patient_prose_twice_is_scoring_error(haystack):
     graph, planted = haystack
     record = patient_record(graph, planted[0])
-    backend = ScriptedBackend(queue=["not json at all", "still prose"])
+    replies = iter(["not json at all", "still prose"])
+    backend = ScriptedBackend(responder=lambda request: next(replies))
     with pytest.raises(ScoringError, match=planted[0]):
         score_patient(record, bpan_rubric(), backend)
 

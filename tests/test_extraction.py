@@ -446,7 +446,8 @@ def test_unknown_term_dropped_and_audited(dravet_ontology):
         '{"p": [{"category": "HP:0000000", "confidence": 0.9, "reasoning": "bogus"},'
         ' {"category": "HP:0011172", "confidence": 0.9, "reasoning": "real"}]}'
     )
-    backend = ScriptedBackend(queue=[raw])
+    replies = iter([raw])
+    backend = ScriptedBackend(responder=lambda request: next(replies))
     audit = AuditLog()
     result = extract(task, Document("p", "text"), backend, glean=GleanConfig(0), audit=audit)
     assert result.term_set() == {"HP:0011172"}
@@ -456,8 +457,10 @@ def test_unknown_term_dropped_and_audited(dravet_ontology):
 def test_disallowed_term_dropped_and_audited(dravet_ontology):
     task = HpoTask(dravet_ontology, allowed_terms=frozenset({TermId("HP:0011172")}))
     raw = '{"p": [{"category": "HP:0002373", "confidence": 0.9, "reasoning": "not allowed"}]}'
+    replies = iter([raw])
     audit = AuditLog()
-    result = extract(task, Document("p", "t"), ScriptedBackend(queue=[raw]), glean=GleanConfig(0), audit=audit)
+    backend = ScriptedBackend(responder=lambda request: next(replies))
+    result = extract(task, Document("p", "t"), backend, glean=GleanConfig(0), audit=audit)
     assert result.term_set() == set()
     assert audit.count("dropped_disallowed_term") == 1
 
@@ -465,8 +468,10 @@ def test_disallowed_term_dropped_and_audited(dravet_ontology):
 def test_multilabel_unknown_label_dropped_and_audited():
     task = MultiLabelTask(DEFAULT_LABEL_UNIVERSE)
     raw = '{"d": ["OBESITY", "NOT_A_LABEL"]}'
+    replies = iter([raw])
     audit = AuditLog()
-    result = extract(task, Document("d", "t"), ScriptedBackend(queue=[raw]), glean=GleanConfig(0), audit=audit)
+    backend = ScriptedBackend(responder=lambda request: next(replies))
+    result = extract(task, Document("d", "t"), backend, glean=GleanConfig(0), audit=audit)
     assert result.labels == {"OBESITY"}
     assert audit.count("dropped_unknown_label") == 1
 
@@ -474,7 +479,12 @@ def test_multilabel_unknown_label_dropped_and_audited():
 def test_backend_error_carries_round_number(dravet_ontology):
     task = HpoTask(dravet_ontology)
     ok = '{"p": [{"category": "HP:0011172", "confidence": 0.9, "reasoning": "r"}]}'
-    backend = ScriptedBackend(queue=[ok])  # second call exhausts the queue
+    def replies():
+        yield ok
+        raise BackendUnavailableError("scripted failure", attempts=1)  # the round-1 request fails
+
+    round_replies = replies()
+    backend = ScriptedBackend(responder=lambda request: next(round_replies))
     with pytest.raises(RoundError) as err:
         extract(task, Document("p", "t"), backend, glean=GleanConfig(1))
     assert err.value.round_no == 1
@@ -523,7 +533,9 @@ def test_fuzzed_backend_outputs_always_resolve(dravet_ontology):
             for _ in range(rng.randrange(4))
         ]
         raw = json.dumps({"p": [{"category": t, "confidence": 0.5, "reasoning": ""} for t in ids]})
-        result = extract(task, Document("p", "t"), ScriptedBackend(queue=[raw]), glean=GleanConfig(0), audit=audit)
+        replies = iter([raw])
+        backend = ScriptedBackend(responder=lambda request: next(replies))
+        result = extract(task, Document("p", "t"), backend, glean=GleanConfig(0), audit=audit)
         assert all(term in dravet_ontology for term in result.term_set())
 
 
@@ -597,7 +609,7 @@ def test_extract_corpus_audit_order_pinned(dravet_ontology):
 
 
 def test_extract_corpus_rejects_duplicate_keys_before_sending(dravet_ontology):
-    backend = ScriptedBackend(queue=[])
+    backend = ScriptedBackend(responder=lambda request: next(iter([])))
     docs = [Document("p", "first"), Document("q", "other"), Document("p", "second")]
     with pytest.raises(DomainError, match="p"):
         extract_corpus(HpoTask(dravet_ontology), docs, backend)

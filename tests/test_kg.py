@@ -1,4 +1,5 @@
 import json
+import re
 import tempfile
 from pathlib import Path
 
@@ -325,3 +326,121 @@ def test_note_kinds_cover_multimodal_sources():
     )
     kinds = {note.kind for note in graph.notes_for("p1")}
     assert kinds == {NoteKind.GENETICS_REPORT, NoteKind.VISIT_PURPOSE}
+
+
+# The exact text of each error, line number included, as expect_type, expect_number and NoteKind word it.
+NOTE = {"kind": "note", "note_id": "n1", "patient": "p1", "text": "t"}
+ASSERTION = {"kind": "assertion", "patient": "p1", "term": "HP:0011172", "confidence": 0.5}
+READER_ERRORS = [
+    ("note_kind unknown", {**NOTE, "note_kind": "poem"}, "'poem' is not a valid NoteKind"),
+    ("note_kind a list", {**NOTE, "note_kind": ["history"]}, "['history'] is not a valid NoteKind"),
+    ("note_kind null", {**NOTE, "note_kind": None}, "None is not a valid NoteKind"),
+    ("demographics a list", {"kind": "patient", "key": "p2", "demographics": [1]},
+     "demographics must be an object, got [1]"),
+    ("age_years a bool", {"kind": "patient", "key": "p2", "demographics": {"age_years": True}},
+     "age_years must be an integer, got true"),
+    ("term a number", {**ASSERTION, "term": 5}, "term must be a string, got 5"),
+    ("source_note a number", {**ASSERTION, "source_note": 7}, "source_note must be a string, got 7"),
+    ("confidence a string", {**ASSERTION, "confidence": "0.9"}, 'confidence must be a number, got "0.9"'),
+    ("confidence a bool", {**ASSERTION, "confidence": True}, "confidence must be a number, got true"),
+    ("kind a list", {"kind": ["patient"], "key": "p2"}, "unknown record kind ['patient']"),
+]
+
+
+@pytest.mark.parametrize("label,record,message", READER_ERRORS, ids=[case[0] for case in READER_ERRORS])
+def test_reader_errors_name_the_line_and_the_field(tmp_path, label, record, message):
+    path = tmp_path / "graph.jsonl"
+    path.write_text(json.dumps({"kind": "patient", "key": "p1"}) + "\n" + json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(GraphIntegrityError) as err:
+        load_graph(path)
+    assert str(err.value) == f"{path} line 2: {message}"
+
+
+def _records(graph):
+    """The record each saved line stands for, in file order."""
+    for key in graph.patient_keys():
+        node, demo = graph.patient(key), graph.patient(key).demographics
+        yield {
+            "kind": "patient",
+            "key": node.key,
+            "demographics": {"age_years": demo.age_years, "race": demo.race, "state": demo.state, "zip": demo.zip},
+            "icd10": sorted(node.icd10),
+            "cpt": sorted(node.cpt),
+            "rxnorm": sorted(node.rxnorm),
+        }
+    for note in graph.iter_notes():
+        yield {"kind": "note", "note_id": note.note_id, "patient": note.patient, "text": note.text, "note_kind": note.kind.value}
+    for a in sorted(graph.assertions(), key=lambda a: (a.patient, a.term, a.confidence, a.source_note or "")):
+        yield {
+            "kind": "assertion",
+            "patient": a.patient,
+            "term": a.term,
+            "confidence": a.confidence,
+            "reasoning": a.reasoning,
+            "source_note": a.source_note,
+            "extractor_version": a.extractor_version,
+        }
+
+
+# text JSON must escape: quotes, backslashes, control characters, non-BMP characters and lone surrogates
+# (a high surrogate followed by a low one is written as two escapes, which JSON reads back as one character)
+TEXT = st.text(
+    st.characters() | st.sampled_from(['"', "\\", "\x00", "\n", "\x1f", "\x7f", " ", "\U0001f9ec", "\ud800", "\udfff"]),
+    max_size=8,
+).filter(lambda text: not re.search(r"[\ud800-\udbff][\udc00-\udfff]", text))
+CODE = st.text(st.characters(exclude_categories=["Cs"]) | st.sampled_from(['"', "\\"]), min_size=1, max_size=4).filter(
+    lambda code: not any(ch.isspace() for ch in code)
+)
+CONFIDENCE = st.sampled_from([0, 1, 0.0, 1.0, 5e-324, 0.1 + 0.2]) | st.floats(0, 1)
+
+
+@st.composite
+def graphs(draw):
+    keys = draw(st.lists(TEXT.filter(bool), min_size=1, max_size=4, unique=True))
+    nodes = [
+        PatientNode(
+            key,
+            Demographics(
+                draw(st.none() | st.just(0) | st.integers(0, 2**100)),
+                draw(st.none() | TEXT),
+                draw(st.none() | TEXT),
+                draw(st.none() | TEXT),
+            ),
+            *(draw(st.frozensets(CODE, max_size=3)) for _ in range(3)),
+        )
+        for key in keys
+    ]
+    note_ids = draw(st.lists(TEXT.filter(bool), max_size=4, unique=True))
+    nodes += [NoteNode(i, draw(st.sampled_from(keys)), draw(TEXT), draw(st.sampled_from(NoteKind))) for i in note_ids]
+    for _ in range(draw(st.integers(0, 5))):
+        nodes.append(PhenotypeAssertion(
+            draw(st.sampled_from(keys)),
+            TermId(f"HP:{draw(st.integers(0, 9_999_999)):07d}"),
+            draw(CONFIDENCE),
+            draw(TEXT),
+            draw(st.none() | st.sampled_from(note_ids or [None])),
+            draw(TEXT),
+        ))
+    return build_graph(nodes)
+
+
+@given(graphs())
+def test_each_saved_line_is_json_dumps_of_its_record(graph):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "graph.jsonl"
+        save_graph(graph, path)
+        lines = path.read_text(encoding="utf-8").split("\n")
+        assert lines == [json.dumps(record, sort_keys=True) for record in _records(graph)] + [""]
+        assert load_graph(path) == graph
+
+
+def test_fields_of_another_type_are_saved_as_json_dumps_writes_them(tmp_path):
+    # nodes built in Python are not type-checked; their lines still match json.dumps, byte for byte
+    graph = build_graph([
+        PatientNode(7, Demographics(age_years=float("nan"), race=2.5, state=True)),
+        NoteNode(8, 7, ["text"], NoteKind.OTHER),
+        PhenotypeAssertion(7, TermId("HP:0011172"), True, reasoning=("why", None), source_note=8, extractor_version=0.5),
+    ])
+    path = tmp_path / "graph.jsonl"
+    save_graph(graph, path)
+    assert path.read_text(encoding="utf-8").splitlines() == [json.dumps(r, sort_keys=True) for r in _records(graph)]

@@ -31,6 +31,8 @@ from phenokg.llm import (
     validate_config,
     _approx_usage,
 )
+from phenokg.corpus import Document
+from phenokg.extraction import AuditLog, GleanConfig, HpoTask, extract_corpus
 from phenokg.jsonl import write_jsonl
 import phenokg.cli
 
@@ -273,12 +275,53 @@ def test_http_fails_fast_without_retry(http_stub, reply, match):
     assert len(http_stub.requests_seen) == 1
 
 
-def test_scripted_queue_and_exhaustion():
-    backend = ScriptedBackend(queue=["a", "b"])
-    assert backend.complete(REQ).text == "a"
-    assert backend.complete(REQ).text == "b"
-    with pytest.raises(BackendUnavailableError):
-        backend.complete(REQ)
+def _backend_replying(payload, attempts):
+    """An HttpBackend whose retry loop is stubbed to return ``payload`` after ``attempts`` attempts."""
+    backend = HttpBackend(BackendConfig(kind="http", endpoint_url="http://127.0.0.1:9/v1/chat/completions"))
+    backend._post_with_retry = lambda data: (payload, attempts)
+    return backend
+
+
+def _reply(content="ok", **extra):
+    return {"choices": [{"message": {"role": "assistant", "content": content}}], **extra}
+
+
+MALFORMED_PAYLOADS = [
+    ("null content", _reply(None)),
+    ("number content", _reply(5)),
+    ("usage an array", _reply(usage=[1])),
+    ("usage a string", _reply(usage="n/a")),
+    ("token count a string", _reply(usage={"prompt_tokens": "n/a"})),
+    ("token count a numeric string", _reply(usage={"completion_tokens": "12"})),
+    ("token count a bool", _reply(usage={"prompt_tokens": True, "completion_tokens": 3})),
+    ("token count null", _reply(usage={"prompt_tokens": None})),
+]
+
+
+@pytest.mark.parametrize("label,payload", MALFORMED_PAYLOADS, ids=[case[0] for case in MALFORMED_PAYLOADS])
+def test_http_malformed_payload_is_backend_unavailable(label, payload):
+    with pytest.raises(BackendUnavailableError, match="malformed completion payload") as err:
+        _backend_replying(payload, attempts=2).complete(REQ)
+    assert err.value.attempts == 2
+
+
+@pytest.mark.parametrize(
+    "usage,expected",
+    [(None, Usage(0, 0)), ({}, Usage(0, 0)), ({"prompt_tokens": 7, "completion_tokens": 3.0}, Usage(7, 3))],
+)
+def test_http_usage_may_be_absent_or_numeric(usage, expected):
+    response = _backend_replying(_reply("hi", usage=usage), attempts=1).complete(REQ)
+    assert response == ChatResponse(text="hi", usage=expected, attempts=1)
+
+
+def test_http_null_content_is_audited_as_a_failed_document(dravet_ontology):
+    payload = _reply(None)
+    audit = AuditLog()
+    backend = _backend_replying(payload, attempts=1)
+    results = extract_corpus(HpoTask(dravet_ontology), [Document("p1", "text")], backend, glean=GleanConfig(0), audit=audit)
+    assert results == {}
+    error = f"malformed completion payload: {json.dumps(payload, sort_keys=True)}"
+    assert audit.entries == [{"event": "document_round_failed", "key": "p1", "round": 0, "error": error}]
 
 
 def test_single_request_batch_equals_complete():
@@ -475,7 +518,7 @@ def test_two_simultaneous_misses_on_one_request_get_the_saved_text(tmp_path):
 
 def test_batch_rejects_empty():
     with pytest.raises(DomainError):
-        complete_batch(ScriptedBackend(queue=[]), [])
+        complete_batch(ScriptedBackend(responder=lambda request: next(iter([]))), [])
 
 
 def test_validate_config_lists_every_problem():
