@@ -238,18 +238,6 @@ def save_multilabel_gold(corpus: Sequence[tuple[Document, MultiLabelGold]], path
     write_jsonl(path, lines)
 
 
-def split_train_test(corpus: Sequence, test_size: int, seed: int) -> tuple[list, list]:
-    """Deterministic disjoint split; train and test keep corpus order."""
-    if test_size < 0 or test_size > len(corpus):
-        raise DomainError(f"test_size {test_size} outside [0, {len(corpus)}]")
-    indices = list(range(len(corpus)))
-    random.Random(seed).shuffle(indices)
-    test_idx = set(indices[:test_size])
-    train = [corpus[i] for i in range(len(corpus)) if i not in test_idx]
-    test = [corpus[i] for i in range(len(corpus)) if i in test_idx]
-    return train, test
-
-
 # Plausible drug names embedded as Chemical mentions in synthetic documents.
 CHEMICAL_LEXICON: tuple[str, ...] = (
     "aspirin",
@@ -261,6 +249,7 @@ CHEMICAL_LEXICON: tuple[str, ...] = (
     "topiramate",
     "valproate",
 )
+CHEMICALS_PER_DOC = 1
 
 _FILLERS = (
     "Follow-up visit recorded today.",
@@ -289,14 +278,13 @@ def synthesize_fixture(
     ontology: Ontology,
     n_docs: int,
     labels_per_doc: int,
-    chemicals_per_doc: int = 1,
     term_pool: Sequence[TermId] | None = None,
 ) -> list[SyntheticDoc]:
     """Generate a deterministic gold corpus embedding ontology term names verbatim.
 
     Each document embeds exactly ``labels_per_doc`` term names sampled from
     ``term_pool`` (default: every ontology term); gold is exactly that set,
-    recoverable by case-insensitive dictionary scan. ``chemicals_per_doc``
+    recoverable by case-insensitive dictionary scan. ``CHEMICALS_PER_DOC``
     names from CHEMICAL_LEXICON are embedded too, with span gold recorded at
     embed time (terms typed Disease, lexicon entries Chemical).
     """
@@ -319,7 +307,7 @@ def synthesize_fixture(
         doc_id = f"synth-{i:04d}"
         for _ in range(200):
             chosen = sorted(rng.sample(all_terms, labels_per_doc))
-            chemicals = sorted(rng.sample(CHEMICAL_LEXICON, min(chemicals_per_doc, len(CHEMICAL_LEXICON))))
+            chemicals = sorted(rng.sample(CHEMICAL_LEXICON, CHEMICALS_PER_DOC))
             synth = _render_doc(rng, doc_id, ontology, chosen, chemicals)
             if _scan_terms(ontology, synth.document.text) == set(chosen):
                 docs.append(synth)

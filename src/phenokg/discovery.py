@@ -19,7 +19,7 @@ from pathlib import Path
 from typing import Iterable
 
 from .corpus import Document
-from .errors import DomainError, PhenoKGError, ScoringError
+from .errors import DomainError, PhenoKGError
 from .extraction import (
     USER_SECTION_MARKER,
     AuditLog,
@@ -36,6 +36,9 @@ from .jsonl import write_atomic
 from .kg import Graph, PatientRecord, cohort_by_icd, keyword_search, patient_record
 from .llm import ChatRequest, _run_bounded
 from .ontology import Ontology, TermId
+
+# finalists rank by their count of assertions at or above this confidence
+HIGH_CONFIDENCE = 0.5
 
 
 @dataclass(frozen=True)
@@ -109,22 +112,13 @@ def build_score_prompt(record: PatientRecord, rubric: ScoringRubric) -> ChatRequ
     return ChatRequest(system=system, user=user, request_tag=f"score:{record.key}")
 
 
-def score_patient(record: PatientRecord, rubric: ScoringRubric, backend) -> LikelihoodScore:
-    """Rubric-conditioned 0-9 likelihood score with strict JSON output.
-
-    An out-of-range, non-integer, or unparseable response triggers exactly
-    one retry (the identical request is re-sent), after which ScoringError
-    is raised. A deterministic backend (replay) would only repeat its
-    answer, so it gets no retry.
-    """
-    try:
-        return _score_chain(record, rubric, backend)
-    except PhenoKGError as exc:
-        raise ScoringError(f"could not score patient {record.key}: {exc}") from None
-
-
 def _score_chain(record: PatientRecord, rubric: ScoringRubric, backend) -> LikelihoodScore:
-    """Prompt, send and parse one record's score; a failure is re-sent once unless the backend is ``deterministic``."""
+    """Rubric-conditioned 0-9 likelihood score with strict JSON output: the one scorer.
+
+    An out-of-range, non-integer or unparseable response is re-sent once,
+    identically, and its error raised if it fails again. A ``deterministic``
+    backend (replay) would only repeat its answer, so it gets no retry.
+    """
     request = build_score_prompt(record, rubric)
     attempts = 1 if getattr(backend, "deterministic", False) else 2
     for attempt in range(1, attempts + 1):
@@ -202,7 +196,6 @@ def run_funnel(
     backend=None,
     ontology: Ontology | None = None,
     glean: GleanConfig = GleanConfig(1),
-    high_confidence: float = 0.5,
     min_assertions: int | None = None,
     audit: AuditLog | None = None,
 ) -> FunnelReport:
@@ -210,8 +203,9 @@ def run_funnel(
 
     Stages record (name, count): candidates -> scored -> filtered (score >=
     threshold) -> extracted -> finalists. Finalists rank by (score desc,
-    count of assertions with confidence >= high_confidence desc, patient
-    key asc). ``min_assertions`` optionally demands that many
+    count of assertions with confidence >= ``HIGH_CONFIDENCE`` desc, patient
+    key asc). A candidate whose score fails is audited as ``scoring_failed``
+    and skipped. ``min_assertions`` optionally demands that many
     high-confidence assertions as a hard filter (off by default: phenotype
     extraction is a ranking input, not a second gate).
     """
@@ -252,7 +246,7 @@ def run_funnel(
     ranked = []
     for key, extraction in extractions.items():
         strong = sorted(
-            ((a.term, a.confidence) for a in extraction.assertions if a.confidence >= high_confidence),
+            ((a.term, a.confidence) for a in extraction.assertions if a.confidence >= HIGH_CONFIDENCE),
             key=lambda pair: (-pair[1], pair[0]),
         )
         if min_assertions is not None and len(strong) < min_assertions:

@@ -7,7 +7,9 @@ and are byte-deterministic for equal inputs. Model output must be a
 single JSON object; exactly two deviations are recovered (a fenced code
 block wrapping the object, and prose around exactly one object). Each
 gleaning round feeds the cumulative result back and asks for new entities
-only; merged results therefore grow monotonically.
+only; merged results therefore grow monotonically. ``extract_corpus`` is the
+one gleaning loop, for one document or many: a failed round is audited,
+never raised.
 """
 
 from __future__ import annotations
@@ -124,12 +126,6 @@ class HpoExtraction:
 
     def term_set(self) -> set[TermId]:
         return {a.term for a in self.assertions}
-
-    def confidence_of(self, term: TermId) -> float:
-        for a in self.assertions:
-            if a.term == term:
-                return a.confidence
-        raise KeyError(term)
 
     def to_record(self) -> dict:
         rows = [{"term": a.term, "confidence": a.confidence, "reasoning": a.reasoning} for a in self.assertions]
@@ -641,15 +637,6 @@ def build_prompt(
     return _render_prompt(task, document, examples, previous, round_no)
 
 
-class RoundError(PhenoKGError):
-    """A backend or parse failure during one extraction round."""
-
-    def __init__(self, round_no: int, cause: Exception):
-        self.round_no = round_no
-        self.cause = cause
-        super().__init__(f"extraction round {round_no} failed: {cause}")
-
-
 def merge_gleaned(prev, new):
     """Set-union merge of two rounds' results for the same document key.
 
@@ -675,29 +662,6 @@ def merge_gleaned(prev, new):
     return HpoExtraction(prev.key, tuple(merged[t] for t in sorted(merged)))
 
 
-def extract(
-    task,
-    document: Document,
-    backend,
-    policy: FewShotPolicy = ZERO_SHOT,
-    glean: GleanConfig = GleanConfig(1),
-    audit: AuditLog | None = None,
-):
-    """Run round 0 plus ``glean.iterations`` gleaning rounds for one document.
-
-    Invalid assertions (unknown terms, disallowed terms, out-of-universe
-    labels) are dropped and audited, never silently discarded. Backend and
-    parse failures propagate wrapped in RoundError carrying the round number.
-    """
-
-    def fail(key: str, round_no: int, exc: PhenoKGError):
-        raise RoundError(round_no, exc) from exc
-
-    audit = audit if audit is not None else AuditLog()
-    results = _extract_rounds(task, [document], backend, policy, glean, audit, None, fail)
-    return results[task.key_for(document)]
-
-
 def extract_corpus(
     task,
     documents: Sequence[Document],
@@ -709,9 +673,14 @@ def extract_corpus(
 ) -> dict[str, object]:
     """Extract a whole corpus: parallel across documents, sequential across rounds.
 
-    A document that fails round 0 is audited and omitted; a document that
-    fails a later gleaning round keeps its cumulative result (still audited)
-    and skips remaining rounds. One bad response never aborts the run; a
+    This is the gleaning loop: round 0 plus ``glean.iterations`` gleaning
+    rounds, one batch per round and a barrier between rounds. Invalid
+    assertions (unknown terms, disallowed terms, out-of-universe labels) are
+    dropped and audited, never silently discarded. A document whose round
+    fails (backend failure or unparseable output) is audited as
+    ``document_round_failed`` with its key, round and error, keeps its
+    cumulative result and sends no further rounds; a document that fails
+    round 0 is therefore omitted. One bad response never aborts the run; a
     program bug (any exception but a PhenoKGError) does. Duplicate document
     keys are a DomainError, raised before any request is sent.
     """
@@ -719,20 +688,6 @@ def extract_corpus(
     if duplicates:
         raise DomainError(f"duplicate document keys: {', '.join(duplicates)}")
     audit = audit if audit is not None else AuditLog()
-
-    def fail(key: str, round_no: int, exc: PhenoKGError):
-        audit.record("document_round_failed", key=key, round=round_no, error=str(exc))
-
-    return _extract_rounds(task, documents, backend, policy, glean, audit, max_in_flight, fail)
-
-
-def _extract_rounds(task, documents, backend, policy, glean, audit, max_in_flight, on_failure) -> dict:
-    """The gleaning loop: one batch per round, a barrier between rounds.
-
-    A document whose round fails (backend failure or unparseable output) goes
-    to ``on_failure(key, round_no, exc)``, keeps its cumulative result and
-    sends no further rounds.
-    """
     results: dict[str, object] = {}
     # examples are selected once per document and reused in every round
     examples_for = _example_renderer(task, policy)
@@ -753,11 +708,10 @@ def _extract_rounds(task, documents, backend, policy, glean, audit, max_in_fligh
                     raise response
                 parsed = task.parse_output(response.text, key)
             except PhenoKGError as exc:
-                on_failure(key, round_no, exc)
+                audit.record("document_round_failed", key=key, round=round_no, error=str(exc))
                 continue
             cleaned = task.sanitize(parsed, audit)
             results[key] = cleaned if key not in results else merge_gleaned(results[key], cleaned)
             still_active.append((doc, examples))
         active = still_active
     return results
-

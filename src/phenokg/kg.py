@@ -362,7 +362,7 @@ def _lines(*writers: tuple) -> Iterator[str]:
 # One reader per kind. Each field is ``v if <v has the right type> else expect_type(v, ...)``: the check
 # runs inline, and expect_type/expect_number are called only to raise, on the first bad field in order.
 def _read_patient(record: dict) -> PatientNode:
-    demo = v if isinstance(v := record.get("demographics") or {}, dict) else expect_type(v, dict, "demographics")
+    demo = v if isinstance(v := record.get("demographics", {}), dict) else expect_type(v, dict, "demographics")
     key = v if isinstance(v := record["key"], str) else expect_type(v, str, "key")
     age = v if (v := demo.get("age_years")) is None or type(v) is int else expect_number(v, "age_years", integer=True)
     race = v if (v := demo.get("race")) is None or isinstance(v, str) else expect_type(v, str, "race")

@@ -33,7 +33,6 @@ from phenokg.extraction import (
     NerResult,
     NerTask,
     build_prompt,
-    extract,
     extract_corpus,
     normalize_surface,
     parse_model_output,
@@ -210,7 +209,7 @@ def test_criterion_3_gleaning_monotonicity(dravet_ontology):
 
         document = Document("p", "staged patient text")
         results = [
-            extract(task, document, ScriptedBackend(responder=responder), glean=GleanConfig(r))
+            extract_corpus(task, [document], ScriptedBackend(responder=responder), glean=GleanConfig(r))["p"]
             for r in range(5)
         ]
         sets = [r.term_set() for r in results]

@@ -11,7 +11,6 @@ from phenokg.corpus import (
     save_hpo_gold,
     save_multilabel_gold,
     save_span_corpus,
-    split_train_test,
     synthesize_fixture,
     synthesize_multilabel_fixture,
 )
@@ -78,28 +77,6 @@ def test_span_corpus_round_trip(tmp_path, synth_docs):
     for (doc, annotations), synth in zip(loaded, synth_docs):
         assert doc.text == synth.document.text
         assert annotations == list(synth.spans)
-
-
-def test_split_train_test_split_sizes():
-    corpus = [f"doc-{i}" for i in range(223)]
-    train, test = split_train_test(corpus, test_size=23, seed=3)
-    assert (len(train), len(test)) == (200, 23)
-    assert set(train) | set(test) == set(corpus)
-    assert set(train) & set(test) == set()
-
-
-def test_split_train_test_deterministic():
-    corpus = list(range(50))
-    assert split_train_test(corpus, 10, seed=9) == split_train_test(corpus, 10, seed=9)
-    assert split_train_test(corpus, 10, seed=9) != split_train_test(corpus, 10, seed=10)
-
-
-def test_split_train_test_degenerate_and_errors():
-    corpus = list(range(5))
-    train, test = split_train_test(corpus, 0, seed=1)
-    assert (train, test) == (corpus, [])
-    with pytest.raises(DomainError):
-        split_train_test(corpus, 6, seed=1)
 
 
 def test_synthesize_fixture_gold_recoverable_by_scan(dravet_ontology, synth_docs):

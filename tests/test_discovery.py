@@ -14,10 +14,10 @@ from phenokg.discovery import (
     candidate_cohort,
     load_rubric,
     run_funnel,
+    _score_chain,
     save_rubric,
-    score_patient,
 )
-from phenokg.errors import DomainError, ScoringError
+from phenokg.errors import DomainError, OutputParseError
 from phenokg.extraction import AuditLog, GleanConfig, load_template, render_template
 from phenokg.fixtures import (
     BPAN_ALLOWED_TERMS,
@@ -88,8 +88,9 @@ def test_score_patient_oracle(haystack):
     record = patient_record(graph, planted[0])
     replies = iter([json.dumps({"score": 8, "rationale": "clear"})])
     backend = ScriptedBackend(responder=lambda request: next(replies))
-    score = score_patient(record, bpan_rubric(), backend)
+    score = _score_chain(record, bpan_rubric(), backend)
     assert score == LikelihoodScore(planted[0], 8, "clear")
+    assert len(backend.calls) == 1
 
 
 def test_score_patient_retry_contract(haystack):
@@ -97,19 +98,41 @@ def test_score_patient_retry_contract(haystack):
     record = patient_record(graph, planted[0])
     replies = iter([json.dumps({"score": 12, "rationale": "too high"}), json.dumps({"score": 7, "rationale": "ok"})])
     backend = ScriptedBackend(responder=lambda request: next(replies))
-    assert score_patient(record, bpan_rubric(), backend).score == 7
+    assert _score_chain(record, bpan_rubric(), backend) == LikelihoodScore(planted[0], 7, "ok")
+    assert backend.calls == [build_score_prompt(record, bpan_rubric())] * 2  # the identical request, re-sent once
 
 
-def test_score_patient_prose_twice_is_scoring_error(haystack):
+def _one_candidate_funnel(haystack, dravet_ontology, backend) -> AuditLog:
+    """``run_funnel`` on a graph holding only the first planted patient, which fails scoring."""
     graph, planted = haystack
-    record = patient_record(graph, planted[0])
+    key = planted[0]
+    audit = AuditLog()
+    report = run_funnel(
+        build_graph([graph.patient(key), *graph.notes_for(key)]),
+        bpan_rubric(),
+        keywords={"BPAN"},
+        generic_icd=set(BPAN_GENERIC_ICD10),
+        threshold=7,
+        allowed_terms=BPAN_ALLOWED_TERMS,
+        backend=backend,
+        ontology=dravet_ontology,
+        audit=audit,
+    )
+    assert dict(report.stage_counts) == {"candidates": 1, "scored": 0, "filtered": 0, "extracted": 0, "finalists": 0}
+    return audit
+
+
+def test_score_patient_prose_twice_is_scoring_error(haystack, dravet_ontology):
+    _, planted = haystack
     replies = iter(["not json at all", "still prose"])
     backend = ScriptedBackend(responder=lambda request: next(replies))
-    with pytest.raises(ScoringError, match=planted[0]):
-        score_patient(record, bpan_rubric(), backend)
+    audit = _one_candidate_funnel(haystack, dravet_ontology, backend)
+    no_json = "no JSON object found in model output"
+    assert audit.entries == [{"event": "scoring_failed", "patient": planted[0], "error": no_json}]
+    assert len(backend.calls) == 2
 
 
-def test_score_patient_retries_on_scripted_but_not_on_replay(haystack):
+def test_score_patient_retries_on_scripted_but_not_on_replay(haystack, dravet_ontology):
     graph, planted = haystack
     record = patient_record(graph, planted[0])
     request = build_score_prompt(record, bpan_rubric())
@@ -119,9 +142,14 @@ def test_score_patient_retries_on_scripted_but_not_on_replay(haystack):
     replay.complete = lambda req: replay_calls.append(req) or replay_complete(req)
     scripted = ScriptedBackend(responder=lambda req: "not json at all")
     for backend, sent in ((replay, replay_calls), (scripted, scripted.calls)):
-        with pytest.raises(ScoringError, match=planted[0]):
-            score_patient(record, bpan_rubric(), backend)
+        with pytest.raises(OutputParseError, match="no JSON object"):
+            _score_chain(record, bpan_rubric(), backend)
         expected = 1 if backend is replay else 2  # a replayed answer cannot change on a re-send
+        assert sent == [request] * expected
+        sent.clear()
+        audit = _one_candidate_funnel(haystack, dravet_ontology, backend)
+        no_json = "no JSON object found in model output"
+        assert audit.entries == [{"event": "scoring_failed", "patient": planted[0], "error": no_json}]
         assert sent == [request] * expected
 
 

@@ -25,16 +25,14 @@ from phenokg.extraction import (
     NerResult,
     NerTask,
     PolicyMode,
-    RoundError,
     ScoreSchema,
     build_prompt,
-    extract,
     extract_corpus,
     merge_gleaned,
     parse_model_output,
 )
 from phenokg.fixtures import dravet_allowed_terms, dravet_disease_context
-from phenokg.llm import BackendConfig, ScriptedBackend, make_backend
+from phenokg.llm import BackendConfig, ScriptedBackend, make_backend, request_hash
 from phenokg.ontology import TermId
 from phenokg.retrieval import HashedEmbedder, build_index
 
@@ -403,7 +401,8 @@ def test_extract_with_gold_backend_equals_gold(dravet_ontology, synth_docs):
     task = _hpo_task(dravet_ontology)
     gold = {d.document.doc_id: d.terms for d in synth_docs}
     backend = ScriptedBackend(responder=gold_hpo_responder(task, gold))
-    result = extract(task, synth_docs[0].document, backend, glean=GleanConfig(1))
+    doc = synth_docs[0].document
+    result = extract_corpus(task, [doc], backend, glean=GleanConfig(1))[doc.doc_id]
     assert result.term_set() == set(synth_docs[0].terms)
 
 
@@ -415,12 +414,13 @@ def test_extract_reads_a_replay_config_cassette_once(dravet_ontology, synth_docs
     gold = {doc.doc_id: synth_docs[0].terms}
     glean = GleanConfig(2)
     path = record_replay_cassette(
-        tmp_path, "extract.jsonl", lambda b: extract(task, doc, b, glean=glean), gold_hpo_responder(task, gold)
+        tmp_path, "extract.jsonl", lambda b: extract_corpus(task, [doc], b, glean=glean), gold_hpo_responder(task, gold)
     )
     loads = []
     load_cassette = phenokg.llm.load_cassette
     monkeypatch.setattr(phenokg.llm, "load_cassette", lambda p: loads.append(p) or load_cassette(p))
-    result = extract(task, doc, make_backend(BackendConfig(kind="replay", cassette_path=str(path))), glean=glean)
+    backend = make_backend(BackendConfig(kind="replay", cassette_path=str(path)))
+    result = extract_corpus(task, [doc], backend, glean=glean)[doc.doc_id]
     assert result.term_set() == set(synth_docs[0].terms)
     assert len(loads) == 1  # not once per round
 
@@ -435,9 +435,8 @@ def test_glean_rounds_merge_by_union(dravet_ontology):
         ),
     }
     backend = ScriptedBackend(responder=lambda req: rounds[req.request_tag.rsplit(":", 1)[1]])
-    result = extract(task, Document("p", "text"), backend, glean=GleanConfig(1))
-    assert result.term_set() == {"HP:0011172", "HP:0002373"}
-    assert result.confidence_of(TermId("HP:0011172")) == 0.8  # max kept
+    result = extract_corpus(task, [Document("p", "text")], backend, glean=GleanConfig(1))["p"]
+    assert {a.term: a.confidence for a in result.assertions} == {"HP:0011172": 0.8, "HP:0002373": 0.7}  # max kept
 
 
 def test_unknown_term_dropped_and_audited(dravet_ontology):
@@ -449,7 +448,7 @@ def test_unknown_term_dropped_and_audited(dravet_ontology):
     replies = iter([raw])
     backend = ScriptedBackend(responder=lambda request: next(replies))
     audit = AuditLog()
-    result = extract(task, Document("p", "text"), backend, glean=GleanConfig(0), audit=audit)
+    result = extract_corpus(task, [Document("p", "text")], backend, glean=GleanConfig(0), audit=audit)["p"]
     assert result.term_set() == {"HP:0011172"}
     assert audit.count("dropped_unknown_term") == 1
 
@@ -460,7 +459,7 @@ def test_disallowed_term_dropped_and_audited(dravet_ontology):
     replies = iter([raw])
     audit = AuditLog()
     backend = ScriptedBackend(responder=lambda request: next(replies))
-    result = extract(task, Document("p", "t"), backend, glean=GleanConfig(0), audit=audit)
+    result = extract_corpus(task, [Document("p", "t")], backend, glean=GleanConfig(0), audit=audit)["p"]
     assert result.term_set() == set()
     assert audit.count("dropped_disallowed_term") == 1
 
@@ -471,7 +470,7 @@ def test_multilabel_unknown_label_dropped_and_audited():
     replies = iter([raw])
     audit = AuditLog()
     backend = ScriptedBackend(responder=lambda request: next(replies))
-    result = extract(task, Document("d", "t"), backend, glean=GleanConfig(0), audit=audit)
+    result = extract_corpus(task, [Document("d", "t")], backend, glean=GleanConfig(0), audit=audit)["d"]
     assert result.labels == {"OBESITY"}
     assert audit.count("dropped_unknown_label") == 1
 
@@ -485,9 +484,10 @@ def test_backend_error_carries_round_number(dravet_ontology):
 
     round_replies = replies()
     backend = ScriptedBackend(responder=lambda request: next(round_replies))
-    with pytest.raises(RoundError) as err:
-        extract(task, Document("p", "t"), backend, glean=GleanConfig(1))
-    assert err.value.round_no == 1
+    audit = AuditLog()
+    results = extract_corpus(task, [Document("p", "t")], backend, glean=GleanConfig(1), audit=audit)
+    assert audit.entries == [{"event": "document_round_failed", "key": "p", "round": 1, "error": "scripted failure"}]
+    assert results["p"].term_set() == {"HP:0011172"}  # round 0's result is kept
 
 
 def test_gleaning_monotone_and_recall_increases(dravet_ontology):
@@ -509,7 +509,7 @@ def test_gleaning_monotone_and_recall_increases(dravet_ontology):
         return json.dumps({"p": rows})
 
     results = [
-        extract(task, Document("p", "text"), ScriptedBackend(responder=responder), glean=GleanConfig(r))
+        extract_corpus(task, [Document("p", "text")], ScriptedBackend(responder=responder), glean=GleanConfig(r))["p"]
         for r in range(5)
     ]
     sets = [r.term_set() for r in results]
@@ -535,7 +535,7 @@ def test_fuzzed_backend_outputs_always_resolve(dravet_ontology):
         raw = json.dumps({"p": [{"category": t, "confidence": 0.5, "reasoning": ""} for t in ids]})
         replies = iter([raw])
         backend = ScriptedBackend(responder=lambda request: next(replies))
-        result = extract(task, Document("p", "t"), backend, glean=GleanConfig(0), audit=audit)
+        result = extract_corpus(task, [Document("p", "t")], backend, glean=GleanConfig(0), audit=audit)["p"]
         assert all(term in dravet_ontology for term in result.term_set())
 
 
@@ -634,7 +634,7 @@ def test_program_bug_propagates_from_extract_corpus(dravet_ontology):
 def test_program_bug_propagates_from_extract(dravet_ontology):
     backend = ScriptedBackend(responder=_raise_type_error)
     with pytest.raises(TypeError):
-        extract(HpoTask(dravet_ontology), Document("p", "t"), backend, glean=GleanConfig(2))
+        extract_corpus(HpoTask(dravet_ontology), [Document("p", "t")], backend, glean=GleanConfig(2))
     assert len(backend.calls) == 1  # later rounds are never sent
 
 
@@ -654,9 +654,12 @@ def test_replay_miss_surfaces_through_extract(dravet_ontology):
     from phenokg.llm import CassetteBackend
 
     task = HpoTask(dravet_ontology)
-    with pytest.raises(RoundError) as err:
-        extract(task, Document("p", "t"), CassetteBackend(), glean=GleanConfig(0))
-    assert isinstance(err.value.cause, ReplayMissError)
+    doc = Document("p", "t")
+    request = build_prompt(task, doc)
+    audit = AuditLog()
+    assert extract_corpus(task, [doc], CassetteBackend(), glean=GleanConfig(0), audit=audit) == {}
+    miss = ReplayMissError(request_hash(request.system, request.user))
+    assert audit.entries == [{"event": "document_round_failed", "key": "p", "round": 0, "error": str(miss)}]
 
 
 def test_empty_surface_is_schema_error():

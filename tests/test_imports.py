@@ -1,11 +1,14 @@
-"""Every module-level import in the package is used: the check a linter would make, on the stdlib ``ast``."""
+"""Every module-level import in the package is used, and every module-level function and class is referred
+to by the program: the checks a linter would make, on the stdlib ``ast``."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
-PACKAGE = Path(__file__).resolve().parents[1] / "src" / "phenokg"
+REPO = Path(__file__).resolve().parents[1]
+PACKAGE = REPO / "src" / "phenokg"
 # ``__init__.py`` imports only to re-export
 MODULES = sorted(path.name for path in PACKAGE.glob("*.py") if path.name != "__init__.py")
 
@@ -57,3 +60,66 @@ def test_the_check_finds_unused_imports():
         "build(urllib.request.Request)\n"
     )
     assert unused_imports(source) == ["line 2: threading", "line 3: urllib.parse", "line 5: request_hash"]
+
+
+# ``fixtures`` is the demo and test data module, so its definitions may serve tests alone
+UNCHECKED_MODULES = {"fixtures"}
+# "module.name": why the name stays though no program code refers to it
+UNREFERENCED_ALLOWED = {
+    "discovery.save_rubric": "writes the format load_rubric reads; CLI tests build rubric files with it",
+}
+
+
+def _referenced(nodes) -> set[str]:
+    """Every name, attribute, imported name and whole string constant (a lookup by name) in ``nodes``."""
+    found = set()
+    for top in nodes:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Name):
+                found.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                found.add(node.attr)
+            elif isinstance(node, ast.alias):
+                found.add(node.name.rsplit(".", 1)[-1])
+            elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+                found.add(node.value)
+    return found
+
+
+def unreferenced_definitions(modules: dict[str, str], others: list[str], prose: str) -> list[str]:
+    """The module-level functions and classes of ``modules`` (name -> source) that nothing refers to.
+
+    A definition is referred to where its name appears in another module, in its own module outside its own
+    definition, in one of the ``others`` sources, or as a word of ``prose``. Each unreferenced one comes as
+    ``"module.name"``, in module and then source order.
+    """
+    trees = {name: ast.parse(source).body for name, source in modules.items()}
+    outside = set(re.findall(r"\w+", prose)).union(*(_referenced(ast.parse(source).body) for source in others))
+    dead = []
+    for module, body in trees.items():
+        if module in UNCHECKED_MODULES:
+            continue
+        elsewhere = outside.union(*(_referenced(other) for name, other in trees.items() if name != module))
+        for definition in body:
+            if not isinstance(definition, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                continue
+            own = _referenced(node for node in body if node is not definition)
+            if definition.name not in elsewhere | own:
+                dead.append(f"{module}.{definition.name}")
+    return dead
+
+
+def test_every_module_level_definition_is_referred_to_by_the_program():
+    modules = {path.stem: path.read_text(encoding="utf-8") for path in sorted(PACKAGE.glob("*.py"))}
+    perfbench = [path.read_text(encoding="utf-8") for path in sorted((REPO / "perfbench").glob("*.py"))]
+    readme = (REPO / "README.md").read_text(encoding="utf-8")
+    assert unreferenced_definitions(modules, perfbench, readme) == sorted(UNREFERENCED_ALLOWED)
+
+
+def test_the_check_finds_unreferenced_definitions():
+    modules = {
+        "a": "def used(): pass\ndef only_self(): only_self()\nclass Dead: pass\nclass Documented: pass\n",
+        "b": "from .a import used\ndef _helper(): pass\ndef looked_up(): pass\nused(_helper)\n",
+    }
+    others = ["getattr(b, 'looked_up')\n"]
+    assert unreferenced_definitions(modules, others, "Call `Documented` for it.") == ["a.only_self", "a.Dead"]

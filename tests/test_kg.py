@@ -337,6 +337,15 @@ READER_ERRORS = [
     ("note_kind null", {**NOTE, "note_kind": None}, "None is not a valid NoteKind"),
     ("demographics a list", {"kind": "patient", "key": "p2", "demographics": [1]},
      "demographics must be an object, got [1]"),
+    ("demographics zero", {"kind": "patient", "key": "p2", "demographics": 0}, "demographics must be an object, got 0"),
+    ("demographics empty string", {"kind": "patient", "key": "p2", "demographics": ""},
+     'demographics must be an object, got ""'),
+    ("demographics empty list", {"kind": "patient", "key": "p2", "demographics": []},
+     "demographics must be an object, got []"),
+    ("demographics false", {"kind": "patient", "key": "p2", "demographics": False},
+     "demographics must be an object, got false"),
+    ("demographics null", {"kind": "patient", "key": "p2", "demographics": None},
+     "demographics must be an object, got null"),
     ("age_years a bool", {"kind": "patient", "key": "p2", "demographics": {"age_years": True}},
      "age_years must be an integer, got true"),
     ("term a number", {**ASSERTION, "term": 5}, "term must be a string, got 5"),
