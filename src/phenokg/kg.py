@@ -3,9 +3,23 @@
 Nodes are frozen, slotted dataclasses. A graph is persisted as typed JSON Lines (one record per
 node/edge with a ``kind`` field), each line exactly as ``json.dumps(record, sort_keys=True)`` writes
 it. Referential integrity (notes and assertions resolve to patients, assertion terms resolve in the
-ontology) is enforced at mutation time and re-verified at load. Loading builds every record through
-the same validating constructors as ingest; each distinct code set and term id is validated once and
-then shared by every record that repeats it. Single writer, concurrent readers.
+ontology) is enforced at mutation time and re-verified at load. Single writer, concurrent readers.
+
+Loading builds every record through the same validating constructors as ingest. While
+``ingest_patients`` (and so ``load_graph``) reads one file, it keeps two tables, so that equal
+identifiers in that file share one object:
+
+- a value table for the identifier fields: the patient ``key`` and demographic ``race``, ``state``
+  and ``zip``, the note ``note_id`` and ``patient``, and the assertion ``patient``, ``source_note``
+  and ``extractor_version``; a note's ``patient`` is then its patient's ``key``, and an assertion's
+  ``source_note`` its note's ``note_id``;
+- a term table, in which each distinct term id is validated once into one ``TermId``.
+
+Free text (a note's ``text``, an assertion's ``reasoning``) and numbers are not shared. The tables
+live for one load: two loads share no identifier object, and ``record_to_node`` shares nothing. Code
+sets go through a small bounded cache (``_normalized_code_set``), so a code set that repeats is normally
+normalized once and shared. ``sys.intern`` is not used, because interned strings are immortal on
+CPython 3.12: they would never be freed.
 """
 
 from __future__ import annotations
@@ -15,7 +29,7 @@ import functools
 import json
 import math
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -43,8 +57,6 @@ def _normalize_codes(codes: Iterable[str]) -> frozenset[str]:
 # One shared, normalized set per distinct raw set; an invalid code is not cached, so it raises every time.
 # Kept small: an entry holds its raw set alive, and on diverse code sets a large cache slowed loading.
 _normalized_code_set = functools.lru_cache(maxsize=64)(_normalize_codes)
-# One shared, validated id per distinct raw string.
-_term_id = functools.lru_cache(maxsize=256)(TermId)
 
 
 @dataclass(frozen=True, slots=True)
@@ -178,28 +190,31 @@ class Graph:
         return (
             self._patients == other._patients
             and self._notes == other._notes
-            and set(self._assertions) == set(other._assertions)
+            and self._assertions.keys() == other._assertions.keys()
         )
 
 
 def build_graph(records: Iterable[PatientNode | NoteNode | PhenotypeAssertion], ontology: Ontology | None = None) -> Graph:
     """Assemble a graph from a stream of typed records.
 
-    Patients may arrive in any order relative to their notes/assertions:
-    patients are ingested first, then notes, then assertions, each pass
-    validating referential integrity.
+    Records may arrive in any order: one pass sorts them by kind, then the
+    patients are added, then the notes, then the assertions, each in stream
+    order and each validating referential integrity.
     """
     graph = Graph()
-    buffered = list(records)
-    for record in buffered:
-        if isinstance(record, PatientNode):
-            graph.add_patient(record)
-    for record in buffered:
-        if isinstance(record, NoteNode):
-            graph.add_note(record)
-    for record in buffered:
-        if isinstance(record, PhenotypeAssertion):
-            upsert_assertion(graph, record, ontology)
+    patients, notes, assertions = [], [], []
+    append = {PatientNode: patients.append, NoteNode: notes.append, PhenotypeAssertion: assertions.append}
+    for record in records:
+        try:
+            append[type(record)](record)
+        except KeyError:
+            raise TypeError(f"not a graph record: {record!r:.80}") from None
+    for node in patients:
+        graph.add_patient(node)
+    for note in notes:
+        graph.add_note(note)
+    for assertion in assertions:
+        upsert_assertion(graph, assertion, ontology)
     return graph
 
 
@@ -349,57 +364,105 @@ def _assertion_line(a: PhenotypeAssertion, s) -> str:
     )
 
 
+_SURROGATE_PAIR = re.compile(r"[\ud800-\udbff][\udc00-\udfff]")
+
+
+def _holds_surrogate_pair(value) -> bool:
+    """Whether a string in ``value`` (a node, its demographics, a code set) holds a high surrogate directly
+    followed by a low one: both are written as ``\\u`` escapes, which JSON reads back as one character."""
+    if isinstance(value, str):
+        return _SURROGATE_PAIR.search(value) is not None
+    if is_dataclass(value):
+        return any(_holds_surrogate_pair(getattr(value, f.name)) for f in fields(value))
+    return isinstance(value, (frozenset, tuple, list)) and any(map(_holds_surrogate_pair, value))
+
+
 def _lines(*writers: tuple) -> Iterator[str]:
-    """The lines of each ``(line writer, nodes)`` pair in turn."""
+    """The lines of each ``(line writer, nodes)`` pair in turn; a node that would not load back is a DomainError.
+
+    Only a line holding a ``\\ud`` escape can hold a surrogate pair, so only such a line is checked (the
+    one-character search for a backslash runs first: it is several times faster than the search for ``\\ud``).
+    """
     for line, nodes in writers:
         for node in nodes:
             try:
-                yield line(node, encode_basestring_ascii)
+                text = line(node, encode_basestring_ascii)
             except TypeError:  # a string field holds another type
-                yield line(node, _value)
+                text = line(node, _value)
+            if "\\" in text and "\\ud" in text and _holds_surrogate_pair(node):
+                raise DomainError(
+                    f"cannot save {node!r:.120}: a string holds a high surrogate directly followed by a low one, "
+                    "which would load back as one character"
+                )
+            yield text
 
 
 # One reader per kind. Each field is ``v if <v has the right type> else expect_type(v, ...)``: the check
 # runs inline, and expect_type/expect_number are called only to raise, on the first bad field in order.
-def _read_patient(record: dict) -> PatientNode:
+# ``share`` is the bound ``setdefault`` of one load's value table, so an identifier field is ``share(v, v)``,
+# one C call; ``term_id`` is the bound ``__getitem__`` of its term table (``_TermIds``), or ``TermId``.
+def _read_patient(record: dict, share, term_id) -> PatientNode:
     demo = v if isinstance(v := record.get("demographics", {}), dict) else expect_type(v, dict, "demographics")
-    key = v if isinstance(v := record["key"], str) else expect_type(v, str, "key")
+    key = share(v, v) if isinstance(v := record["key"], str) else expect_type(v, str, "key")
     age = v if (v := demo.get("age_years")) is None or type(v) is int else expect_number(v, "age_years", integer=True)
-    race = v if (v := demo.get("race")) is None or isinstance(v, str) else expect_type(v, str, "race")
-    state = v if (v := demo.get("state")) is None or isinstance(v, str) else expect_type(v, str, "state")
-    zip_ = v if (v := demo.get("zip")) is None or isinstance(v, str) else expect_type(v, str, "zip")
+    race = v if (v := demo.get("race")) is None else share(v, v) if isinstance(v, str) else expect_type(v, str, "race")
+    state = v if (v := demo.get("state")) is None else share(v, v) if isinstance(v, str) else expect_type(v, str, "state")
+    zip_ = v if (v := demo.get("zip")) is None else share(v, v) if isinstance(v, str) else expect_type(v, str, "zip")
     icd10 = v if isinstance(v := record.get("icd10", []), list) else expect_type(v, list, "icd10")
     cpt = v if isinstance(v := record.get("cpt", []), list) else expect_type(v, list, "cpt")
     rxnorm = v if isinstance(v := record.get("rxnorm", []), list) else expect_type(v, list, "rxnorm")
     return PatientNode(key, Demographics(age, race, state, zip_), icd10, cpt, rxnorm)
 
 
-def _read_note(record: dict) -> NoteNode:
-    note_id = v if isinstance(v := record["note_id"], str) else expect_type(v, str, "note_id")
-    patient = v if isinstance(v := record["patient"], str) else expect_type(v, str, "patient")
+def _read_note(record: dict, share, term_id) -> NoteNode:
+    note_id = share(v, v) if isinstance(v := record["note_id"], str) else expect_type(v, str, "note_id")
+    patient = share(v, v) if isinstance(v := record["patient"], str) else expect_type(v, str, "patient")
     text = v if isinstance(v := record["text"], str) else expect_type(v, str, "text")
     kind = _NOTE_KINDS.get(v) if isinstance(v := record.get("note_kind", "clinical_note"), str) else None
     return NoteNode(note_id, patient, text, NoteKind(v) if kind is None else kind)
 
 
-def _read_assertion(record: dict) -> PhenotypeAssertion:
-    patient = v if isinstance(v := record["patient"], str) else expect_type(v, str, "patient")
-    term = _term_id(v if isinstance(v := record["term"], str) else expect_type(v, str, "term"))
+def _read_assertion(record: dict, share, term_id) -> PhenotypeAssertion:
+    patient = share(v, v) if isinstance(v := record["patient"], str) else expect_type(v, str, "patient")
+    term = term_id(v if isinstance(v := record["term"], str) else expect_type(v, str, "term"))
     confidence = v if type(v := record["confidence"]) is float else expect_number(v, "confidence")
     reasoning = v if isinstance(v := record.get("reasoning", ""), str) else expect_type(v, str, "reasoning")
-    source = v if (v := record.get("source_note")) is None or isinstance(v, str) else expect_type(v, str, "source_note")
-    version = v if isinstance(v := record.get("extractor_version", ""), str) else expect_type(v, str, "extractor_version")
+    v = record.get("source_note")
+    source = v if v is None else share(v, v) if isinstance(v, str) else expect_type(v, str, "source_note")
+    v = record.get("extractor_version", "")
+    version = share(v, v) if isinstance(v, str) else expect_type(v, str, "extractor_version")
     return PhenotypeAssertion(patient, term, confidence, reasoning, source, version)
 
 
 _READERS = {"patient": _read_patient, "note": _read_note, "assertion": _read_assertion}
 
 
+class _TermIds(dict):
+    """One load's term table: raw id -> its ``TermId``, validated on the first lookup of each raw id;
+    raw ids that canonicalize alike (``hp:`` and ``HP:``) share one ``TermId``."""
+
+    __slots__ = ()
+
+    def __missing__(self, raw: str) -> TermId:
+        term = TermId(raw)
+        term = self[raw] = self.setdefault(term, term)
+        return term
+
+
+def _node_reader(share, term_id):
+    """``record_to_node`` over one load's tables: ``share``, a value table's bound ``setdefault``, and ``term_id``."""
+
+    def read(record: dict) -> PatientNode | NoteNode | PhenotypeAssertion:
+        if isinstance(kind := record.get("kind"), str) and (reader := _READERS.get(kind)):
+            return reader(record, share, term_id)
+        raise GraphIntegrityError(f"unknown record kind {kind!r}")
+
+    return read
+
+
 def record_to_node(record: dict) -> PatientNode | NoteNode | PhenotypeAssertion:
-    """Parse one typed JSONL record into its node/edge object."""
-    if isinstance(kind := record.get("kind"), str) and (reader := _READERS.get(kind)):
-        return reader(record)
-    raise GraphIntegrityError(f"unknown record kind {kind!r}")
+    """Parse one typed JSONL record into its node/edge object; it shares no object with other records."""
+    return _node_reader({}.setdefault, TermId)(record)
 
 
 def save_graph(graph: Graph, path: str | Path) -> None:
@@ -415,5 +478,9 @@ def load_graph(path: str | Path, ontology: Ontology | None = None) -> Graph:
 
 
 def ingest_patients(path: str | Path) -> list[PatientNode | NoteNode | PhenotypeAssertion]:
-    """Read typed JSONL records (patients, notes, assertions); a bad line is a GraphIntegrityError naming it."""
-    return [node for _, node in iter_jsonl(path, GraphIntegrityError, record_to_node)]
+    """Read typed JSONL records (patients, notes, assertions); a bad line is a GraphIntegrityError naming it.
+
+    Equal identifiers and term ids in the file share one object (see the module docstring).
+    """
+    read = _node_reader({}.setdefault, _TermIds().__getitem__)
+    return [node for _, node in iter_jsonl(path, GraphIntegrityError, read)]
