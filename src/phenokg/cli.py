@@ -1,11 +1,11 @@
 """Command-line surface: reproducible runs with a manifest per output directory.
 
 Every command that writes artifacts takes ``--out DIR`` and drops a
-``manifest.json`` (config snapshot, input hashes, versions) next to its
-outputs, so a run can be reproduced from the manifest plus the referenced
-files. A ``--config`` YAML file supplies defaults; explicit flags override
-it. Failures print a machine-readable JSON error to stderr and exit
-nonzero.
+``manifest.json`` (every value the run used, input hashes, versions) next
+to its outputs, so a run can be reproduced from the manifest plus the
+referenced files. A ``--config`` YAML file sets the command's defaults;
+explicit flags override it. Failures print a machine-readable JSON error
+to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ from .corpus import (
 from .cohortstats import compare_to_ontology, derive_groups, heatmap_csv, load_groups, phenotype_frequency
 from .discovery import load_rubric, run_funnel
 from .errors import ConfigError, DomainError, PhenoKGError, ScoringError
-from .evaluation import MatchPolicy, render_report, score_hpo, score_multilabel, score_ner
+from .evaluation import render_report, score_hpo, score_multilabel, score_ner
 from .extraction import (
     AuditLog,
     FewShotPolicy,
@@ -62,17 +62,12 @@ def _sha256(path: Path) -> str:
 
 
 def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> None:
-    """Write ``manifest.json``: the config, and the SHA-256 of every path argument that is set."""
-    inputs = {name: getattr(args, name) for name in _PATH_ARGS if getattr(args, name, None)}
-    config_snapshot = {
-        k: v for k, v in sorted(vars(args).items()) if k not in ("handler",) and not k.startswith("_")
-    }
+    """Write ``manifest.json``: every value the run used, and the SHA-256 of every input file it was given."""
+    config = {k: v for k, v in sorted(vars(args).items()) if k != "handler" and not k.startswith("_")}
     manifest = {
         "command": command,
-        "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in config_snapshot.items()},
-        "inputs": {
-            name: {"path": str(p), "sha256": _sha256(Path(p))} for name, p in sorted(inputs.items())
-        },
+        "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()},
+        "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in config.items() if isinstance(p, Path)},
         "versions": {"phenokg": __version__, "python": platform.python_version()},
     }
     write_atomic(out_dir / "manifest.json", [json.dumps(manifest, indent=2, sort_keys=True) + "\n"])
@@ -85,48 +80,21 @@ def _out_dir(args) -> Path:
 
 
 def _require(args, names: list[str]) -> None:
-    problems = [f"--{name.replace('_', '-')} is required" for name in names if getattr(args, name) is None]
-    missing = [
-        f"path does not exist: {getattr(args, name)}"
-        for name in names
-        if getattr(args, name) is not None and name in _PATH_ARGS and not Path(getattr(args, name)).exists()
-    ]
-    problems.extend(missing)
+    """Refuse the run if a named flag is unset, or names an input file (a ``Path``) that does not exist."""
+    values = [(name, getattr(args, name)) for name in names]
+    problems = [f"--{name.replace('_', '-')} is required" for name, value in values if value is None]
+    problems += [f"path does not exist: {v}" for _, v in values if isinstance(v, Path) and not v.exists()]
     if problems:
         raise ConfigError(problems)
 
 
-_PATH_ARGS = {
-    "ontology",
-    "corpus",
-    "pool",
-    "gold",
-    "pred",
-    "graph",
-    "records",
-    "annotations",
-    "groups",
-    "rubric",
-    "cassette",
-    "allowed_terms",
-    "disease_context",
-    "universe",
-    "requests",
-    "cohort_file",
-}
-
-
-def _or(value, default):
-    return default if value is None else value
-
-
 def _backend_config(args) -> BackendConfig:
     config = BackendConfig(
-        kind=args.backend_kind or "replay",
-        model_name=args.model or "",
-        endpoint_url=args.endpoint or "",
-        cassette_path=args.cassette or "",
-        max_in_flight=args.max_in_flight or 4,
+        kind=args.backend_kind,
+        model_name=args.model,
+        endpoint_url=args.endpoint,
+        cassette_path=args.cassette,
+        max_in_flight=args.max_in_flight,
     )
     problems = validate_config(config)
     if problems:
@@ -134,8 +102,8 @@ def _backend_config(args) -> BackendConfig:
     return config
 
 
-def _read_lines(path: str) -> list[str]:
-    return [ln.strip() for ln in Path(path).read_text(encoding="utf-8").splitlines() if ln.strip()]
+def _read_lines(path: Path) -> list[str]:
+    return [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
 
 
 # -- command handlers ---------------------------------------------------------
@@ -160,10 +128,6 @@ def cmd_ontology_stats(args) -> None:
 
 def cmd_corpus_synth(args) -> None:
     _require(args, ["out"])
-    args.kind = _or(args.kind, "hpo")
-    args.seed = _or(args.seed, 0)
-    args.n_docs = _or(args.n_docs, 10)
-    args.labels_per_doc = _or(args.labels_per_doc, 3)
     out = _out_dir(args)
     if args.kind in ("hpo", "span"):
         _require(args, ["ontology"])
@@ -184,7 +148,7 @@ def cmd_corpus_synth(args) -> None:
 _TASKS = {task.name: task for task in (NerTask, HpoTask, MultiLabelTask)}
 
 
-def _load_task_corpus(task_name: str, path: str, universe):
+def _load_task_corpus(task_name: str, path: Path, universe):
     if task_name == "ner":
         return load_span_corpus(path)
     if task_name == "hpo":
@@ -199,13 +163,13 @@ def _build_task(args, universe):
         _require(args, ["ontology"])
         ontology = load_ontology(args.ontology)
         allowed = frozenset(TermId(t) for t in _read_lines(args.allowed_terms)) if args.allowed_terms else None
-        context = Path(args.disease_context).read_text(encoding="utf-8") if args.disease_context else ""
+        context = args.disease_context.read_text(encoding="utf-8") if args.disease_context else ""
         return HpoTask(ontology, allowed_terms=allowed, disease_context=context)
     return MultiLabelTask(universe)
 
 
-def _build_policy(args, task, pool_corpus) -> FewShotPolicy:
-    mode = PolicyMode(args.policy or "zero-shot")
+def _build_policy(args, pool_corpus) -> FewShotPolicy:
+    mode = PolicyMode(args.policy)
     if mode is PolicyMode.ZERO_SHOT:
         return FewShotPolicy()
     if pool_corpus is None:
@@ -220,13 +184,11 @@ def _build_policy(args, task, pool_corpus) -> FewShotPolicy:
 
 def cmd_extract(args) -> None:
     _require(args, ["task", "corpus", "out"])
-    args.k = _or(args.k, 5)
-    args.glean = _or(args.glean, 1)
     universe = frozenset(_read_lines(args.universe)) if args.universe else DEFAULT_LABEL_UNIVERSE
     documents = [doc for doc, _ in _load_task_corpus(args.task, args.corpus, universe)]
     task = _build_task(args, universe)
     pool_corpus = _load_task_corpus(args.task, args.pool, universe) if args.pool else None
-    policy = _build_policy(args, task, pool_corpus)
+    policy = _build_policy(args, pool_corpus)
     backend = make_backend(_backend_config(args))
     audit = AuditLog()
     results = extract_corpus(task, documents, backend, policy=policy, glean=GleanConfig(args.glean), audit=audit)
@@ -239,7 +201,7 @@ def cmd_extract(args) -> None:
     print(f"extracted {len(results)}/{len(documents)} documents -> {out / 'predictions.jsonl'}")
 
 
-def _load_predictions(task_name: str, path: str) -> dict:
+def _load_predictions(task_name: str, path: Path) -> dict:
     """``predictions.jsonl`` read back through the task's result type, by key."""
     from_record = _TASKS[task_name].result_type.from_record
     return {result.key: result for _, result in iter_jsonl(path, DomainError, from_record)}
@@ -247,22 +209,19 @@ def _load_predictions(task_name: str, path: str) -> dict:
 
 def cmd_eval(args) -> None:
     _require(args, ["task", "gold", "pred", "out"])
-    args.format = _or(args.format, "markdown")
     universe = frozenset(_read_lines(args.universe)) if args.universe else DEFAULT_LABEL_UNIVERSE
     gold_corpus = _load_task_corpus(args.task, args.gold, universe)
     predictions = _load_predictions(args.task, args.pred)
     if args.task == "ner":
         gold = {doc.doc_id: anns for doc, anns in gold_corpus}
-        policy = MatchPolicy(args.match_policy or "normalized-mention-set")
-        report = score_ner(gold, predictions, policy)
+        report = score_ner(gold, predictions)
     elif args.task == "hpo":
         gold = {doc.doc_id: set(label.terms) for doc, label in gold_corpus}
         report = score_hpo(gold, predictions)
     else:
         gold = {doc.doc_id: set(label.labels) for doc, label in gold_corpus}
         report = score_multilabel(gold, predictions, universe)
-    model = args.model_name or "model"
-    text = render_report({model: report}, fmt=args.format)
+    text = render_report({args.model_name: report}, fmt=args.format)
     out = _out_dir(args)
     suffix = "csv" if args.format == "csv" else "md"
     write_atomic(out / f"report.{suffix}", [text])
@@ -289,7 +248,7 @@ def cmd_kg_query(args) -> None:
     graph = load_graph(args.graph)
     result: dict = {}
     if args.icd:
-        cohort = sorted(cohort_by_icd(graph, args.icd, mode=_or(args.mode, "any")))
+        cohort = sorted(cohort_by_icd(graph, args.icd, mode=args.mode))
         result["cohort"] = cohort
         result["cohort_size"] = len(cohort)
     if args.keyword:
@@ -315,9 +274,7 @@ def cmd_cohort_freq(args) -> None:
     else:
         raise ConfigError(["provide --icd codes or --cohort-file"])
     terms = {a.phenotype for a in annotations}
-    frequencies = phenotype_frequency(
-        graph, cohort, terms, min_confidence=_or(args.min_confidence, 0.0), ontology=ontology
-    )
+    frequencies = phenotype_frequency(graph, cohort, terms, min_confidence=args.min_confidence, ontology=ontology)
     comparisons = compare_to_ontology(frequencies, annotations)
     if args.groups:
         grouping = load_groups(args.groups)
@@ -355,13 +312,13 @@ def cmd_discover(args) -> None:
     report = run_funnel(
         graph,
         rubric,
-        keywords=args.keyword or [],
-        generic_icd=args.icd or [],
-        threshold=_or(args.threshold, 7),
+        keywords=args.keyword,
+        generic_icd=args.icd,
+        threshold=args.threshold,
         allowed_terms=allowed,
         backend=backend,
         ontology=ontology,
-        glean=GleanConfig(_or(args.glean, 1)),
+        glean=GleanConfig(args.glean),
         min_assertions=args.min_assertions,
         audit=audit,
     )
@@ -389,7 +346,6 @@ def cmd_cassette_record(args) -> None:
         )
 
     requests_ = [request for _, request in iter_jsonl(args.requests, DomainError, convert)]
-    args.backend_kind, args.cassette = "http", None  # a recording is always sent to a live endpoint
     recorder = CassetteBackend(inner=make_backend(_backend_config(args)))
     for response in complete_batch(recorder, requests_) if requests_ else []:
         if isinstance(response, PhenoKGError):
@@ -401,141 +357,141 @@ def cmd_cassette_record(args) -> None:
 # -- parser -------------------------------------------------------------------
 
 
+def _command(group, name: str, handler, help_text: str) -> argparse.ArgumentParser:
+    """Add subcommand ``name``; its namespace carries the handler and the parser, whose defaults ``--config`` sets."""
+    parser = group.add_parser(name, help=help_text)
+    parser.set_defaults(handler=handler, _parser=parser)
+    return parser
+
+
 def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--backend-kind", choices=["http", "replay"], default=None, help="chat backend kind")
-    parser.add_argument("--endpoint", default=None, help="chat completions endpoint URL (http backend)")
-    parser.add_argument("--model", default=None, help="model name sent to the backend")
-    parser.add_argument("--cassette", default=None, help="cassette path (replay backend)")
-    parser.add_argument("--max-in-flight", type=int, default=None, help="max concurrent requests")
+    parser.add_argument("--backend-kind", choices=["http", "replay"], default="replay", help="chat backend kind")
+    parser.add_argument("--endpoint", default="", help="chat completions endpoint URL (http backend)")
+    parser.add_argument("--model", default="", help="model name sent to the backend")
+    parser.add_argument("--cassette", type=Path, default=None, help="cassette path (replay backend)")
+    parser.add_argument("--max-in-flight", type=int, default=4, help="max concurrent requests")
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``phenokg`` parser. Each flag's default is declared here, and each input-file flag has ``type=Path``."""
     parser = argparse.ArgumentParser(prog="phenokg", description=__doc__)
-    parser.add_argument("--config", default=None, help="YAML config file supplying flag defaults")
+    parser.add_argument("--config", default=None, help="YAML config file supplying the command's defaults")
     sub = parser.add_subparsers(dest="command")
 
     p_ont = sub.add_parser("ontology", help="ontology utilities").add_subparsers(dest="subcommand")
-    p_stats = p_ont.add_parser("stats", help="print term/synonym counts")
-    p_stats.add_argument("--ontology", default=None, help="OBO-subset file")
+    p_stats = _command(p_ont, "stats", cmd_ontology_stats, "print term/synonym counts")
+    p_stats.add_argument("--ontology", type=Path, default=None, help="OBO-subset file")
     p_stats.add_argument("--out", default=None, help="optional output directory")
-    p_stats.set_defaults(handler=cmd_ontology_stats)
 
     p_corpus = sub.add_parser("corpus", help="corpus utilities").add_subparsers(dest="subcommand")
-    p_synth = p_corpus.add_parser("synth", help="generate a deterministic gold corpus")
-    p_synth.add_argument("--kind", choices=["hpo", "span", "multilabel"], default=None)
-    p_synth.add_argument("--ontology", default=None)
-    p_synth.add_argument("--seed", type=int, default=None)
-    p_synth.add_argument("--n-docs", type=int, default=None)
-    p_synth.add_argument("--labels-per-doc", type=int, default=None)
-    p_synth.add_argument("--universe", default=None, help="label universe file (multilabel)")
+    p_synth = _command(p_corpus, "synth", cmd_corpus_synth, "generate a deterministic gold corpus")
+    p_synth.add_argument("--kind", choices=["hpo", "span", "multilabel"], default="hpo")
+    p_synth.add_argument("--ontology", type=Path, default=None)
+    p_synth.add_argument("--seed", type=int, default=0)
+    p_synth.add_argument("--n-docs", type=int, default=10)
+    p_synth.add_argument("--labels-per-doc", type=int, default=3)
+    p_synth.add_argument("--universe", type=Path, default=None, help="label universe file (multilabel)")
     p_synth.add_argument("--out", default=None)
-    p_synth.set_defaults(handler=cmd_corpus_synth)
 
-    p_extract = sub.add_parser("extract", help="run extraction over a corpus")
+    p_extract = _command(sub, "extract", cmd_extract, "run extraction over a corpus")
     p_extract.add_argument("--task", choices=list(_TASKS), default=None)
-    p_extract.add_argument("--corpus", default=None, help="input corpus (task-specific format)")
-    p_extract.add_argument("--pool", default=None, help="few-shot example pool (same format)")
-    p_extract.add_argument("--policy", choices=[m.value for m in PolicyMode], default=None)
-    p_extract.add_argument("--k", type=int, default=None, help="few-shot example count (default 5)")
-    p_extract.add_argument("--glean", type=int, default=None, help="gleaning iterations (default 1)")
-    p_extract.add_argument("--ontology", default=None)
-    p_extract.add_argument("--allowed-terms", default=None, help="file with one allowed term id per line")
-    p_extract.add_argument("--disease-context", default=None, help="file with disease context text")
-    p_extract.add_argument("--universe", default=None, help="label universe file (multilabel)")
+    p_extract.add_argument("--corpus", type=Path, default=None, help="input corpus (task-specific format)")
+    p_extract.add_argument("--pool", type=Path, default=None, help="few-shot example pool (same format)")
+    p_extract.add_argument("--policy", choices=[m.value for m in PolicyMode], default=PolicyMode.ZERO_SHOT.value)
+    p_extract.add_argument("--k", type=int, default=5, help="few-shot example count (default %(default)s)")
+    p_extract.add_argument("--glean", type=int, default=1, help="gleaning iterations (default %(default)s)")
+    p_extract.add_argument("--ontology", type=Path, default=None)
+    p_extract.add_argument("--allowed-terms", type=Path, default=None, help="file with one allowed term id per line")
+    p_extract.add_argument("--disease-context", type=Path, default=None, help="file with disease context text")
+    p_extract.add_argument("--universe", type=Path, default=None, help="label universe file (multilabel)")
     p_extract.add_argument("--out", default=None)
     _add_backend_flags(p_extract)
-    p_extract.set_defaults(handler=cmd_extract)
 
-    p_eval = sub.add_parser("eval", help="score predictions against gold")
+    p_eval = _command(sub, "eval", cmd_eval, "score predictions against gold")
     p_eval.add_argument("--task", choices=list(_TASKS), default=None)
-    p_eval.add_argument("--gold", default=None)
-    p_eval.add_argument("--pred", default=None, help="predictions.jsonl from extract")
-    p_eval.add_argument("--match-policy", choices=[m.value for m in MatchPolicy], default=None)
-    p_eval.add_argument("--universe", default=None)
-    p_eval.add_argument("--model-name", default=None, help="model column value in the report")
-    p_eval.add_argument("--format", choices=["markdown", "csv"], default=None)
+    p_eval.add_argument("--gold", type=Path, default=None)
+    p_eval.add_argument("--pred", type=Path, default=None, help="predictions.jsonl from extract")
+    p_eval.add_argument("--universe", type=Path, default=None)
+    p_eval.add_argument("--model-name", default="model", help="model column value in the report")
+    p_eval.add_argument("--format", choices=["markdown", "csv"], default="markdown")
     p_eval.add_argument("--out", default=None)
-    p_eval.set_defaults(handler=cmd_eval)
 
     p_kg = sub.add_parser("kg", help="knowledge-graph commands").add_subparsers(dest="subcommand")
-    p_build = p_kg.add_parser("build", help="build a graph from ingest records")
-    p_build.add_argument("--records", default=None, help="JSONL of patient/note/assertion records")
-    p_build.add_argument("--ontology", default=None)
+    p_build = _command(p_kg, "build", cmd_kg_build, "build a graph from ingest records")
+    p_build.add_argument("--records", type=Path, default=None, help="JSONL of patient/note/assertion records")
+    p_build.add_argument("--ontology", type=Path, default=None)
     p_build.add_argument("--out", default=None)
-    p_build.set_defaults(handler=cmd_kg_build)
-    p_query = p_kg.add_parser("query", help="cohort and keyword queries")
-    p_query.add_argument("--graph", default=None)
+    p_query = _command(p_kg, "query", cmd_kg_query, "cohort and keyword queries")
+    p_query.add_argument("--graph", type=Path, default=None)
     p_query.add_argument("--icd", nargs="*", default=None)
-    p_query.add_argument("--mode", choices=["any", "all"], default=None)
+    p_query.add_argument("--mode", choices=["any", "all"], default="any")
     p_query.add_argument("--keyword", default=None)
     p_query.add_argument("--out", default=None)
-    p_query.set_defaults(handler=cmd_kg_query)
 
-    p_freq = sub.add_parser("cohort-freq", help="observed vs expected phenotype frequencies")
-    p_freq.add_argument("--graph", default=None)
-    p_freq.add_argument("--ontology", default=None)
-    p_freq.add_argument("--annotations", default=None, help="disease annotations TSV")
+    p_freq = _command(sub, "cohort-freq", cmd_cohort_freq, "observed vs expected phenotype frequencies")
+    p_freq.add_argument("--graph", type=Path, default=None)
+    p_freq.add_argument("--ontology", type=Path, default=None)
+    p_freq.add_argument("--annotations", type=Path, default=None, help="disease annotations TSV")
     p_freq.add_argument("--icd", nargs="*", default=None, help="cohort = any-mode match on these codes")
-    p_freq.add_argument("--cohort-file", default=None, help="file with one patient key per line")
-    p_freq.add_argument("--groups", default=None, help="grouping TSV (term_id TAB group)")
-    p_freq.add_argument("--min-confidence", type=float, default=None)
+    p_freq.add_argument("--cohort-file", type=Path, default=None, help="file with one patient key per line")
+    p_freq.add_argument("--groups", type=Path, default=None, help="grouping TSV (term_id TAB group)")
+    p_freq.add_argument("--min-confidence", type=float, default=0.0)
     p_freq.add_argument("--out", default=None)
-    p_freq.set_defaults(handler=cmd_cohort_freq)
 
-    p_disc = sub.add_parser("discover", help="run the discovery funnel")
-    p_disc.add_argument("--graph", default=None)
-    p_disc.add_argument("--ontology", default=None)
-    p_disc.add_argument("--rubric", default=None, help="scoring rubric JSON")
-    p_disc.add_argument("--keyword", nargs="*", default=None)
-    p_disc.add_argument("--icd", nargs="*", default=None)
-    p_disc.add_argument("--threshold", type=int, default=None)
-    p_disc.add_argument("--allowed-terms", default=None)
-    p_disc.add_argument("--glean", type=int, default=None)
+    p_disc = _command(sub, "discover", cmd_discover, "run the discovery funnel")
+    p_disc.add_argument("--graph", type=Path, default=None)
+    p_disc.add_argument("--ontology", type=Path, default=None)
+    p_disc.add_argument("--rubric", type=Path, default=None, help="scoring rubric JSON")
+    p_disc.add_argument("--keyword", nargs="*", default=[])
+    p_disc.add_argument("--icd", nargs="*", default=[])
+    p_disc.add_argument("--threshold", type=int, default=7)
+    p_disc.add_argument("--allowed-terms", type=Path, default=None)
+    p_disc.add_argument("--glean", type=int, default=1)
     p_disc.add_argument("--min-assertions", type=int, default=None)
     p_disc.add_argument("--out", default=None)
     _add_backend_flags(p_disc)
-    p_disc.set_defaults(handler=cmd_discover)
 
     p_cass = sub.add_parser("cassette", help="cassette utilities").add_subparsers(dest="subcommand")
-    p_rec = p_cass.add_parser("record", help="record live responses into a cassette")
-    p_rec.add_argument("--requests", default=None, help="JSONL of {system, user, ...} requests")
-    p_rec.add_argument("--endpoint", default=None)
-    p_rec.add_argument("--model", default=None)
-    p_rec.add_argument("--max-in-flight", type=int, default=None)
+    p_rec = _command(p_cass, "record", cmd_cassette_record, "record live responses into a cassette")
+    p_rec.add_argument("--requests", type=Path, default=None, help="JSONL of {system, user, ...} requests")
+    p_rec.add_argument("--endpoint", default="")
+    p_rec.add_argument("--model", default="")
+    p_rec.add_argument("--max-in-flight", type=int, default=4)
     p_rec.add_argument("--out", default=None, help="cassette output path")
-    p_rec.set_defaults(handler=cmd_cassette_record)
+    p_rec.set_defaults(backend_kind="http", cassette=None)  # a recording is always sent to a live endpoint
 
     return parser
 
 
-def _apply_config_defaults(parser: argparse.ArgumentParser, argv: list[str]) -> argparse.Namespace:
-    pre = argparse.ArgumentParser(add_help=False)
-    pre.add_argument("--config", default=None)
-    known, _ = pre.parse_known_args(argv)
-    args = parser.parse_args(argv)
-    if known.config:
-        loaded = yaml.safe_load(Path(known.config).read_text(encoding="utf-8")) or {}
-        if not isinstance(loaded, dict):
-            raise ConfigError([f"config file {known.config} must contain a mapping"])
-        unknown = [k for k in loaded if not hasattr(args, k.replace("-", "_"))]
-        if unknown:
-            raise ConfigError([f"config key not recognized for this command: {k}" for k in unknown])
-        for key, value in loaded.items():
-            attr = key.replace("-", "_")
-            if getattr(args, attr, None) is None:
-                setattr(args, attr, value)
-    return args
+def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
+    """The ``--config`` YAML mapping, keyed by flag dest; every key must name one of ``command``'s flags."""
+    try:
+        loaded = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
+    except yaml.YAMLError as exc:
+        raise ConfigError([f"config file {path} is not valid YAML: {exc}"]) from None
+    if not isinstance(loaded, dict):
+        raise ConfigError([f"config file {path} must contain a mapping"])
+    defaults = {str(key).replace("-", "_"): value for key, value in loaded.items()}
+    # argparse lists a parser's flags only in ``_actions``; the help flag (default SUPPRESS) takes no value
+    flags = {a.dest for a in command._actions if a.option_strings and a.default is not argparse.SUPPRESS}
+    unknown = [key for key in loaded if str(key).replace("-", "_") not in flags]
+    if unknown:
+        raise ConfigError([f"config key not recognized for this command: {key}" for key in unknown])
+    return defaults
 
 
 def main(argv: list[str] | None = None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
     parser = build_parser()
     try:
-        args = _apply_config_defaults(parser, argv)
+        args = parser.parse_args(argv)
         handler = getattr(args, "handler", None)
         if handler is None:
             parser.print_help()
             return 2
+        if args.config:
+            # the file's values become the command's defaults, so explicit flags win and strings go through `type`
+            args._parser.set_defaults(**_config_defaults(args.config, args._parser))
+            args = parser.parse_args(argv)
         handler(args)
         return 0
     except PhenoKGError as exc:

@@ -32,7 +32,7 @@ from .extraction import (
     parse_model_output,
     substitute,
 )
-from .jsonl import write_atomic
+from .jsonl import expect_number, expect_type, write_atomic
 from .kg import Graph, PatientRecord, cohort_by_icd, keyword_search, patient_record
 from .llm import ChatRequest, _run_bounded
 from .ontology import Ontology, TermId
@@ -75,13 +75,23 @@ class ScoringRubric:
 
 
 def load_rubric(path: str | Path) -> ScoringRubric:
-    data = json.loads(Path(path).read_text(encoding="utf-8"))
-    return ScoringRubric(
-        disease_name=data["disease_name"],
-        disease_context=data["disease_context"],
-        criteria=tuple(RubricCriterion(c["description"], float(c["weight"])) for c in data["criteria"]),
-        scale_note=data.get("scale_note", ""),
-    )
+    """Read a rubric file; invalid JSON, a missing key or a bad field is a DomainError naming the file."""
+    try:
+        data = expect_type(json.loads(Path(path).read_text(encoding="utf-8")), dict, "rubric")
+        criteria = [expect_type(c, dict, "criterion") for c in expect_type(data["criteria"], list, "criteria")]
+        return ScoringRubric(
+            disease_name=expect_type(data["disease_name"], str, "disease_name"),
+            disease_context=expect_type(data["disease_context"], str, "disease_context"),
+            criteria=tuple(
+                RubricCriterion(expect_type(c["description"], str, "description"), expect_number(c["weight"], "weight"))
+                for c in criteria
+            ),
+            scale_note=expect_type(data.get("scale_note", ""), str, "scale_note"),
+        )
+    except KeyError as exc:
+        raise DomainError(f"{path}: missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise DomainError(f"{path}: {exc}") from None
 
 
 def save_rubric(rubric: ScoringRubric, path: str | Path) -> None:

@@ -9,7 +9,6 @@ predictions are both empty.
 from __future__ import annotations
 
 import csv
-import enum
 import io
 import json
 from dataclasses import dataclass
@@ -19,12 +18,6 @@ from .corpus import EntityType, SpanAnnotation
 from .errors import DomainError
 from .extraction import HpoExtraction, MultiLabelResult, NerResult, normalize_surface
 from .ontology import TermId
-
-
-class MatchPolicy(enum.Enum):
-    NORMALIZED_MENTION_SET = "normalized-mention-set"
-    EXACT_SPAN = "exact-span"
-    CONCEPT_ID = "concept-id"
 
 
 @dataclass
@@ -105,48 +98,31 @@ def _require_same_docs(gold: Mapping, pred: Mapping) -> None:
         raise DomainError("; ".join(parts))
 
 
-def _gold_mention_set(annotations: Iterable[SpanAnnotation]) -> set[tuple[str, EntityType]]:
-    return {(normalize_surface(a.surface), a.entity_type) for a in annotations}
+def _mention_set(entry: NerResult | Iterable[SpanAnnotation]) -> set[tuple[str, EntityType]]:
+    if isinstance(entry, NerResult):
+        return set(entry.mentions)
+    return {(normalize_surface(a.surface), a.entity_type) for a in entry}
 
 
 def score_ner(
     gold: Mapping[str, Iterable[SpanAnnotation]],
     pred: Mapping[str, NerResult] | Mapping[str, Iterable[SpanAnnotation]],
-    policy: MatchPolicy = MatchPolicy.NORMALIZED_MENTION_SET,
 ) -> MetricReport:
-    """Per-entity-type micro-averaged P/R/F1 over per-document sets.
+    """Per-entity-type micro-averaged P/R/F1 over per-document (case-folded surface, type) mention sets.
 
-    NORMALIZED_MENTION_SET compares (case-folded surface, type) sets and is
-    the default because chat-model output carries no character offsets.
-    EXACT_SPAN compares (start, end, type) and requires span-bearing
-    predictions; CONCEPT_ID compares annotated concept ids per type
-    (annotations without a concept id are ignored under that policy).
+    Mentions, not spans, because chat-model output carries no character offsets.
     """
     _require_same_docs(gold, pred)
     counts: dict[str, ConfusionCounts] = {}
     for doc_id in sorted(gold):
-        gold_items = _policy_items(gold[doc_id], policy, doc_id, side="gold")
-        pred_items = _policy_items(pred[doc_id], policy, doc_id, side="pred")
+        gold_items = _mention_set(gold[doc_id])
+        pred_items = _mention_set(pred[doc_id])
         for ent_type in EntityType:
             g = {item for item in gold_items if item[-1] == ent_type}
             p = {item for item in pred_items if item[-1] == ent_type}
             if g or p or ent_type.value in counts:
                 counts.setdefault(ent_type.value, ConfusionCounts()).add(g, p)
     return MetricReport(per_key={k: KeyMetrics.from_counts(c) for k, c in sorted(counts.items())})
-
-
-def _policy_items(entry, policy: MatchPolicy, doc_id: str, side: str) -> set[tuple]:
-    if policy is MatchPolicy.NORMALIZED_MENTION_SET:
-        if isinstance(entry, NerResult):
-            return set(entry.mentions)
-        return _gold_mention_set(entry)
-    if isinstance(entry, NerResult):
-        raise DomainError(
-            f"{policy.value} requires offset-bearing {side} for doc {doc_id}; got mention-set predictions"
-        )
-    if policy is MatchPolicy.EXACT_SPAN:
-        return {(a.start, a.end, a.entity_type) for a in entry}
-    return {(a.concept_id, a.entity_type) for a in entry if a.concept_id}
 
 
 def score_hpo(

@@ -1,3 +1,4 @@
+import argparse
 import contextlib
 import hashlib
 import itertools
@@ -8,8 +9,8 @@ from pathlib import Path
 
 import pytest
 
-from phenokg import fixtures
-from phenokg.cli import main
+from phenokg import cli, fixtures
+from phenokg.cli import build_parser, main
 from phenokg.corpus import (
     DEFAULT_LABEL_UNIVERSE,
     load_multilabel_gold,
@@ -316,25 +317,122 @@ def test_config_unknown_key_rejected(tmp_path, ontology_file, capsys):
     assert "not_a_real_option" in err["problems"][0]
 
 
-@pytest.mark.parametrize(
-    "command",
-    [
-        ["ontology", "stats"],
-        ["corpus", "synth"],
-        ["extract"],
-        ["eval"],
-        ["kg", "build"],
-        ["kg", "query"],
-        ["cohort-freq"],
-        ["discover"],
-        ["cassette", "record"],
-    ],
-)
+HELP_COMMANDS = [
+    ["ontology", "stats"],
+    ["corpus", "synth"],
+    ["extract"],
+    ["eval"],
+    ["kg", "build"],
+    ["kg", "query"],
+    ["cohort-freq"],
+    ["discover"],
+    ["cassette", "record"],
+]
+
+
+@pytest.mark.parametrize("command", HELP_COMMANDS)
 def test_help_for_every_command(command, capsys):
     with pytest.raises(SystemExit) as exc:
         run_cli(command + ["--help"])
     assert exc.value.code == 0
     assert "--" in capsys.readouterr().out
+
+
+def _leaf_commands(parser, prefix=()):
+    """The word sequence of every runnable subcommand under ``parser``."""
+    groups = [action for action in parser._actions if isinstance(action, argparse._SubParsersAction)]
+    if not groups:
+        return [list(prefix)]
+    return [leaf for name, child in groups[0].choices.items() for leaf in _leaf_commands(child, (*prefix, name))]
+
+
+def test_the_help_test_covers_every_subcommand():
+    assert sorted(_leaf_commands(build_parser())) == sorted(HELP_COMMANDS)
+
+
+def test_malformed_config_yaml_is_a_config_error(tmp_path, ontology_file, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text("ontology: [unclosed\n")
+    assert run_cli(["--config", config, "ontology", "stats", "--ontology", ontology_file]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["problems"][0].startswith(f"config file {config} is not valid YAML: ")
+
+
+@pytest.fixture()
+def ner_corpus(tmp_path):
+    """A one-document NER corpus and an empty cassette: a run over them extracts nothing, so exits 1."""
+    corpus = tmp_path / "corpus.pubtator"
+    corpus.write_text("d1|t|valproate\n")
+    cassette = tmp_path / "empty.jsonl"
+    CassetteBackend().save(cassette)
+    return corpus, cassette
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_max_in_flight_zero_is_refused(tmp_path, ner_corpus, capsys, source):
+    corpus, cassette = ner_corpus
+    config = tmp_path / "run.yaml"
+    config.write_text("max_in_flight: 0\n")
+    flags = ["--max-in-flight", "0"] if source == "flag" else []
+    prefix = ["--config", config] if source == "config" else []
+    code = run_cli([*prefix, "extract", "--task", "ner", "--corpus", corpus, "--cassette", cassette, *flags,
+                    "--out", tmp_path / "extract"])
+    assert code == 1
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ConfigError"
+    assert err["problems"] == ["max_in_flight must be >= 1, got 0"]
+
+
+def _manifest_config(out):
+    return json.loads((out / "manifest.json").read_text())["config"]
+
+
+def test_manifests_record_the_defaults_a_run_used(tmp_path, ner_corpus, graph_file, ontology_file, capsys):
+    from phenokg.discovery import save_rubric
+
+    corpus, cassette = ner_corpus
+    out = tmp_path / "extract"
+    assert run_cli(["extract", "--task", "ner", "--corpus", corpus, "--cassette", cassette, "--out", out]) == 1
+    expected = {"backend_kind": "replay", "policy": "zero-shot", "max_in_flight": 4, "glean": 1, "k": 5}
+    assert {key: _manifest_config(out)[key] for key in expected} == expected
+
+    rubric = tmp_path / "rubric.json"
+    save_rubric(fixtures.bpan_rubric(), rubric)
+    out = tmp_path / "discover"
+    assert run_cli(["discover", "--graph", graph_file, "--ontology", ontology_file, "--rubric", rubric,
+                    "--keyword", "BPAN", "--cassette", cassette, "--out", out]) == 1
+    expected = {"backend_kind": "replay", "max_in_flight": 4, "threshold": 7, "glean": 1}
+    assert {key: _manifest_config(out)[key] for key in expected} == expected
+
+
+def test_a_config_string_goes_through_the_flag_type(tmp_path, ner_corpus, monkeypatch, capsys):
+    corpus, cassette = ner_corpus
+    config = tmp_path / "run.yaml"
+    config.write_text('k: "3"\n')
+    policies = []
+
+    def extract_nothing(task, documents, backend, policy, **_):
+        policies.append(policy)
+        return {}
+
+    monkeypatch.setattr(cli, "extract_corpus", extract_nothing)
+    code = run_cli(["--config", config, "extract", "--task", "ner", "--corpus", corpus, "--pool", corpus,
+                    "--policy", "static-fewshot", "--cassette", cassette, "--out", tmp_path / "extract"])
+    assert code == 1  # the stub extracts nothing
+    assert [(type(p.k), p.k) for p in policies] == [(int, 3)]
+    assert _manifest_config(tmp_path / "extract")["k"] == 3
+
+
+def test_discover_reports_a_rubric_of_the_wrong_shape(tmp_path, graph_file, ontology_file, capsys):
+    rubric = tmp_path / "rubric.json"
+    rubric.write_text(json.dumps({"disease_name": "d", "disease_context": "ctx", "criteria": 5}))
+    code = run_cli(["discover", "--graph", graph_file, "--ontology", ontology_file, "--rubric", rubric,
+                    "--keyword", "BPAN", "--out", tmp_path / "discover"])
+    assert code == 1
+    assert json.loads(capsys.readouterr().err) == {
+        "error": "DomainError", "message": f"{rubric}: criteria must be an array, got 5"
+    }
 
 
 def test_unknown_flag_is_usage_error(capsys):

@@ -74,6 +74,23 @@ def test_rubric_round_trip(tmp_path):
     assert load_rubric(path) == rubric
 
 
+BAD_RUBRICS = [
+    ([{"description": "c", "weight": 1}], "rubric must be an object, got [{"),
+    ({"disease_name": "d", "disease_context": "ctx", "criteria": 5}, "criteria must be an array, got 5"),
+    ({"disease_name": "d", "disease_context": "ctx", "criteria": [{"description": "c", "weight": "heavy"}]},
+     'weight must be a number, got "heavy"'),
+]
+
+
+@pytest.mark.parametrize("payload, problem", BAD_RUBRICS, ids=["array", "criteria", "weight"])
+def test_load_rubric_names_the_file_and_the_field_of_the_wrong_shape(tmp_path, payload, problem):
+    path = tmp_path / "rubric.json"
+    path.write_text(json.dumps(payload))
+    with pytest.raises(DomainError) as exc:
+        load_rubric(path)
+    assert str(exc.value).startswith(f"{path}: {problem}")
+
+
 def test_rubric_validation():
     with pytest.raises(DomainError):
         ScoringRubric("d", "ctx", criteria=())

@@ -6,7 +6,6 @@ from phenokg.corpus import DEFAULT_LABEL_UNIVERSE, EntityType, SpanAnnotation
 from phenokg.errors import DomainError
 from phenokg.evaluation import (
     ConfusionCounts,
-    MatchPolicy,
     MetricReport,
     render_report,
     score_hpo,
@@ -81,32 +80,6 @@ def test_score_ner_doc_mismatch_lists_ids():
     pred = {"d1": _mentions("d1", ["x"])}
     with pytest.raises(DomainError, match="d2"):
         score_ner(gold, pred)
-
-
-def test_exact_span_policy():
-    gold = {"d": [SpanAnnotation(0, 4, "pain", EntityType.DISEASE)]}
-    pred_hit = {"d": [SpanAnnotation(0, 4, "pain", EntityType.DISEASE)]}
-    pred_shift = {"d": [SpanAnnotation(1, 5, "ain ", EntityType.DISEASE)]}
-    assert score_ner(gold, pred_hit, MatchPolicy.EXACT_SPAN).per_key["Disease"].f1 == 1.0
-    assert score_ner(gold, pred_shift, MatchPolicy.EXACT_SPAN).per_key["Disease"].f1 == 0.0
-
-
-def test_exact_span_policy_rejects_mention_predictions():
-    gold = {"d": _ner_gold("d", ["pain"])}
-    pred = {"d": _mentions("d", ["pain"])}
-    with pytest.raises(DomainError, match="offset-bearing"):
-        score_ner(gold, pred, MatchPolicy.EXACT_SPAN)
-
-
-def test_concept_id_policy_ignores_unlinked():
-    gold = {"d": [SpanAnnotation(0, 4, "pain", EntityType.DISEASE, concept_id="MESH:D1")]}
-    pred = {
-        "d": [
-            SpanAnnotation(9, 13, "pain", EntityType.DISEASE, concept_id="MESH:D1"),
-            SpanAnnotation(20, 24, "ache", EntityType.DISEASE),  # unlinked: ignored
-        ]
-    }
-    assert score_ner(gold, pred, MatchPolicy.CONCEPT_ID).per_key["Disease"].f1 == 1.0
 
 
 def _hpo(doc_id, terms, confidence=0.9):
