@@ -3,9 +3,9 @@
 Every command that writes artifacts takes ``--out DIR`` and drops a
 ``manifest.json`` (every value the run used, input hashes, versions) next
 to its outputs, so a run can be reproduced from the manifest plus the
-referenced files. A ``--config`` YAML file sets the command's defaults;
-explicit flags override it. Failures print a machine-readable JSON error
-to stderr and exit nonzero.
+referenced files. A ``--config`` YAML file sets the command's defaults,
+each value parsed as its flag parses it; explicit flags override it.
+Failures print a machine-readable JSON error to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def cmd_corpus_synth(args) -> None:
         ontology = load_ontology(args.ontology)
         docs = synthesize_fixture(args.seed, ontology, args.n_docs, args.labels_per_doc)
         if args.kind == "hpo":
-            save_hpo_gold([(d.document, d.hpo_gold) for d in docs], out / "corpus.jsonl")
+            save_hpo_gold([(d.document, d.terms) for d in docs], out / "corpus.jsonl")
         else:
             save_span_corpus([(d.document, list(d.spans)) for d in docs], out / "corpus.pubtator")
     else:
@@ -168,13 +168,12 @@ def _build_task(args, universe):
     return MultiLabelTask(universe)
 
 
-def _build_policy(args, pool_corpus) -> FewShotPolicy:
+def _build_policy(args, pool) -> FewShotPolicy:
     mode = PolicyMode(args.policy)
     if mode is PolicyMode.ZERO_SHOT:
         return FewShotPolicy()
-    if pool_corpus is None:
+    if pool is None:
         raise ConfigError(["--pool is required for few-shot policies"])
-    pool = [(doc, gold) for doc, gold in pool_corpus]
     if mode is PolicyMode.STATIC_FEW_SHOT:
         return FewShotPolicy(mode=mode, k=args.k, example_pool=pool)
     embedder = HashedEmbedder()
@@ -187,8 +186,8 @@ def cmd_extract(args) -> None:
     universe = frozenset(_read_lines(args.universe)) if args.universe else DEFAULT_LABEL_UNIVERSE
     documents = [doc for doc, _ in _load_task_corpus(args.task, args.corpus, universe)]
     task = _build_task(args, universe)
-    pool_corpus = _load_task_corpus(args.task, args.pool, universe) if args.pool else None
-    policy = _build_policy(args, pool_corpus)
+    pool = _load_task_corpus(args.task, args.pool, universe) if args.pool else None
+    policy = _build_policy(args, pool)
     backend = make_backend(_backend_config(args))
     audit = AuditLog()
     results = extract_corpus(task, documents, backend, policy=policy, glean=GleanConfig(args.glean), audit=audit)
@@ -210,16 +209,13 @@ def _load_predictions(task_name: str, path: Path) -> dict:
 def cmd_eval(args) -> None:
     _require(args, ["task", "gold", "pred", "out"])
     universe = frozenset(_read_lines(args.universe)) if args.universe else DEFAULT_LABEL_UNIVERSE
-    gold_corpus = _load_task_corpus(args.task, args.gold, universe)
+    gold = {doc.doc_id: items for doc, items in _load_task_corpus(args.task, args.gold, universe)}
     predictions = _load_predictions(args.task, args.pred)
     if args.task == "ner":
-        gold = {doc.doc_id: anns for doc, anns in gold_corpus}
         report = score_ner(gold, predictions)
     elif args.task == "hpo":
-        gold = {doc.doc_id: set(label.terms) for doc, label in gold_corpus}
         report = score_hpo(gold, predictions)
     else:
-        gold = {doc.doc_id: set(label.labels) for doc, label in gold_corpus}
         report = score_multilabel(gold, predictions, universe)
     text = render_report({args.model_name: report}, fmt=args.format)
     out = _out_dir(args)
@@ -463,20 +459,42 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _config_value(flag: argparse.Action, value):
+    """``value`` as ``flag`` parses it from the command line: a list flag takes a YAML list, and each value
+    goes through ``str()``, then the flag's ``type``, then its ``choices``; a ValueError says what is wrong."""
+    takes_list = flag.nargs in ("*", "+")
+    if takes_list != isinstance(value, list):
+        raise ValueError("expected a YAML list" if takes_list else f"expected one value, got {value!r}")
+    typed = [flag.type(str(v)) if flag.type else str(v) for v in (value if takes_list else [value])]
+    wrong = [v for v in typed if flag.choices is not None and v not in flag.choices]
+    if wrong:
+        raise ValueError(f"invalid choice {wrong[0]!r} (choose from {', '.join(map(str, flag.choices))})")
+    return typed if takes_list else typed[0]
+
+
 def _config_defaults(path: str, command: argparse.ArgumentParser) -> dict:
-    """The ``--config`` YAML mapping, keyed by flag dest; every key must name one of ``command``'s flags."""
+    """The ``--config`` YAML mapping, keyed by flag dest and typed by each flag; every key must name one of
+    ``command``'s flags, and every problem is a ConfigError that names its key."""
     try:
         loaded = yaml.safe_load(Path(path).read_text(encoding="utf-8")) or {}
     except yaml.YAMLError as exc:
         raise ConfigError([f"config file {path} is not valid YAML: {exc}"]) from None
     if not isinstance(loaded, dict):
         raise ConfigError([f"config file {path} must contain a mapping"])
-    defaults = {str(key).replace("-", "_"): value for key, value in loaded.items()}
     # argparse lists a parser's flags only in ``_actions``; the help flag (default SUPPRESS) takes no value
-    flags = {a.dest for a in command._actions if a.option_strings and a.default is not argparse.SUPPRESS}
-    unknown = [key for key in loaded if str(key).replace("-", "_") not in flags]
-    if unknown:
-        raise ConfigError([f"config key not recognized for this command: {key}" for key in unknown])
+    flags = {a.dest: a for a in command._actions if a.option_strings and a.default is not argparse.SUPPRESS}
+    defaults, problems = {}, []
+    for key, value in loaded.items():
+        dest = str(key).replace("-", "_")
+        if dest not in flags:
+            problems.append(f"config key not recognized for this command: {key}")
+            continue
+        try:
+            defaults[dest] = _config_value(flags[dest], value)
+        except ValueError as exc:
+            problems.append(f"config key {key}: {exc}")
+    if problems:
+        raise ConfigError(problems)
     return defaults
 
 
@@ -489,7 +507,7 @@ def main(argv: list[str] | None = None) -> int:
             parser.print_help()
             return 2
         if args.config:
-            # the file's values become the command's defaults, so explicit flags win and strings go through `type`
+            # the file's typed values become the command's defaults, so explicit flags win
             args._parser.set_defaults(**_config_defaults(args.config, args._parser))
             args = parser.parse_args(argv)
         handler(args)

@@ -2,9 +2,12 @@
 
 Three gold shapes are supported: span-annotated abstracts (PubTator-style
 text), ontology-labeled notes (JSON Lines ``{doc_id, text, hpo_ids}``), and
-multilabel note annotations (JSON Lines ``{doc_id, text, labels}``). All
-offsets are Unicode code-point offsets; loaders reject any record that
-contradicts its document rather than repairing it.
+multilabel note annotations (JSON Lines ``{doc_id, text, labels}``). A
+span document's gold is its list of ``SpanAnnotation``; an HPO or multilabel
+document's gold is a plain ``frozenset`` of its term ids or labels, paired
+with the ``Document`` that holds its id. All offsets are Unicode code-point
+offsets; loaders reject any record that contradicts its document rather than
+repairing it.
 """
 
 from __future__ import annotations
@@ -12,13 +15,21 @@ from __future__ import annotations
 import enum
 import json
 import random
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Container, Sequence
 
 from .errors import CorpusIntegrityError, DomainError
 from .jsonl import expect_type, iter_jsonl, write_atomic, write_jsonl
 from .ontology import Ontology, TermId, normalize_label
+
+_WS_RE = re.compile(r"\s+")
+
+
+def normalize_surface(text: str) -> str:
+    """Case-fold and collapse whitespace; canonical form for NER mentions."""
+    return _WS_RE.sub(" ", text).strip().casefold()
 
 
 class EntityType(enum.Enum):
@@ -57,17 +68,10 @@ class SpanAnnotation:
         if not (0 <= self.start < self.end):
             raise DomainError(f"invalid span offsets [{self.start}, {self.end})")
 
-
-@dataclass(frozen=True)
-class HpoGoldLabel:
-    doc_id: str
-    terms: frozenset[TermId]
-
-
-@dataclass(frozen=True)
-class MultiLabelGold:
-    doc_id: str
-    labels: frozenset[str]
+    @property
+    def mention(self) -> tuple[str, EntityType]:
+        """The (normalized surface, type) mention this span is prompted and scored as; chat output has no offsets."""
+        return normalize_surface(self.surface), self.entity_type
 
 
 # Neutral 15-name default: 13 phenotype categories plus None/Unsure.
@@ -183,58 +187,50 @@ def save_span_corpus(corpus: Sequence[tuple[Document, Sequence[SpanAnnotation]]]
     write_atomic(path, ["\n\n".join(blocks) + "\n"])
 
 
-def _load_labeled_docs(path: str | Path, labels_key: str, make_gold) -> list[tuple[Document, object]]:
-    """(Document, make_gold(doc_id, record[labels_key])) per line; a bad line or duplicate doc_id names its line."""
+def _load_labeled_docs(
+    path: str | Path, labels_key: str, make_item, known: Container | None, unknown_what: str
+) -> list[tuple[Document, frozenset]]:
+    """(Document, frozenset of ``make_item`` over record[labels_key]) per line.
+
+    A bad line, a duplicate doc_id, or an item not in ``known`` (when given) is refused, naming its line.
+    """
     seen: set[str] = set()
 
-    def convert(record: dict) -> tuple[Document, object]:
+    def convert(record: dict) -> tuple[Document, frozenset]:
         doc = Document(expect_type(record["doc_id"], str, "doc_id"), expect_type(record["text"], str, "text"))
         if doc.doc_id in seen:
             raise CorpusIntegrityError(f"duplicate doc_id {doc.doc_id}")
         seen.add(doc.doc_id)
-        return doc, make_gold(doc.doc_id, record[labels_key])
+        gold = frozenset(make_item(item) for item in record[labels_key])
+        unknown = sorted(item for item in gold if known is not None and item not in known)
+        if unknown:
+            raise CorpusIntegrityError(f"doc {doc.doc_id}: {unknown_what}: {', '.join(unknown)}")
+        return doc, gold
 
     return [pair for _, pair in iter_jsonl(path, CorpusIntegrityError, convert)]
 
 
-def load_hpo_gold(path: str | Path, ontology: Ontology | None = None) -> list[tuple[Document, HpoGoldLabel]]:
+def load_hpo_gold(path: str | Path, ontology: Ontology | None = None) -> list[tuple[Document, frozenset[TermId]]]:
     """Load ontology-labeled notes (JSON Lines of {doc_id, text, hpo_ids})."""
-
-    def make_gold(doc_id: str, hpo_ids) -> HpoGoldLabel:
-        terms = frozenset(TermId(t) for t in hpo_ids)
-        if ontology is not None:
-            unknown = sorted(t for t in terms if t not in ontology)
-            if unknown:
-                raise CorpusIntegrityError(f"doc {doc_id}: gold terms not in ontology: {', '.join(unknown)}")
-        return HpoGoldLabel(doc_id, terms)
-
-    return _load_labeled_docs(path, "hpo_ids", make_gold)
+    return _load_labeled_docs(path, "hpo_ids", TermId, ontology, "gold terms not in ontology")
 
 
-def save_hpo_gold(corpus: Sequence[tuple[Document, HpoGoldLabel]], path: str | Path) -> None:
-    lines = (json.dumps({"doc_id": doc.doc_id, "text": doc.text, "hpo_ids": sorted(g.terms)}) for doc, g in corpus)
+def save_hpo_gold(corpus: Sequence[tuple[Document, frozenset[TermId]]], path: str | Path) -> None:
+    lines = (json.dumps({"doc_id": doc.doc_id, "text": doc.text, "hpo_ids": sorted(terms)}) for doc, terms in corpus)
     write_jsonl(path, lines)
 
 
 def load_multilabel_gold(
     path: str | Path, universe: frozenset[str] | set[str] = DEFAULT_LABEL_UNIVERSE
-) -> list[tuple[Document, MultiLabelGold]]:
+) -> list[tuple[Document, frozenset[str]]]:
     """Load multilabel note annotations (JSON Lines of {doc_id, text, labels})."""
     if len(universe) != 15:
         raise DomainError(f"label universe must have exactly 15 names, got {len(universe)}")
-
-    def make_gold(doc_id: str, labels) -> MultiLabelGold:
-        labels = frozenset(labels)
-        stray = sorted(labels - set(universe))
-        if stray:
-            raise CorpusIntegrityError(f"doc {doc_id}: labels outside universe: {', '.join(stray)}")
-        return MultiLabelGold(doc_id, labels)
-
-    return _load_labeled_docs(path, "labels", make_gold)
+    return _load_labeled_docs(path, "labels", lambda label: label, universe, "labels outside universe")
 
 
-def save_multilabel_gold(corpus: Sequence[tuple[Document, MultiLabelGold]], path: str | Path) -> None:
-    lines = (json.dumps({"doc_id": doc.doc_id, "text": doc.text, "labels": sorted(g.labels)}) for doc, g in corpus)
+def save_multilabel_gold(corpus: Sequence[tuple[Document, frozenset[str]]], path: str | Path) -> None:
+    lines = (json.dumps({"doc_id": doc.doc_id, "text": doc.text, "labels": sorted(labels)}) for doc, labels in corpus)
     write_jsonl(path, lines)
 
 
@@ -267,10 +263,6 @@ class SyntheticDoc:
     document: Document
     terms: frozenset[TermId]
     spans: tuple[SpanAnnotation, ...]
-
-    @property
-    def hpo_gold(self) -> HpoGoldLabel:
-        return HpoGoldLabel(self.document.doc_id, self.terms)
 
 
 def synthesize_fixture(
@@ -383,7 +375,7 @@ def synthesize_multilabel_fixture(
     n_docs: int,
     labels_per_doc: int,
     universe: frozenset[str] | set[str] = DEFAULT_LABEL_UNIVERSE,
-) -> list[tuple[Document, MultiLabelGold]]:
+) -> list[tuple[Document, frozenset[str]]]:
     """Deterministic multilabel gold corpus; each doc embeds cue sentences for its labels."""
     if n_docs <= 0:
         raise DomainError("n_docs must be positive")
@@ -399,5 +391,5 @@ def synthesize_multilabel_fixture(
         for label in labels:
             sentences.append(f"Assessment indicates {label.replace('_', ' ').lower()}.")
         sentences.append(rng.choice(_FILLERS))
-        out.append((Document(doc_id, " ".join(sentences)), MultiLabelGold(doc_id, frozenset(labels))))
+        out.append((Document(doc_id, " ".join(sentences)), frozenset(labels)))
     return out

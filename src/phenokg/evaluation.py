@@ -1,6 +1,8 @@
 """Scoring of predictions against gold for all three task families.
 
-All scorers are set-based with micro-aggregation over documents.
+All scorers are set-based with micro-aggregation over documents: each
+document's gold and prediction become plain sets (``_items``), and one loop
+(``_count``) tallies TP/FP/FN per report key.
 Degenerate-count conventions: precision, recall and F1 are all 0 when
 there are no predictions against nonempty gold, and all 1 when gold and
 predictions are both empty.
@@ -11,12 +13,12 @@ from __future__ import annotations
 import csv
 import io
 import json
-from dataclasses import dataclass
-from typing import Iterable, Mapping
+from dataclasses import asdict, dataclass
+from typing import Callable, Iterable, Mapping
 
-from .corpus import EntityType, SpanAnnotation
+from .corpus import SpanAnnotation
 from .errors import DomainError
-from .extraction import HpoExtraction, MultiLabelResult, NerResult, normalize_surface
+from .extraction import HpoExtraction, MultiLabelResult, NerResult
 from .ontology import TermId
 
 
@@ -68,22 +70,9 @@ class MetricReport:
     per_key: dict[str, KeyMetrics]
     micro_accuracy: float | None = None
 
-    def as_dict(self) -> dict:
-        payload = {
-            key: {
-                "precision": m.precision,
-                "recall": m.recall,
-                "f1": m.f1,
-                "tp": m.tp,
-                "fp": m.fp,
-                "fn": m.fn,
-            }
-            for key, m in self.per_key.items()
-        }
-        return {"per_key": payload, "micro_accuracy": self.micro_accuracy}
-
     def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
+        """``{"per_key": {key: {precision, recall, f1, tp, fp, fn}}, "micro_accuracy"}``, keys sorted."""
+        return json.dumps(asdict(self), indent=2, sort_keys=True)
 
 
 def _require_same_docs(gold: Mapping, pred: Mapping) -> None:
@@ -98,10 +87,34 @@ def _require_same_docs(gold: Mapping, pred: Mapping) -> None:
         raise DomainError("; ".join(parts))
 
 
-def _mention_set(entry: NerResult | Iterable[SpanAnnotation]) -> set[tuple[str, EntityType]]:
+def _items(entry) -> set:
+    """A document's gold or prediction as the plain set it is scored on; a ``SpanAnnotation`` is its mention."""
+    if isinstance(entry, HpoExtraction):
+        return entry.term_set()
     if isinstance(entry, NerResult):
         return set(entry.mentions)
-    return {(normalize_surface(a.surface), a.entity_type) for a in entry}
+    if isinstance(entry, MultiLabelResult):
+        return set(entry.labels)
+    return {item.mention if isinstance(item, SpanAnnotation) else item for item in entry}
+
+
+def _count(gold: Mapping, pred: Mapping, key_of: Callable, universe: Iterable[str] | None = None) -> dict:
+    """TP/FP/FN per report key, summed over documents in id order; each item counts under ``key_of(item)``.
+
+    Without a ``universe`` a key is reported once an item has it. With one, every label in it is
+    reported, and an item outside it is a DomainError naming the document.
+    """
+    _require_same_docs(gold, pred)
+    counts = {key: ConfusionCounts() for key in universe or ()}
+    for doc_id in sorted(gold):
+        gold_items, pred_items = _items(gold[doc_id]), _items(pred[doc_id])
+        if universe is not None:
+            stray = sorted(item for item in gold_items | pred_items if item not in counts)
+            if stray:
+                raise DomainError(f"doc {doc_id}: labels outside universe: {', '.join(stray)}")
+        for item in gold_items | pred_items:
+            counts.setdefault(key_of(item), ConfusionCounts()).add({item} & gold_items, {item} & pred_items)
+    return counts
 
 
 def score_ner(
@@ -112,16 +125,7 @@ def score_ner(
 
     Mentions, not spans, because chat-model output carries no character offsets.
     """
-    _require_same_docs(gold, pred)
-    counts: dict[str, ConfusionCounts] = {}
-    for doc_id in sorted(gold):
-        gold_items = _mention_set(gold[doc_id])
-        pred_items = _mention_set(pred[doc_id])
-        for ent_type in EntityType:
-            g = {item for item in gold_items if item[-1] == ent_type}
-            p = {item for item in pred_items if item[-1] == ent_type}
-            if g or p or ent_type.value in counts:
-                counts.setdefault(ent_type.value, ConfusionCounts()).add(g, p)
+    counts = _count(gold, pred, key_of=lambda mention: mention[1].value)
     return MetricReport(per_key={k: KeyMetrics.from_counts(c) for k, c in sorted(counts.items())})
 
 
@@ -130,13 +134,8 @@ def score_hpo(
     pred: Mapping[str, HpoExtraction] | Mapping[str, Iterable[TermId]],
 ) -> MetricReport:
     """Exact term-id set comparison per document, micro-aggregated under key 'HPO'."""
-    _require_same_docs(gold, pred)
-    counts = ConfusionCounts()
-    for doc_id in sorted(gold):
-        predicted = pred[doc_id]
-        pred_terms = predicted.term_set() if isinstance(predicted, HpoExtraction) else set(predicted)
-        counts.add(set(gold[doc_id]), pred_terms)
-    return MetricReport(per_key={"HPO": KeyMetrics.from_counts(counts)})
+    counts = _count(gold, pred, key_of=lambda term: "HPO")
+    return MetricReport(per_key={"HPO": KeyMetrics.from_counts(counts.get("HPO", ConfusionCounts()))})
 
 
 def score_multilabel(
@@ -148,28 +147,11 @@ def score_multilabel(
 
     micro_accuracy = correct binary cells / (n_docs * |universe|), where
     cell (d, l) is correct iff l's membership matches between gold and
-    prediction.
+    prediction; every wrong cell is one FP or one FN of its label.
     """
-    _require_same_docs(gold, pred)
     labels = sorted(universe)
-    label_set = set(labels)
-    per_label = {label: ConfusionCounts() for label in labels}
-    correct_cells = 0
-    total_cells = 0
-    for doc_id in sorted(gold):
-        gold_labels = set(gold[doc_id])
-        predicted = pred[doc_id]
-        pred_labels = set(predicted.labels) if isinstance(predicted, MultiLabelResult) else set(predicted)
-        stray = sorted((gold_labels | pred_labels) - label_set)
-        if stray:
-            raise DomainError(f"doc {doc_id}: labels outside universe: {', '.join(stray)}")
-        for label in labels:
-            in_gold = label in gold_labels
-            in_pred = label in pred_labels
-            correct_cells += in_gold == in_pred
-            total_cells += 1
-            per_label[label].add({label} if in_gold else set(), {label} if in_pred else set())
-    per_key = {label: KeyMetrics.from_counts(c) for label, c in per_label.items()}
+    counts = _count(gold, pred, key_of=lambda label: label, universe=labels)
+    per_key = {label: KeyMetrics.from_counts(c) for label, c in counts.items()}
     n = len(labels)
     per_key["macro"] = KeyMetrics(
         precision=sum(m.precision for m in per_key.values()) / n,
@@ -179,7 +161,8 @@ def score_multilabel(
         fp=sum(m.fp for m in per_key.values()),
         fn=sum(m.fn for m in per_key.values()),
     )
-    accuracy = correct_cells / total_cells if total_cells else 1.0
+    cells = len(gold) * n
+    accuracy = (cells - per_key["macro"].fp - per_key["macro"].fn) / cells if cells else 1.0
     return MetricReport(per_key=per_key, micro_accuracy=accuracy)
 
 

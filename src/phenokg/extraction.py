@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .corpus import Document, EntityType
+from .corpus import Document, EntityType, normalize_surface
 from .errors import DomainError, OutputParseError, OutputSchemaError, PhenoKGError
 from .jsonl import expect_number, expect_type, write_jsonl
 from .llm import ChatRequest, complete_batch
@@ -35,13 +35,6 @@ from .retrieval import EmbeddingIndex, top_k
 logger = logging.getLogger(__name__)
 
 USER_SECTION_MARKER = "---USER---"
-
-_WS_RE = re.compile(r"\s+")
-
-
-def normalize_surface(text: str) -> str:
-    """Case-fold and collapse whitespace; canonical form for NER mentions."""
-    return _WS_RE.sub(" ", text).strip().casefold()
 
 
 class PolicyMode(enum.Enum):
@@ -54,8 +47,9 @@ class PolicyMode(enum.Enum):
 class FewShotPolicy:
     """How in-context examples are chosen for a prompt.
 
-    ``example_pool`` holds (Document, gold) pairs; gold is whatever the
-    task's example renderer expects. Dynamic mode additionally needs an
+    ``example_pool`` holds (Document, gold) pairs, gold as the corpus
+    loaders yield it: a span list for NER, a plain set of term ids or
+    labels for the other tasks. Dynamic mode additionally needs an
     embedding index over the pool's doc ids and the embedder that built it.
     """
 
@@ -167,9 +161,7 @@ class AuditLog:
             self.entries.append({"event": event, **fields})
         logger.info("audit: %s %s", event, fields)
 
-    def count(self, event: str | None = None) -> int:
-        if event is None:
-            return len(self.entries)
+    def count(self, event: str) -> int:
         return sum(1 for e in self.entries if e["event"] == event)
 
     def __len__(self) -> int:
@@ -212,11 +204,7 @@ class NerTask:
     """Chemical/disease mention extraction."""
 
     name = "ner"
-    template_name = "ner"
     result_type = NerResult
-
-    def key_for(self, document: Document) -> str:
-        return document.doc_id
 
     def render_input(self, document: Document) -> str:
         return f"DOC_ID: {document.doc_id}\n\nTEXT:\n{document.text}"
@@ -225,10 +213,7 @@ class NerTask:
         return {}
 
     def gold_to_json(self, key: str, gold) -> str:
-        if isinstance(gold, NerResult):
-            mentions = gold.mentions
-        else:  # iterable of SpanAnnotation
-            mentions = {(normalize_surface(a.surface), a.entity_type) for a in gold}
+        mentions = gold.mentions if isinstance(gold, NerResult) else {span.mention for span in gold}
         return json.dumps({key: _mention_rows(mentions)}, separators=(", ", ": "))
 
     def parse_output(self, raw: str, key: str) -> NerResult:
@@ -256,7 +241,6 @@ class HpoTask:
     """Ontology term extraction with optional allowed-term restriction."""
 
     name = "hpo"
-    template_name = "hpo"
     result_type = HpoExtraction
 
     def __init__(
@@ -285,9 +269,6 @@ class HpoTask:
             allowed = "\n".join(f"{term_id} \t {name}" for name, term_id in rows)
         self._context = {"allowed_terms": allowed, "disease_context": disease_context.strip()}
 
-    def key_for(self, document: Document) -> str:
-        return document.doc_id
-
     def render_input(self, document: Document) -> str:
         return f"PATIENT_KEY: {document.doc_id}\n\nDETAILS:\n{document.text}"
 
@@ -300,11 +281,10 @@ class HpoTask:
                 {"category": a.term, "confidence": a.confidence, "reasoning": a.reasoning}
                 for a in sorted(gold.assertions, key=lambda a: a.term)
             ]
-        else:  # HpoGoldLabel or an iterable of TermId
-            terms = gold.terms if hasattr(gold, "terms") else gold
+        else:  # a set of TermId
             rows = [
                 {"category": t, "confidence": 1.0, "reasoning": self.ontology.name_of(t)}
-                for t in sorted(terms)
+                for t in sorted(gold)
             ]
         return json.dumps({key: rows}, separators=(", ", ": "))
 
@@ -345,16 +325,12 @@ class MultiLabelTask:
     """Closed-universe multilabel classification."""
 
     name = "multilabel"
-    template_name = "multilabel"
     result_type = MultiLabelResult
 
     def __init__(self, universe: frozenset[str] | set[str]):
         if len(universe) != 15:
             raise DomainError(f"label universe must have exactly 15 names, got {len(universe)}")
         self.universe = frozenset(universe)
-
-    def key_for(self, document: Document) -> str:
-        return document.doc_id
 
     def render_input(self, document: Document) -> str:
         return f"DOC_ID: {document.doc_id}\n\nTEXT:\n{document.text}"
@@ -363,7 +339,7 @@ class MultiLabelTask:
         return {"allowed_terms": "\n".join(sorted(self.universe))}
 
     def gold_to_json(self, key: str, gold) -> str:
-        labels = sorted(gold.labels if hasattr(gold, "labels") else gold)
+        labels = sorted(gold.labels if isinstance(gold, MultiLabelResult) else gold)
         return json.dumps({key: labels}, separators=(", ", ": "))
 
     def parse_output(self, raw: str, key: str) -> MultiLabelResult:
@@ -603,12 +579,12 @@ def _render_examples(task, examples: list[tuple[Document, object]]) -> str:
         return ""
     blocks = ["EXAMPLES:"]
     for doc, gold in examples:
-        blocks.append(f"INPUT:\n{task.render_input(doc)}\nOUTPUT:\n{task.gold_to_json(task.key_for(doc), gold)}")
+        blocks.append(f"INPUT:\n{task.render_input(doc)}\nOUTPUT:\n{task.gold_to_json(doc.doc_id, gold)}")
     return "\n\n".join(blocks)
 
 
 def _render_prompt(task, document: Document, examples: str, previous, round_no: int) -> ChatRequest:
-    template = load_template(task.template_name)
+    template = load_template(task.name)
     placeholders = {
         "examples": examples,
         "document": task.render_input(document),
@@ -621,7 +597,7 @@ def _render_prompt(task, document: Document, examples: str, previous, round_no: 
     return ChatRequest(
         system=system,
         user=user,
-        request_tag=f"{task.name}:{task.key_for(document)}:r{round_no}",
+        request_tag=f"{task.name}:{document.doc_id}:r{round_no}",
     )
 
 
@@ -684,7 +660,7 @@ def extract_corpus(
     program bug (any exception but a PhenoKGError) does. Duplicate document
     keys are a DomainError, raised before any request is sent.
     """
-    duplicates = sorted(key for key, n in Counter(task.key_for(doc) for doc in documents).items() if n > 1)
+    duplicates = sorted(key for key, n in Counter(doc.doc_id for doc in documents).items() if n > 1)
     if duplicates:
         raise DomainError(f"duplicate document keys: {', '.join(duplicates)}")
     audit = audit if audit is not None else AuditLog()
@@ -696,13 +672,13 @@ def extract_corpus(
         if not active:
             break
         requests = [
-            _render_prompt(task, doc, examples, results.get(task.key_for(doc)), round_no)
+            _render_prompt(task, doc, examples, results.get(doc.doc_id), round_no)
             for doc, examples in active
         ]
         responses = complete_batch(backend, requests, max_in_flight=max_in_flight)
         still_active = []
         for (doc, examples), response in zip(active, responses):
-            key = task.key_for(doc)
+            key = doc.doc_id
             try:
                 if isinstance(response, PhenoKGError):
                     raise response

@@ -35,17 +35,12 @@ def _fnv1a64(token: str) -> int:
 
 
 class HashedEmbedder:
-    """Deterministic hashed bag-of-words embedder (pure integer hashing)."""
-
-    def __init__(self, dim: int = DEFAULT_DIM):
-        if dim <= 0:
-            raise DomainError("embedding dim must be positive")
-        self.dim = dim
+    """Deterministic hashed bag-of-words embedder (pure integer hashing) into ``DEFAULT_DIM`` dimensions."""
 
     def embed_one(self, text: str) -> list[float]:
-        counts = [0.0] * self.dim
+        counts = [0.0] * DEFAULT_DIM
         for token in _TOKEN_RE.findall(text.casefold()):
-            counts[_fnv1a64(token) % self.dim] += 1.0
+            counts[_fnv1a64(token) % DEFAULT_DIM] += 1.0
         norm = math.sqrt(sum(c * c for c in counts))
         if norm == 0.0:
             return counts  # no tokens: zero vector, cosine treats it as 0 similarity

@@ -377,7 +377,7 @@ def test_criterion_5_end_to_end_oracle_run(tmp_path, dravet_ontology):
         # --- multilabel ---
         ml_corpus = synthesize_multilabel_fixture(seed=56, n_docs=6, labels_per_doc=3)
         ml_docs = [doc for doc, _ in ml_corpus]
-        ml_gold = {doc.doc_id: set(gold.labels) for doc, gold in ml_corpus}
+        ml_gold = {doc.doc_id: set(gold) for doc, gold in ml_corpus}
         ml_task = MultiLabelTask(DEFAULT_LABEL_UNIVERSE)
 
         def ml_responder(request):

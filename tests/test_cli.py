@@ -123,8 +123,8 @@ def extract_setup(tmp_path, dravet_ontology, ontology_file):
     )
     pool_path = tmp_path / "pool.jsonl"
     corpus_path = tmp_path / "corpus.jsonl"
-    save_hpo_gold([(d.document, d.hpo_gold) for d in pool_docs], pool_path)
-    save_hpo_gold([(d.document, d.hpo_gold) for d in test_docs], corpus_path)
+    save_hpo_gold([(d.document, d.terms) for d in pool_docs], pool_path)
+    save_hpo_gold([(d.document, d.terms) for d in test_docs], corpus_path)
 
     # mirror the CLI's task/policy construction exactly, record the cassette
     task = HpoTask(dravet_ontology)
@@ -422,6 +422,55 @@ def test_a_config_string_goes_through_the_flag_type(tmp_path, ner_corpus, monkey
     assert code == 1  # the stub extracts nothing
     assert [(type(p.k), p.k) for p in policies] == [(int, 3)]
     assert _manifest_config(tmp_path / "extract")["k"] == 3
+
+
+@pytest.mark.parametrize(
+    "yaml_text, command, problem",
+    [
+        ("icd: G40.83\n", ["kg", "query"], "config key icd: expected a YAML list"),
+        ("icd: G40.83\n", ["discover"], "config key icd: expected a YAML list"),
+        (
+            "ontology: [a.obo, b.obo]\n",
+            ["ontology", "stats"],
+            "config key ontology: expected one value, got ['a.obo', 'b.obo']",
+        ),
+        (
+            "policy: bogus\n",
+            ["extract"],
+            "config key policy: invalid choice 'bogus' (choose from zero-shot, static-fewshot, dynamic-fewshot)",
+        ),
+        ("mode: bogus\n", ["kg", "query"], "config key mode: invalid choice 'bogus' (choose from any, all)"),
+        ("k: three\n", ["extract"], "config key k: invalid literal for int() with base 10: 'three'"),
+    ],
+    ids=["kg-query-icd", "discover-icd", "ontology-stats-ontology", "extract-policy", "kg-query-mode", "extract-k"],
+)
+def test_a_config_value_its_flag_would_refuse_is_a_config_error(tmp_path, capsys, yaml_text, command, problem):
+    config = tmp_path / "run.yaml"
+    config.write_text(yaml_text)
+    # refused while the config is read, before the command checks its own flags
+    assert run_cli(["--config", config, *command]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["problems"]) == ("ConfigError", [problem])
+
+
+def test_a_config_list_is_a_list_of_codes(tmp_path, graph_file, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text("icd: [G40.83, G40.833, G40.834]\n")
+    assert run_cli(["--config", config, "kg", "query", "--graph", graph_file]) == 0
+    assert json.loads(capsys.readouterr().out)["cohort_size"] == 38
+
+
+def test_a_config_number_goes_through_the_flag_type(tmp_path, ontology_file, monkeypatch, capsys):
+    config = tmp_path / "run.yaml"
+    config.write_text("ontology: 5\n")
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["--config", config, "ontology", "stats"]) == 1
+    err = json.loads(capsys.readouterr().err)
+    assert (err["error"], err["problems"]) == ("ConfigError", ["path does not exist: 5"])
+
+    (tmp_path / "5").write_text(ontology_file.read_text())
+    assert run_cli(["--config", config, "ontology", "stats"]) == 0
+    assert json.loads(capsys.readouterr().out)["term_count"] == 52
 
 
 def test_discover_reports_a_rubric_of_the_wrong_shape(tmp_path, graph_file, ontology_file, capsys):

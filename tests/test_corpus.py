@@ -114,9 +114,9 @@ def test_synthesize_fixture_errors(dravet_ontology):
 
 def test_hpo_gold_round_trip(tmp_path, dravet_ontology, synth_docs):
     path = tmp_path / "gold.jsonl"
-    save_hpo_gold([(d.document, d.hpo_gold) for d in synth_docs], path)
+    save_hpo_gold([(d.document, d.terms) for d in synth_docs], path)
     loaded = load_hpo_gold(path, dravet_ontology)
-    assert [(doc.doc_id, gold.terms) for doc, gold in loaded] == [
+    assert [(doc.doc_id, gold) for doc, gold in loaded] == [
         (d.document.doc_id, d.terms) for d in synth_docs
     ]
 

@@ -678,7 +678,7 @@ def test_audit_log_saves_json_lines(tmp_path):
     lines = [json.loads(l) for l in path.read_text().splitlines()]
     assert lines[0]["event"] == "dropped_unknown_term"
     assert lines[1]["patient"] == "q"
-    assert audit.count() == 2
+    assert len(audit) == 2
 
 
 def test_placeholder_tokens_in_document_text_survive(dravet_ontology):

@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 
 from phenokg.cli import _load_predictions, build_parser
-from phenokg.corpus import Document, HpoGoldLabel, load_hpo_gold, load_multilabel_gold, save_hpo_gold
+from phenokg.corpus import Document, load_hpo_gold, load_multilabel_gold, save_hpo_gold
 from phenokg.errors import CorpusIntegrityError, DomainError, GraphIntegrityError
 from phenokg.extraction import AuditLog
 from phenokg.jsonl import iter_jsonl, write_jsonl
@@ -124,7 +124,7 @@ def _interrupted(items):
 WRITERS = {
     "write_jsonl": lambda path, keys: write_jsonl(path, (json.dumps({"key": k}) for k in keys)),
     "save_hpo_gold": lambda path, keys: save_hpo_gold(
-        ((Document(k, "text"), HpoGoldLabel(k, frozenset())) for k in keys), path
+        ((Document(k, "text"), frozenset()) for k in keys), path
     ),
 }
 
