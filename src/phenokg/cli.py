@@ -47,7 +47,7 @@ from .extraction import (
 )
 from .fixtures import GROUP_SUBTREE_ROOTS
 from .jsonl import iter_jsonl, write_atomic, write_jsonl
-from .kg import cohort_by_icd, ingest_patients, build_graph, keyword_search, load_graph, save_graph
+from .kg import cohort_by_icd, keyword_search, load_graph, save_graph
 from .llm import BackendConfig, CassetteBackend, ChatRequest, complete_batch, make_backend, validate_config
 from .ontology import TermId, load_annotations, load_ontology
 from .retrieval import HashedEmbedder, build_index
@@ -229,7 +229,7 @@ def cmd_eval(args) -> None:
 def cmd_kg_build(args) -> None:
     _require(args, ["records", "out"])
     ontology = load_ontology(args.ontology) if args.ontology else None
-    graph = build_graph(ingest_patients(args.records), ontology)
+    graph = load_graph(args.records, ontology)
     out = _out_dir(args)
     save_graph(graph, out / "graph.jsonl")
     write_atomic(out / "counts.json", [json.dumps(graph.counts(), indent=2, sort_keys=True) + "\n"])

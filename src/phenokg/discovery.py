@@ -4,10 +4,11 @@ Stages: candidate assembly (keyword hits union generic-ICD hits), rubric
 0-9 likelihood scoring, threshold filtering, per-patient phenotype
 extraction, and deterministic finalist ranking. Each candidate is scored by
 one chain (patient record, prompt, request, parse, at most one retry) on the
-backend's bounded worker pool; the rubric part of the score prompt is
-rendered once per rubric. Per-patient failures are audited in key order and
-skipped; a sweep over tens of thousands of candidates must never abort on
-one bad response.
+backend's bounded worker pool, and only its score is kept: the record of
+each candidate that clears the threshold is rebuilt for extraction. The
+rubric part of the score prompt is rendered once per rubric. Per-patient
+failures are audited in key order and skipped; a sweep over tens of
+thousands of candidates must never abort on one bad response.
 """
 
 from __future__ import annotations
@@ -104,7 +105,7 @@ def save_rubric(rubric: ScoringRubric, path: str | Path) -> None:
     write_atomic(path, [json.dumps(payload, indent=2) + "\n"])
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LikelihoodScore:
     patient: str
     score: int
@@ -215,9 +216,10 @@ def run_funnel(
     threshold) -> extracted -> finalists. Finalists rank by (score desc,
     count of assertions with confidence >= ``HIGH_CONFIDENCE`` desc, patient
     key asc). A candidate whose score fails is audited as ``scoring_failed``
-    and skipped. ``min_assertions`` optionally demands that many
-    high-confidence assertions as a hard filter (off by default: phenotype
-    extraction is a ranking input, not a second gate).
+    and skipped. Only scores are kept; each survivor's record is rebuilt with
+    ``patient_record`` for extraction. ``min_assertions`` optionally demands
+    that many high-confidence assertions as a hard filter (off by default:
+    phenotype extraction is a ranking input, not a second gate).
     """
     if not 0 <= threshold <= 9:
         raise DomainError(f"threshold {threshold} outside [0, 9]")
@@ -230,24 +232,21 @@ def run_funnel(
     candidates = sorted(candidate_cohort(graph, keywords, generic_icd))
     stage_counts = [("candidates", len(candidates))]
 
-    def score(key: str) -> tuple[LikelihoodScore, PatientRecord | None]:
-        record = patient_record(graph, key)
-        result = _score_chain(record, rubric, backend)
-        return result, (record if result.score >= threshold else None)  # only survivors keep their record
+    def score(key: str) -> LikelihoodScore:
+        return _score_chain(patient_record(graph, key), rubric, backend)
 
-    scores, survivors = {}, {}
+    scores = {}
     for key, outcome in zip(candidates, _run_bounded(candidates, score, getattr(backend, "max_in_flight", 4))):
         if isinstance(outcome, PhenoKGError):
             audit.record("scoring_failed", patient=key, error=str(outcome))
-            continue
-        scores[key], record = outcome
-        if record is not None:
-            survivors[key] = record
+        else:
+            scores[key] = outcome
+    survivors = [key for key, result in scores.items() if result.score >= threshold]
     stage_counts.append(("scored", len(scores)))
     stage_counts.append(("filtered", len(survivors)))
 
     task = HpoTask(ontology, allowed_terms=allowed_terms, disease_context=rubric.disease_context)
-    documents = [Document(key, record.render()) for key, record in survivors.items()]
+    documents = [Document(key, patient_record(graph, key).render()) for key in survivors]
     extractions: dict[str, HpoExtraction] = (
         extract_corpus(task, documents, backend, glean=glean, audit=audit) if documents else {}
     )

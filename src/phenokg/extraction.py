@@ -129,7 +129,10 @@ class HpoExtraction:
     def from_record(cls, record: dict) -> HpoExtraction:
         rows = expect_type(record["assertions"], list, "assertions")
         assertions = (
-            HpoAssertion(TermId(a["term"]), expect_number(a["confidence"], "confidence"), a.get("reasoning", ""))
+            HpoAssertion(
+                TermId(a["term"]), expect_number(a["confidence"], "confidence"),
+                expect_type(a.get("reasoning", ""), str, "reasoning"),
+            )
             for a in rows
         )
         return cls(expect_type(record["key"], str, "key"), tuple(assertions))
@@ -145,7 +148,7 @@ class MultiLabelResult:
 
     @classmethod
     def from_record(cls, record: dict) -> MultiLabelResult:
-        labels = frozenset(expect_type(record["labels"], list, "labels"))
+        labels = frozenset(expect_type(label, str, "label") for label in expect_type(record["labels"], list, "labels"))
         return cls(expect_type(record["doc_id"], str, "doc_id"), labels)
 
 

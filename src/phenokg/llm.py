@@ -44,7 +44,7 @@ API_KEY_ENV_VAR = "PHENOKG_API_KEY"
 _RETRYABLE_STATUSES = frozenset({429}) | frozenset(range(500, 600))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChatRequest:
     system: str
     user: str
@@ -131,13 +131,13 @@ def validate_config(config: BackendConfig) -> list[str]:
     return problems
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Usage:
     prompt_tokens: int = 0
     completion_tokens: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ChatResponse:
     text: str
     usage: Usage

@@ -5,7 +5,8 @@ tokens, FNV-1a hashed into a fixed 256-dim count vector, L2-normalized)
 with one method, ``embed_one(text)``, which ``build_index`` calls per item
 and few-shot selection per query document. An index is rebuilt from its
 texts on every run and is never persisted. Search is exact and
-exhaustive; corpora here are at most a few thousand items.
+exhaustive; corpora here are at most a few thousand items. numpy is
+imported on first use, so only ``extract --policy dynamic-fewshot`` loads it.
 """
 
 from __future__ import annotations
@@ -13,8 +14,6 @@ from __future__ import annotations
 import math
 import re
 from typing import Sequence
-
-import numpy as np
 
 from .errors import DomainError
 
@@ -51,6 +50,7 @@ class EmbeddingIndex:
     """Immutable id -> vector store with uniform dimensionality."""
 
     def __init__(self, items: Sequence[tuple[str, Sequence[float]]]):
+        import numpy as np
         self._ids: list[str] = []
         self._rows: dict[str, int] = {}
         vectors = []
@@ -105,6 +105,7 @@ def top_k(
     ``exclude`` drops item ids before ranking (query self-exclusion) and
     ignores ids the index does not hold.
     """
+    import numpy as np
     if k < 1:
         raise DomainError(f"k must be >= 1, got {k}")
     if len(index) == 0:

@@ -755,6 +755,12 @@ BAD_PREDICTION_LINES = [
      'confidence must be a number, got "0.9"'),
     ("multilabel", MULTILABEL_GOLD, {"doc_id": "d1", "labels": []}, {"doc_id": "d2", "labels": "OBESITY"},
      'labels must be an array, got "OBESITY"'),
+    # gold holds both documents, so only the bad field can stop the run
+    ("multilabel", MULTILABEL_GOLD + MULTILABEL_GOLD.replace("d1", "d2"), {"doc_id": "d1", "labels": []},
+     {"doc_id": "d2", "labels": [5]}, "label must be a string, got 5"),
+    ("hpo", HPO_GOLD + HPO_GOLD.replace("d1", "d2"), {"key": "d1", "assertions": []},
+     {"key": "d2", "assertions": [{"term": "HP:0000001", "confidence": 0.9, "reasoning": 7}]},
+     "reasoning must be a string, got 7"),
 ]
 
 

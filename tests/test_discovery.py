@@ -5,6 +5,7 @@ import time
 import pytest
 from hypothesis import given, strategies as st
 
+from phenokg.corpus import Document
 from phenokg.discovery import (
     FunnelReport,
     LikelihoodScore,
@@ -18,7 +19,7 @@ from phenokg.discovery import (
     save_rubric,
 )
 from phenokg.errors import DomainError, OutputParseError
-from phenokg.extraction import AuditLog, GleanConfig, load_template, render_template
+from phenokg.extraction import AuditLog, GleanConfig, HpoTask, build_prompt, load_template, render_template
 from phenokg.fixtures import (
     BPAN_ALLOWED_TERMS,
     BPAN_GENERIC_ICD10,
@@ -484,6 +485,25 @@ def test_funnel_output_does_not_depend_on_completion_order(haystack, dravet_onto
     assert [e["patient"] for e in serial[1]] == sorted(key for key in rank if rank[key] % 7 == 3)
     assert serial[2] == 1
     assert 2 <= parallel[2] <= 4
+
+
+def test_each_survivor_is_extracted_from_its_rebuilt_patient_record(haystack, dravet_ontology):
+    graph, planted = haystack
+    inner = oracle_backend(planted, BPAN_ALLOWED_TERMS)._responder
+    sent = {}
+
+    def responder(request):
+        sent[request.request_tag] = request
+        return inner(request)
+
+    report = _funnel(graph, ScriptedBackend(responder=responder, max_in_flight=1), dravet_ontology)
+    task = HpoTask(dravet_ontology, allowed_terms=BPAN_ALLOWED_TERMS, disease_context=bpan_rubric().disease_context)
+    extracted = sorted(tag.split(":")[1] for tag in sent if tag.startswith("hpo:") and tag.endswith(":r0"))
+    assert extracted == sorted(planted)
+    assert dict(report.stage_counts)["filtered"] == len(planted)
+    for key in extracted:
+        expected = build_prompt(task, Document(key, patient_record(graph, key).render()))
+        assert sent[f"hpo:{key}:r0"] == expected
 
 
 def test_an_out_of_range_score_is_retried_once_for_that_candidate_only(haystack, dravet_ontology):

@@ -77,6 +77,19 @@ def test_records_may_come_before_their_patients():
     assert [note.note_id for note in graph.notes_for("p1")] == ["n1"]
 
 
+def test_notes_for_lists_notes_added_out_of_id_order_by_id_before_and_after_a_round_trip(tmp_path):
+    graph = Graph()
+    graph.add_patient(PatientNode("p1"))
+    graph.add_patient(PatientNode("p2"))
+    for note_id, patient in [("n3", "p1"), ("n1", "p2"), ("n4", "p1"), ("n2", "p1"), ("n0", "p1")]:
+        graph.add_note(NoteNode(note_id, patient, f"note {note_id}"))
+    save_graph(graph, tmp_path / "graph.jsonl")
+    for loaded in (graph, load_graph(tmp_path / "graph.jsonl")):
+        assert [note.note_id for note in loaded.notes_for("p1")] == ["n0", "n2", "n3", "n4"]
+        assert [note.text for note in loaded.notes_for("p2")] == ["note n1"]
+        assert loaded.notes_for("p3") == []
+
+
 @pytest.mark.parametrize(
     "records,message",
     [

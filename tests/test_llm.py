@@ -721,13 +721,31 @@ def test_redirect_fails_fast_and_is_not_followed(status, monkeypatch):
     assert seen_elsewhere == []
 
 
-def test_importing_the_cli_leaves_requests_unimported():
-    import phenokg
+LAZY_IMPORT_CHECK = """
+import importlib, json, sys
+importlib.import_module(sys.argv[1])
+before = sorted(m for m in sys.modules if m.split(".")[0] in ("requests", "numpy"))
+from phenokg.retrieval import HashedEmbedder, build_index, top_k
+embedder = HashedEmbedder()
+texts = json.loads(sys.argv[2])
+ranking = top_k(build_index(embedder, texts), embedder.embed_one(texts["q"]), k=3, exclude={"q"})
+print(json.dumps({"before": before, "numpy_after": "numpy" in sys.modules, "ranking": ranking}))
+"""
 
+
+@pytest.mark.parametrize("module", ["phenokg.cli", "phenokg.kg", "phenokg.discovery", "phenokg.llm"])
+def test_importing_a_command_module_leaves_requests_and_numpy_unimported(module):
+    """Neither ``requests`` nor numpy loads with the module; the first index built loads numpy and ranks as usual."""
+    import phenokg
+    from phenokg.retrieval import HashedEmbedder, build_index, top_k
+
+    texts = {"q": "febrile seizure", "a": "febrile seizure episode", "b": "status epilepticus", "c": "seizure"}
     src = str(Path(phenokg.__file__).resolve().parent.parent)
-    code = "import sys, phenokg.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'requests'))"
     env = {**os.environ, "PYTHONPATH": src}
     out = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+        [sys.executable, "-c", LAZY_IMPORT_CHECK, module, json.dumps(texts)],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
     )
-    assert out.stdout.strip() == "[]"
+    embedder = HashedEmbedder()
+    expected = top_k(build_index(embedder, texts), embedder.embed_one(texts["q"]), k=3, exclude={"q"})
+    assert json.loads(out.stdout) == {"before": [], "numpy_after": True, "ranking": [list(pair) for pair in expected]}
