@@ -46,10 +46,10 @@ from .extraction import (
     extract_corpus,
 )
 from .fixtures import GROUP_SUBTREE_ROOTS
-from .jsonl import iter_jsonl, write_atomic, write_jsonl
+from .jsonl import csv_table, expect_number, expect_type, iter_jsonl, write_atomic, write_jsonl
 from .kg import cohort_by_icd, keyword_search, load_graph, save_graph
 from .llm import BackendConfig, CassetteBackend, ChatRequest, complete_batch, make_backend, validate_config
-from .ontology import TermId, load_annotations, load_ontology
+from .ontology import TermId, load_annotations, load_ontology, read_tsv
 from .retrieval import HashedEmbedder, build_index
 
 
@@ -162,7 +162,7 @@ def _build_task(args, universe):
     if args.task == "hpo":
         _require(args, ["ontology"])
         ontology = load_ontology(args.ontology)
-        allowed = frozenset(TermId(t) for t in _read_lines(args.allowed_terms)) if args.allowed_terms else None
+        allowed = frozenset(read_tsv(args.allowed_terms, 1, TermId)) if args.allowed_terms else None
         context = args.disease_context.read_text(encoding="utf-8") if args.disease_context else ""
         return HpoTask(ontology, allowed_terms=allowed, disease_context=context)
     return MultiLabelTask(universe)
@@ -278,10 +278,8 @@ def cmd_cohort_freq(args) -> None:
         grouping = derive_groups(ontology, GROUP_SUBTREE_ROOTS)
     out = _out_dir(args)
     write_atomic(out / "heatmap.csv", [heatmap_csv(comparisons, grouping, ontology)])
-    freq_rows = ["term,name,count,fraction"]
-    for term, (count, fraction) in frequencies.items():
-        freq_rows.append(f"{term},{ontology.name_of(term)},{count},{fraction:.3f}")
-    write_atomic(out / "frequencies.csv", ["\n".join(freq_rows) + "\n"])
+    freq_rows = [(term, ontology.name_of(term), n, f"{fraction:.3f}") for term, (n, fraction) in frequencies.items()]
+    write_atomic(out / "frequencies.csv", [csv_table(("term", "name", "count", "fraction"), freq_rows)])
     payload = {
         "cohort_size": frequencies.cohort_size,
         "counts": {t: c for t, c in sorted(frequencies.counts.items())},
@@ -298,11 +296,7 @@ def cmd_discover(args) -> None:
     ontology = load_ontology(args.ontology)
     graph = load_graph(args.graph, ontology)
     rubric = load_rubric(args.rubric)
-    allowed = (
-        frozenset(TermId(t) for t in _read_lines(args.allowed_terms))
-        if args.allowed_terms
-        else frozenset(t.id for t in ontology)
-    )
+    allowed = frozenset(read_tsv(args.allowed_terms, 1, TermId) if args.allowed_terms else (t.id for t in ontology))
     backend = make_backend(_backend_config(args))
     audit = AuditLog()
     report = run_funnel(
@@ -334,11 +328,11 @@ def cmd_cassette_record(args) -> None:
 
     def convert(record: dict) -> ChatRequest:
         return ChatRequest(
-            system=record.get("system", ""),
-            user=record["user"],
-            temperature=record.get("temperature", 0.0),
-            max_tokens=record.get("max_tokens", 2048),
-            request_tag=record.get("request_tag", ""),
+            system=expect_type(record.get("system", ""), str, "system"),
+            user=expect_type(record["user"], str, "user"),
+            temperature=expect_number(record.get("temperature", 0.0), "temperature"),
+            max_tokens=expect_number(record.get("max_tokens", 2048), "max_tokens", integer=True),
+            request_tag=expect_type(record.get("request_tag", ""), str, "request_tag"),
         )
 
     requests_ = [request for _, request in iter_jsonl(args.requests, DomainError, convert)]

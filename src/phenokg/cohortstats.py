@@ -9,15 +9,14 @@ a fraction difference.
 
 from __future__ import annotations
 
-import csv
-import io
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Mapping
 
 from .errors import DomainError
+from .jsonl import csv_table
 from .kg import Graph
-from .ontology import DiseaseAnnotation, FrequencyCategory, Ontology, TermId, frequency_bin
+from .ontology import DiseaseAnnotation, FrequencyCategory, Ontology, TermId, frequency_bin, read_tsv
 
 
 @dataclass(frozen=True)
@@ -134,41 +133,26 @@ def heatmap_csv(
     comparisons = list(comparisons)
     if not comparisons:
         raise DomainError("heatmap_csv requires at least one comparison")
-    rows = []
-    for cmp_row in comparisons:
-        group = grouping.get(cmp_row.term, "ungrouped")
-        rows.append(
-            (
-                group,
-                cmp_row.term,
-                ontology.name_of(cmp_row.term),
-                f"{cmp_row.observed_fraction:.3f}",
-                cmp_row.observed_bin.label,
-                cmp_row.expected_bin.label,
-                str(cmp_row.bin_delta),
-            )
+    rows = [
+        (
+            cmp_row.term,
+            ontology.name_of(cmp_row.term),
+            grouping.get(cmp_row.term, "ungrouped"),
+            f"{cmp_row.observed_fraction:.3f}",
+            cmp_row.observed_bin.label,
+            cmp_row.expected_bin.label,
+            str(cmp_row.bin_delta),
         )
-    rows.sort(key=lambda r: (r[0], r[1]))
-    buf = io.StringIO()
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(["term", "name", "group", "observed_fraction", "observed_bin", "expected_bin", "bin_delta"])
-    for group, term, name, fraction, obs, exp, delta in rows:
-        writer.writerow([term, name, group, fraction, obs, exp, delta])
-    return buf.getvalue()
+        for cmp_row in comparisons
+    ]
+    rows.sort(key=lambda r: (r[2], r[0]))
+    header = ("term", "name", "group", "observed_fraction", "observed_bin", "expected_bin", "bin_delta")
+    return csv_table(header, rows)
 
 
 def load_groups(path: str | Path) -> dict[TermId, str]:
-    """Load an organ-system grouping file (TSV: term_id TAB group)."""
-    groups: dict[TermId, str] = {}
-    for line_no, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = line.split("\t")
-        if len(parts) != 2:
-            raise DomainError(f"grouping line {line_no}: expected 2 tab-separated columns")
-        groups[TermId(parts[0].strip())] = parts[1].strip()
-    return groups
+    """Load an organ-system grouping file (TSV: term_id TAB group); errors name the file and line."""
+    return dict(read_tsv(path, 2, lambda term, group: (TermId(term), group)))
 
 
 def derive_groups(ontology: Ontology, subtree_roots: Mapping[str, str]) -> dict[TermId, str]:

@@ -33,7 +33,7 @@ from .extraction import (
     parse_model_output,
     substitute,
 )
-from .jsonl import expect_number, expect_type, write_atomic
+from .jsonl import expect_number, expect_type, markdown_table
 from .kg import Graph, PatientRecord, cohort_by_icd, keyword_search, patient_record
 from .llm import ChatRequest, _run_bounded
 from .ontology import Ontology, TermId
@@ -93,16 +93,6 @@ def load_rubric(path: str | Path) -> ScoringRubric:
         raise DomainError(f"{path}: missing key {exc}") from None
     except (TypeError, ValueError) as exc:
         raise DomainError(f"{path}: {exc}") from None
-
-
-def save_rubric(rubric: ScoringRubric, path: str | Path) -> None:
-    payload = {
-        "disease_name": rubric.disease_name,
-        "disease_context": rubric.disease_context,
-        "criteria": [{"description": c.description, "weight": c.weight} for c in rubric.criteria],
-        "scale_note": rubric.scale_note,
-    }
-    write_atomic(path, [json.dumps(payload, indent=2) + "\n"])
 
 
 @dataclass(frozen=True, slots=True)
@@ -188,13 +178,16 @@ class FunnelReport:
         return json.dumps(self.as_dict(), indent=2)
 
     def to_markdown(self) -> str:
-        lines = ["# Discovery funnel", "", "| stage | count |", "| --- | --- |"]
-        lines += [f"| {stage} | {count} |" for stage, count in self.stage_counts]
-        lines += ["", "| patient | score | top assertions |", "| --- | --- | --- |"]
-        for f in self.finalists:
-            terms = ", ".join(f"{t} ({c:.2f})" for t, c in f.top_assertions) or "-"
-            lines.append(f"| {f.patient} | {f.score} | {terms} |")
-        return "\n".join(lines) + "\n"
+        finalists = [
+            (f.patient, f.score, ", ".join(f"{t} ({c:.2f})" for t, c in f.top_assertions) or "-")
+            for f in self.finalists
+        ]
+        return (
+            "# Discovery funnel\n\n"
+            + markdown_table(("stage", "count"), self.stage_counts)
+            + "\n"
+            + markdown_table(("patient", "score", "top assertions"), finalists)
+        )
 
 
 def run_funnel(

@@ -10,8 +10,6 @@ predictions are both empty.
 
 from __future__ import annotations
 
-import csv
-import io
 import json
 from dataclasses import asdict, dataclass
 from typing import Callable, Iterable, Mapping
@@ -19,36 +17,8 @@ from typing import Callable, Iterable, Mapping
 from .corpus import SpanAnnotation
 from .errors import DomainError
 from .extraction import HpoExtraction, MultiLabelResult, NerResult
+from .jsonl import csv_table, markdown_table
 from .ontology import TermId
-
-
-@dataclass
-class ConfusionCounts:
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
-
-    def add(self, gold: set, pred: set) -> None:
-        self.tp += len(gold & pred)
-        self.fp += len(pred - gold)
-        self.fn += len(gold - pred)
-
-    @property
-    def precision(self) -> float:
-        if self.tp + self.fp + self.fn == 0:
-            return 1.0
-        return self.tp / (self.tp + self.fp) if self.tp + self.fp else 0.0
-
-    @property
-    def recall(self) -> float:
-        if self.tp + self.fp + self.fn == 0:
-            return 1.0
-        return self.tp / (self.tp + self.fn) if self.tp + self.fn else 0.0
-
-    @property
-    def f1(self) -> float:
-        p, r = self.precision, self.recall
-        return 2 * p * r / (p + r) if p + r else 0.0
 
 
 @dataclass(frozen=True)
@@ -56,13 +26,19 @@ class KeyMetrics:
     precision: float
     recall: float
     f1: float
-    tp: int = 0
-    fp: int = 0
-    fn: int = 0
+    tp: int
+    fp: int
+    fn: int
 
     @classmethod
-    def from_counts(cls, counts: ConfusionCounts) -> "KeyMetrics":
-        return cls(counts.precision, counts.recall, counts.f1, counts.tp, counts.fp, counts.fn)
+    def from_counts(cls, tp: int, fp: int, fn: int) -> KeyMetrics:
+        """P/R/F1 of the counts: all 1 when every count is 0, else a ratio with a zero denominator is 0."""
+        if tp + fp + fn == 0:
+            return cls(1.0, 1.0, 1.0, 0, 0, 0)
+        precision = tp / (tp + fp) if tp + fp else 0.0
+        recall = tp / (tp + fn) if tp + fn else 0.0
+        f1 = 2 * precision * recall / (precision + recall) if precision + recall else 0.0
+        return cls(precision, recall, f1, tp, fp, fn)
 
 
 @dataclass(frozen=True)
@@ -99,21 +75,22 @@ def _items(entry) -> set:
 
 
 def _count(gold: Mapping, pred: Mapping, key_of: Callable, universe: Iterable[str] | None = None) -> dict:
-    """TP/FP/FN per report key, summed over documents in id order; each item counts under ``key_of(item)``.
+    """``[tp, fp, fn]`` per report key, summed over documents in id order; each item counts under ``key_of(item)``.
 
     Without a ``universe`` a key is reported once an item has it. With one, every label in it is
     reported, and an item outside it is a DomainError naming the document.
     """
     _require_same_docs(gold, pred)
-    counts = {key: ConfusionCounts() for key in universe or ()}
+    counts = {key: [0, 0, 0] for key in universe or ()}
     for doc_id in sorted(gold):
         gold_items, pred_items = _items(gold[doc_id]), _items(pred[doc_id])
         if universe is not None:
             stray = sorted(item for item in gold_items | pred_items if item not in counts)
             if stray:
                 raise DomainError(f"doc {doc_id}: labels outside universe: {', '.join(stray)}")
-        for item in gold_items | pred_items:
-            counts.setdefault(key_of(item), ConfusionCounts()).add({item} & gold_items, {item} & pred_items)
+        for i, items in enumerate((gold_items & pred_items, pred_items - gold_items, gold_items - pred_items)):
+            for item in items:
+                counts.setdefault(key_of(item), [0, 0, 0])[i] += 1
     return counts
 
 
@@ -126,7 +103,7 @@ def score_ner(
     Mentions, not spans, because chat-model output carries no character offsets.
     """
     counts = _count(gold, pred, key_of=lambda mention: mention[1].value)
-    return MetricReport(per_key={k: KeyMetrics.from_counts(c) for k, c in sorted(counts.items())})
+    return MetricReport(per_key={k: KeyMetrics.from_counts(*c) for k, c in sorted(counts.items())})
 
 
 def score_hpo(
@@ -135,7 +112,7 @@ def score_hpo(
 ) -> MetricReport:
     """Exact term-id set comparison per document, micro-aggregated under key 'HPO'."""
     counts = _count(gold, pred, key_of=lambda term: "HPO")
-    return MetricReport(per_key={"HPO": KeyMetrics.from_counts(counts.get("HPO", ConfusionCounts()))})
+    return MetricReport(per_key={"HPO": KeyMetrics.from_counts(*counts.get("HPO", (0, 0, 0)))})
 
 
 def score_multilabel(
@@ -151,7 +128,7 @@ def score_multilabel(
     """
     labels = sorted(universe)
     counts = _count(gold, pred, key_of=lambda label: label, universe=labels)
-    per_key = {label: KeyMetrics.from_counts(c) for label, c in counts.items()}
+    per_key = {label: KeyMetrics.from_counts(*c) for label, c in counts.items()}
     n = len(labels)
     per_key["macro"] = KeyMetrics(
         precision=sum(m.precision for m in per_key.values()) / n,
@@ -183,13 +160,4 @@ def render_report(reports: Mapping[str, MetricReport], fmt: str = "markdown") ->
             acc = "" if report.micro_accuracy is None else f"{report.micro_accuracy:.3f}"
             rows.append((model, key, f"{m.precision:.3f}", f"{m.recall:.3f}", f"{m.f1:.3f}", acc))
     header = ("model", "type", "precision", "recall", "f1", "micro_accuracy")
-    if fmt == "csv":
-        buf = io.StringIO()
-        writer = csv.writer(buf, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows(rows)
-        return buf.getvalue()
-    lines = ["| " + " | ".join(header) + " |", "|" + "|".join([" --- "] * len(header)) + "|"]
-    for row in rows:
-        lines.append("| " + " | ".join(row) + " |")
-    return "\n".join(lines) + "\n"
+    return csv_table(header, rows) if fmt == "csv" else markdown_table(header, rows)

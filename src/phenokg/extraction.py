@@ -96,8 +96,8 @@ class NerResult:
 
     @classmethod
     def from_record(cls, record: dict) -> NerResult:
-        mentions = expect_type(record["mentions"], list, "mentions")
-        pairs = ((m["surface"], expect_type(m["type"], str, "type")) for m in mentions)
+        mentions = (expect_type(m, dict, "mention") for m in expect_type(record["mentions"], list, "mentions"))
+        pairs = ((expect_type(m["surface"], str, "surface"), expect_type(m["type"], str, "type")) for m in mentions)
         key = expect_type(record["doc_id"], str, "doc_id")
         return cls(key, frozenset((normalize_surface(s), EntityType.from_label(t)) for s, t in pairs))
 
@@ -133,7 +133,7 @@ class HpoExtraction:
                 TermId(a["term"]), expect_number(a["confidence"], "confidence"),
                 expect_type(a.get("reasoning", ""), str, "reasoning"),
             )
-            for a in rows
+            for a in (expect_type(row, dict, "assertion") for row in rows)
         )
         return cls(expect_type(record["key"], str, "key"), tuple(assertions))
 

@@ -1,12 +1,16 @@
 """JSON Lines files: the one reader (one ``raw_decode`` per line, accepting exactly what ``json.loads``
-accepts) and the one atomic writer, which also writes the CLI's JSON, Markdown and CSV outputs."""
+accepts) and the one atomic writer, which also writes the CLI's JSON, Markdown and CSV outputs. Every
+table is rendered by one of two writers: ``csv_table`` (``csv`` module quoting, ``\\n`` line ends) and
+``markdown_table`` (a ``|`` in a cell written ``\\|``)."""
 
 from __future__ import annotations
 
+import csv
+import io
 import json
 import os
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TypeVar
+from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
 from .errors import PhenoKGError
 
@@ -66,6 +70,27 @@ def expect_number(value, name: str, integer: bool = False):
     if isinstance(value, bool) or not isinstance(value, int if integer else (int, float)):
         raise TypeError(f"{name} must be {'an integer' if integer else 'a number'}, got {json.dumps(value)[:80]}")
     return value if integer else float(value)
+
+
+def csv_table(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """The header and rows as CSV: a cell holding a comma, quote or line break is quoted; lines end in ``\\n``."""
+    buf = io.StringIO()
+    writer = csv.writer(buf, lineterminator="\n")
+    writer.writerow(header)
+    writer.writerows(rows)
+    return buf.getvalue()
+
+
+def markdown_table(header: Sequence, rows: Iterable[Sequence]) -> str:
+    """The header, a ``| --- |`` rule and the rows as Markdown table lines, each ending in ``\\n``.
+
+    A ``|`` in a cell is written ``\\|``, so every line has the header's cell count.
+    """
+
+    def line(cells) -> str:
+        return "| " + " | ".join(str(cell).replace("|", "\\|") for cell in cells) + " |\n"
+
+    return line(header) + "|" + " --- |" * len(header) + "\n" + "".join(map(line, rows))
 
 
 def write_jsonl(path: str | Path, lines: Iterable[str]) -> None:

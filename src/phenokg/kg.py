@@ -6,9 +6,8 @@ it. Referential integrity (notes and assertions resolve to patients, assertion t
 ontology) is enforced at mutation time and re-verified at load. Single writer, concurrent readers.
 
 Loading builds every record through the same validating constructors as ingest. ``load_graph`` passes
-the record stream to ``build_graph``, which groups the records by kind, without first collecting them
-into the one combined list that ``ingest_patients`` returns. While either reads one file, it keeps two
-tables, so that equal identifiers in that file share one object:
+the record stream to ``build_graph``, which groups the records by kind. While it reads one file, it keeps
+two tables, so that equal identifiers in that file share one object:
 
 - a value table for the identifier fields: the patient ``key`` and demographic ``race``, ``state``
   and ``zip``, the note ``note_id`` and ``patient``, and the assertion ``patient``, ``source_note``
@@ -476,14 +475,6 @@ def save_graph(graph: Graph, path: str | Path) -> None:
 def load_graph(path: str | Path, ontology: Ontology | None = None) -> Graph:
     """Load a typed-JSONL graph, re-verifying every referential invariant; records go straight to ``build_graph``."""
     return build_graph(_read_records(path), ontology)
-
-
-def ingest_patients(path: str | Path) -> list[PatientNode | NoteNode | PhenotypeAssertion]:
-    """Read typed JSONL records (patients, notes, assertions); a bad line is a GraphIntegrityError naming it.
-
-    Equal identifiers and term ids in the file share one object (see the module docstring).
-    """
-    return list(_read_records(path))
 
 
 def _read_records(path: str | Path) -> Iterator[PatientNode | NoteNode | PhenotypeAssertion]:

@@ -12,10 +12,12 @@ import enum
 import re
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Callable, TypeVar
 
 from .errors import DomainError, OboParseError, OntologyValidationError
 from .jsonl import write_atomic
 
+T = TypeVar("T")
 _TERM_ID_RE = re.compile(r"^HP:\d{7}$")
 _QUOTED_RE = re.compile(r'"((?:[^"\\]|\\.)*)"')
 
@@ -318,23 +320,38 @@ def save_ontology(ontology: Ontology, path: str | Path) -> None:
     write_atomic(path, [dump_ontology(ontology)])
 
 
-def load_annotations(path: str | Path, ontology: Ontology) -> list[DiseaseAnnotation]:
-    """Load disease-phenotype annotations (TSV: disease_id, hpo_id, frequency label).
+def read_tsv(path: str | Path, columns: int, convert: Callable[..., T]) -> list[T]:
+    """``convert(*cells)`` for each row of a tab-separated file of ``columns`` columns, each cell stripped.
 
-    Lines starting with ``#`` are comments. Every phenotype must resolve in
-    the supplied ontology.
+    Blank lines and lines starting with ``#`` are skipped. A row of another width is a DomainError, and a
+    DomainError or OntologyValidationError from ``convert`` is raised again as its class; each message
+    starts ``"<path> line N: "``.
     """
-    annotations = []
+    rows = []
     for line_no, raw_line in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), start=1):
         line = raw_line.strip()
         if not line or line.startswith("#"):
             continue
-        parts = line.split("\t")
-        if len(parts) != 3:
-            raise DomainError(f"annotation line {line_no}: expected 3 tab-separated columns, got {len(parts)}")
-        disease_id, hpo_id, label = (p.strip() for p in parts)
+        cells = [cell.strip() for cell in line.split("\t")]
+        if len(cells) != columns:
+            raise DomainError(f"{path} line {line_no}: expected {columns} tab-separated columns, got {len(cells)}")
+        try:
+            rows.append(convert(*cells))
+        except (DomainError, OntologyValidationError) as exc:
+            raise type(exc)(f"{path} line {line_no}: {exc}") from None
+    return rows
+
+
+def load_annotations(path: str | Path, ontology: Ontology) -> list[DiseaseAnnotation]:
+    """Load disease-phenotype annotations (TSV: disease_id, hpo_id, frequency label) through ``read_tsv``.
+
+    Every phenotype must resolve in the supplied ontology.
+    """
+
+    def annotation(disease_id: str, hpo_id: str, label: str) -> DiseaseAnnotation:
         term = TermId(hpo_id)
         if term not in ontology:
-            raise OntologyValidationError(f"annotation line {line_no}: phenotype {term} not in ontology")
-        annotations.append(DiseaseAnnotation(disease_id, term, FrequencyCategory.from_label(label)))
-    return annotations
+            raise OntologyValidationError(f"phenotype {term} not in ontology")
+        return DiseaseAnnotation(disease_id, term, FrequencyCategory.from_label(label))
+
+    return read_tsv(path, 3, annotation)

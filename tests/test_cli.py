@@ -1,5 +1,7 @@
 import argparse
 import contextlib
+import csv
+import dataclasses
 import hashlib
 import itertools
 import json
@@ -29,7 +31,7 @@ from phenokg.extraction import (
 )
 from phenokg.kg import save_graph
 from phenokg.llm import CassetteBackend, ScriptedBackend, request_hash
-from phenokg.ontology import dump_ontology
+from phenokg.ontology import Ontology, dump_ontology
 from phenokg.retrieval import HashedEmbedder, build_index
 
 from conftest import gold_hpo_responder, record_replay_cassette
@@ -276,6 +278,22 @@ def test_cohort_freq_reference_row(tmp_path, graph_file, ontology_file, annotati
     assert payload["cohort_size"] == 38
 
 
+def test_cohort_freq_csvs_quote_a_name_with_a_comma(tmp_path, dravet_ontology, graph_file, annotations_file):
+    name = 'Seizure, febrile "complex"'
+    renamed = tmp_path / "renamed.obo"
+    terms = [dataclasses.replace(t, name=name) if t.id == "HP:0011172" else t for t in dravet_ontology]
+    renamed.write_text(dump_ontology(Ontology(terms)))
+    out = tmp_path / "freq"
+    assert run_cli(["cohort-freq", "--graph", graph_file, "--ontology", renamed, "--annotations", annotations_file,
+                    "--icd", "G40.83", "G40.833", "G40.834", "--out", out]) == 0
+    for table in ("frequencies.csv", "heatmap.csv"):
+        with open(out / table, newline="", encoding="utf-8") as fh:
+            header, *rows = csv.reader(fh)
+        assert [len(row) for row in rows] == [len(header)] * len(rows)
+        names = {row[header.index("term")]: row[header.index("name")] for row in rows}
+        assert names["HP:0011172"] == name
+
+
 def test_missing_flags_reported_together(capsys):
     code = run_cli(["eval"])
     assert code == 1
@@ -389,8 +407,6 @@ def _manifest_config(out):
 
 
 def test_manifests_record_the_defaults_a_run_used(tmp_path, ner_corpus, graph_file, ontology_file, capsys):
-    from phenokg.discovery import save_rubric
-
     corpus, cassette = ner_corpus
     out = tmp_path / "extract"
     assert run_cli(["extract", "--task", "ner", "--corpus", corpus, "--cassette", cassette, "--out", out]) == 1
@@ -398,7 +414,7 @@ def test_manifests_record_the_defaults_a_run_used(tmp_path, ner_corpus, graph_fi
     assert {key: _manifest_config(out)[key] for key in expected} == expected
 
     rubric = tmp_path / "rubric.json"
-    save_rubric(fixtures.bpan_rubric(), rubric)
+    rubric.write_text(json.dumps(dataclasses.asdict(fixtures.bpan_rubric())))
     out = tmp_path / "discover"
     assert run_cli(["discover", "--graph", graph_file, "--ontology", ontology_file, "--rubric", rubric,
                     "--keyword", "BPAN", "--cassette", cassette, "--out", out]) == 1
@@ -502,7 +518,7 @@ def test_corpus_synth_multilabel(tmp_path):
 
 
 def test_discover_cli_with_replay(tmp_path, dravet_ontology, ontology_file, capsys):
-    from phenokg.discovery import run_funnel, save_rubric
+    from phenokg.discovery import run_funnel
     from phenokg.extraction import GleanConfig
 
     graph, planted = fixtures.build_discovery_graph(n_patients=60, seed=13, n_positive=3)
@@ -510,7 +526,7 @@ def test_discover_cli_with_replay(tmp_path, dravet_ontology, ontology_file, caps
     save_graph(graph, graph_path)
     rubric = fixtures.bpan_rubric()
     rubric_path = tmp_path / "rubric.json"
-    save_rubric(rubric, rubric_path)
+    rubric_path.write_text(json.dumps(dataclasses.asdict(rubric)))
     allowed_path = tmp_path / "allowed.txt"
     allowed_path.write_text("\n".join(sorted(fixtures.BPAN_ALLOWED_TERMS)) + "\n")
     terms = sorted(fixtures.BPAN_ALLOWED_TERMS)
@@ -586,13 +602,11 @@ def test_extract_with_nothing_extracted_exits_nonzero(tmp_path, ontology_file, e
 
 
 def test_discover_with_nothing_scored_exits_nonzero(tmp_path, ontology_file, capsys):
-    from phenokg.discovery import save_rubric
-
     graph, _ = fixtures.build_discovery_graph(n_patients=20, seed=13, n_positive=2)
     graph_path = tmp_path / "haystack.jsonl"
     save_graph(graph, graph_path)
     rubric_path = tmp_path / "rubric.json"
-    save_rubric(fixtures.bpan_rubric(), rubric_path)
+    rubric_path.write_text(json.dumps(dataclasses.asdict(fixtures.bpan_rubric())))
     empty = tmp_path / "empty.jsonl"
     CassetteBackend().save(empty)
     out = tmp_path / "discover"
@@ -697,6 +711,29 @@ def test_cassette_record_rejects_a_request_without_user(tmp_path, capsys):
     assert not (tmp_path / "recorded.jsonl").exists()
 
 
+BAD_REQUEST_FIELDS = [
+    ({"system": 5, "user": "hi"}, "system must be a string, got 5"),
+    ({"user": 7}, "user must be a string, got 7"),
+    ({"user": "u", "request_tag": ["t"]}, 'request_tag must be a string, got ["t"]'),
+    ({"user": "u", "temperature": "0"}, 'temperature must be a number, got "0"'),
+    ({"user": "u", "temperature": True}, "temperature must be a number, got true"),
+    ({"user": "u", "max_tokens": 1.5}, "max_tokens must be an integer, got 1.5"),
+]
+
+
+@pytest.mark.parametrize("line, problem", BAD_REQUEST_FIELDS)
+def test_cassette_record_rejects_a_request_field_of_the_wrong_type(tmp_path, capsys, line, problem):
+    path = tmp_path / "requests.jsonl"
+    path.write_text(json.dumps({"system": "s", "user": "u"}) + "\n" + json.dumps(line) + "\n")
+    code = run_cli([
+        "cassette", "record", "--requests", path,
+        "--endpoint", "http://127.0.0.1:9/v1/chat/completions", "--out", tmp_path / "recorded.jsonl",
+    ])
+    error = _malformed_input_error(code, capsys, path, 2)
+    assert error == {"error": "DomainError", "message": f"{path} line 2: {problem}"}
+    assert not (tmp_path / "recorded.jsonl").exists()
+
+
 def test_eval_rejects_a_bad_prediction_line(tmp_path, capsys):
     gold = tmp_path / "gold.jsonl"
     gold.write_text(json.dumps({"doc_id": "d1", "text": "t", "hpo_ids": []}) + "\n")
@@ -761,6 +798,12 @@ BAD_PREDICTION_LINES = [
     ("hpo", HPO_GOLD + HPO_GOLD.replace("d1", "d2"), {"key": "d1", "assertions": []},
      {"key": "d2", "assertions": [{"term": "HP:0000001", "confidence": 0.9, "reasoning": 7}]},
      "reasoning must be a string, got 7"),
+    ("ner", NER_GOLD, {"doc_id": "d1", "mentions": []},
+     {"doc_id": "d2", "mentions": [{"surface": 5, "type": "Chemical"}]}, "surface must be a string, got 5"),
+    ("ner", NER_GOLD, {"doc_id": "d1", "mentions": []}, {"doc_id": "d2", "mentions": ["valproate"]},
+     'mention must be an object, got "valproate"'),
+    ("hpo", HPO_GOLD, {"key": "d1", "assertions": []}, {"key": "d2", "assertions": [5]},
+     "assertion must be an object, got 5"),
 ]
 
 
@@ -799,9 +842,26 @@ def _assert_manifest_input(out, name, path):
     assert inputs[name] == {"path": str(path), "sha256": hashlib.sha256(path.read_bytes()).hexdigest()}
 
 
-def test_manifests_list_every_path_input(tmp_path, graph_file, ontology_file, annotations_file, demo_cohort):
-    from phenokg.discovery import save_rubric
+@pytest.mark.parametrize("command", ["extract", "discover"])
+def test_an_allowed_terms_error_names_the_file_and_line(tmp_path, capsys, graph_file, ontology_file, command):
+    allowed = tmp_path / "allowed.txt"
+    allowed.write_text("HP:0001250\nfoo\n")
+    corpus = tmp_path / "gold.jsonl"
+    corpus.write_text(HPO_GOLD)
+    rubric = tmp_path / "rubric.json"
+    rubric.write_text(json.dumps(dataclasses.asdict(fixtures.bpan_rubric())))
+    inputs = {
+        "extract": ["--task", "hpo", "--corpus", corpus],
+        "discover": ["--graph", graph_file, "--rubric", rubric, "--keyword", "BPAN"],
+    }
+    code = run_cli([command, *inputs[command], "--ontology", ontology_file, "--allowed-terms", allowed,
+                    "--out", tmp_path / "out"])
+    error = _malformed_input_error(code, capsys, allowed, 2)
+    message = f"{allowed} line 2: invalid term id 'foo': expected HP: followed by 7 digits"
+    assert error == {"error": "DomainError", "message": message}
 
+
+def test_manifests_list_every_path_input(tmp_path, graph_file, ontology_file, annotations_file, demo_cohort):
     universe = tmp_path / "universe.txt"
     universe.write_text("\n".join(sorted(DEFAULT_LABEL_UNIVERSE)) + "\n")
     gold = tmp_path / "gold.jsonl"
@@ -823,7 +883,7 @@ def test_manifests_list_every_path_input(tmp_path, graph_file, ontology_file, an
     allowed = tmp_path / "allowed.txt"
     allowed.write_text("\n".join(sorted(fixtures.BPAN_ALLOWED_TERMS)) + "\n")
     rubric = tmp_path / "rubric.json"
-    save_rubric(fixtures.bpan_rubric(), rubric)
+    rubric.write_text(json.dumps(dataclasses.asdict(fixtures.bpan_rubric())))
     empty = tmp_path / "empty.jsonl"
     CassetteBackend().save(empty)
     out = tmp_path / "discover"

@@ -1,3 +1,5 @@
+import re
+
 import pytest
 
 from phenokg.cohortstats import (
@@ -156,7 +158,10 @@ def test_load_groups_tsv(tmp_path):
     assert groups == {TermId("HP:0011172"): "nervous system", TermId("HP:0001763"): "limbs"}
     bad = tmp_path / "bad.tsv"
     bad.write_text("HP:0011172 nervous\n")
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=re.escape(f"{bad} line 1: expected 2 tab-separated columns, got 1")):
+        load_groups(bad)
+    bad.write_text("# comment\nHP:bad\tnervous\n")
+    with pytest.raises(DomainError, match=re.escape(f"{bad} line 2: invalid term id 'HP:bad'")):
         load_groups(bad)
 
 

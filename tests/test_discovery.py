@@ -1,4 +1,6 @@
+import dataclasses
 import json
+import re
 import threading
 import time
 
@@ -7,6 +9,7 @@ from hypothesis import given, strategies as st
 
 from phenokg.corpus import Document
 from phenokg.discovery import (
+    FunnelFinalist,
     FunnelReport,
     LikelihoodScore,
     RubricCriterion,
@@ -16,7 +19,6 @@ from phenokg.discovery import (
     load_rubric,
     run_funnel,
     _score_chain,
-    save_rubric,
 )
 from phenokg.errors import DomainError, OutputParseError
 from phenokg.extraction import AuditLog, GleanConfig, HpoTask, build_prompt, load_template, render_template
@@ -71,7 +73,7 @@ def oracle_backend(planted, allowed_terms):
 def test_rubric_round_trip(tmp_path):
     rubric = bpan_rubric()
     path = tmp_path / "rubric.json"
-    save_rubric(rubric, path)
+    path.write_text(json.dumps(dataclasses.asdict(rubric)))
     assert load_rubric(path) == rubric
 
 
@@ -628,6 +630,16 @@ def test_funnel_report_serialization(haystack, dravet_ontology):
     assert "| stage | count |" in markdown
     for finalist in report.finalists:
         assert finalist.patient in markdown
+
+
+def test_funnel_markdown_escapes_a_pipe_in_a_patient_key():
+    stages = tuple((stage, 1) for stage in ("candidates", "scored", "filtered", "extracted", "finalists"))
+    report = FunnelReport(stages, (FunnelFinalist("P|7", 8, (("HP:0001250", 0.9),)),))
+    _, stage_table, finalist_table = report.to_markdown().split("\n\n")
+    for table, width in ((stage_table, 2), (finalist_table, 3)):
+        lines = table.splitlines()
+        assert [len(re.split(r"(?<!\\)\|", line)) - 2 for line in lines] == [width] * len(lines)
+    assert finalist_table.splitlines()[2] == "| P\\|7 | 8 | HP:0001250 (0.90) |"
 
 
 def test_funnel_report_rejects_increasing_counts():

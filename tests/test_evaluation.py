@@ -1,11 +1,12 @@
 import random
+import re
 
 import pytest
 
 from phenokg.corpus import DEFAULT_LABEL_UNIVERSE, EntityType, SpanAnnotation
 from phenokg.errors import DomainError
 from phenokg.evaluation import (
-    ConfusionCounts,
+    KeyMetrics,
     MetricReport,
     render_report,
     score_hpo,
@@ -191,8 +192,8 @@ def test_adding_correct_prediction_never_hurts():
 
 
 def test_both_empty_scores_one():
-    counts = ConfusionCounts()
-    assert (counts.precision, counts.recall, counts.f1) == (1.0, 1.0, 1.0)
+    metrics = KeyMetrics.from_counts(0, 0, 0)
+    assert (metrics.precision, metrics.recall, metrics.f1) == (1.0, 1.0, 1.0)
 
 
 def test_render_report_rounding_and_sorting():
@@ -218,6 +219,12 @@ def test_render_report_markdown_shape():
     lines = text.splitlines()
     assert lines[0].startswith("| model | type |")
     assert "| m | HPO | 1.000 | 1.000 | 1.000 | 0.900 |" in lines
+
+
+def test_render_report_escapes_a_pipe_in_a_markdown_cell():
+    lines = render_report({"a|b": MetricReport(per_key={"HPO": KeyMetrics.from_counts(1, 0, 0)})}).splitlines()
+    assert [len(re.split(r"(?<!\\)\|", line)) - 2 for line in lines] == [6, 6, 6]
+    assert lines[2] == "| a\\|b | HPO | 1.000 | 1.000 | 1.000 |  |"
 
 
 def test_render_report_rejects_empty_and_bad_format():

@@ -65,9 +65,7 @@ def test_the_check_finds_unused_imports():
 # ``fixtures`` is the demo and test data module, so its definitions may serve tests alone
 UNCHECKED_MODULES = {"fixtures"}
 # "module.name": why the name stays though no program code refers to it
-UNREFERENCED_ALLOWED = {
-    "discovery.save_rubric": "writes the format load_rubric reads; CLI tests build rubric files with it",
-}
+UNREFERENCED_ALLOWED: dict[str, str] = {}
 
 
 def _referenced(nodes) -> set[str]:

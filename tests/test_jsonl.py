@@ -12,7 +12,7 @@ from phenokg.corpus import Document, load_hpo_gold, load_multilabel_gold, save_h
 from phenokg.errors import CorpusIntegrityError, DomainError, GraphIntegrityError
 from phenokg.extraction import AuditLog
 from phenokg.jsonl import iter_jsonl, write_jsonl
-from phenokg.kg import ingest_patients, load_graph, save_graph
+from phenokg.kg import load_graph, save_graph
 from phenokg.llm import CassetteBackend, load_cassette, request_hash
 
 
@@ -27,7 +27,6 @@ READERS = {
     "multilabel gold": (load_multilabel_gold, CorpusIntegrityError, {"doc_id": "d", "text": "t", "labels": []}, "text"),
     "cassette": (load_cassette, DomainError, {"hash": "h1", "response": "r"}, "response"),
     "graph": (load_graph, GraphIntegrityError, {"kind": "patient", "key": "p1"}, "key"),
-    "ingest records": (ingest_patients, GraphIntegrityError, {"kind": "patient", "key": "p1"}, "key"),
     "predictions": (partial(_load_predictions, "hpo"), DomainError, {"key": "d1", "assertions": []}, "assertions"),
     "cassette requests": (_read_requests, DomainError, {"system": "s", "user": "u"}, "user"),
 }

@@ -20,7 +20,6 @@ from phenokg.kg import (
     build_graph,
     cohort_by_icd,
     expand_icd_prefix,
-    ingest_patients,
     keyword_search,
     load_graph,
     patient_record,
@@ -346,7 +345,7 @@ def test_save_load_save_round_trips_ingested_graphs_byte_identically(records):
     with tempfile.TemporaryDirectory() as tmp:
         ingest, first, second = (Path(tmp) / name for name in ("records.jsonl", "first.jsonl", "second.jsonl"))
         ingest.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
-        graph = build_graph(ingest_patients(ingest))
+        graph = load_graph(ingest)
         save_graph(graph, first)
         loaded = load_graph(first)
         save_graph(loaded, second)

@@ -1,4 +1,5 @@
 import math
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -189,12 +190,20 @@ def test_load_annotations_demo_file(dravet_ontology):
 def test_load_annotations_rejects_unknown_term(tmp_path, dravet_ontology):
     path = tmp_path / "ann.tsv"
     path.write_text("D1\tHP:9999999\tFrequent\n")
-    with pytest.raises(OntologyValidationError, match="HP:9999999"):
+    message = f"{path} line 1: phenotype HP:9999999 not in ontology"
+    with pytest.raises(OntologyValidationError, match=re.escape(message)):
         load_annotations(path, dravet_ontology)
 
 
 def test_load_annotations_rejects_bad_label(tmp_path, dravet_ontology):
     path = tmp_path / "ann.tsv"
     path.write_text("D1\tHP:0011172\toften\n")
-    with pytest.raises(DomainError, match="often"):
+    with pytest.raises(DomainError, match=re.escape(f"{path} line 1: unknown frequency category label 'often'")):
+        load_annotations(path, dravet_ontology)
+
+
+def test_load_annotations_rejects_a_short_row(tmp_path, dravet_ontology):
+    path = tmp_path / "ann.tsv"
+    path.write_text("D1\tHP:0011172\tFrequent\nD1\tHP:0011172\n")
+    with pytest.raises(DomainError, match=re.escape(f"{path} line 2: expected 3 tab-separated columns, got 2")):
         load_annotations(path, dravet_ontology)
