@@ -1,7 +1,7 @@
 """JSON Lines files: the one reader (one ``raw_decode`` per line, accepting exactly what ``json.loads``
 accepts) and the one atomic writer, which also writes the CLI's JSON, Markdown and CSV outputs. Every
 table is rendered by one of two writers: ``csv_table`` (``csv`` module quoting, ``\\n`` line ends) and
-``markdown_table`` (a ``|`` in a cell written ``\\|``)."""
+``markdown_table`` (a ``|`` in a cell written ``\\|``, a line break ``<br>``)."""
 
 from __future__ import annotations
 
@@ -9,6 +9,7 @@ import csv
 import io
 import json
 import os
+import re
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, Sequence, TypeVar
 
@@ -84,11 +85,12 @@ def csv_table(header: Sequence, rows: Iterable[Sequence]) -> str:
 def markdown_table(header: Sequence, rows: Iterable[Sequence]) -> str:
     """The header, a ``| --- |`` rule and the rows as Markdown table lines, each ending in ``\\n``.
 
-    A ``|`` in a cell is written ``\\|``, so every line has the header's cell count.
+    A ``|`` in a cell is written ``\\|``, so every line has the header's cell count, and a ``\\r\\n``,
+    ``\\r`` or ``\\n`` is written ``<br>``, so every row stays on one line.
     """
 
     def line(cells) -> str:
-        return "| " + " | ".join(str(cell).replace("|", "\\|") for cell in cells) + " |\n"
+        return "| " + " | ".join(re.sub(r"\r\n?|\n", "<br>", str(cell).replace("|", "\\|")) for cell in cells) + " |\n"
 
     return line(header) + "|" + " --- |" * len(header) + "\n" + "".join(map(line, rows))
 

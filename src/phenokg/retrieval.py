@@ -3,14 +3,18 @@
 The embedder is a deterministic hashed bag-of-words model (case-folded
 tokens, FNV-1a hashed into a fixed 256-dim count vector, L2-normalized)
 with one method, ``embed_one(text)``, which ``build_index`` calls per item
-and few-shot selection per query document. An index is rebuilt from its
-texts on every run and is never persisted. Search is exact and
-exhaustive; corpora here are at most a few thousand items. numpy is
-imported on first use, so only ``extract --policy dynamic-fewshot`` loads it.
+and few-shot selection per query document. Each embedder hashes a distinct
+token once, caching at most 65,536 tokens, and the vectors are bit for bit
+those of hashing every occurrence. An index is rebuilt from its texts on
+every run and is never persisted. Search is exact and exhaustive; corpora
+here are at most a few thousand items. numpy is imported on first use, so
+only ``extract --policy dynamic-fewshot`` loads it.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 import re
 from typing import Sequence
@@ -36,18 +40,26 @@ def _fnv1a64(token: str) -> int:
 class HashedEmbedder:
     """Deterministic hashed bag-of-words embedder (pure integer hashing) into ``DEFAULT_DIM`` dimensions."""
 
+    def __init__(self) -> None:
+        # per embedder, so a new one starts cold as a one-shot run does; bounded, as queries bring new tokens
+        self._bucket = functools.lru_cache(maxsize=1 << 16)(lambda token: _fnv1a64(token) % DEFAULT_DIM)
+
     def embed_one(self, text: str) -> list[float]:
-        counts = [0.0] * DEFAULT_DIM
-        for token in _TOKEN_RE.findall(text.casefold()):
-            counts[_fnv1a64(token) % DEFAULT_DIM] += 1.0
-        norm = math.sqrt(sum(c * c for c in counts))
-        if norm == 0.0:
-            return counts  # no tokens: zero vector, cosine treats it as 0 similarity
-        return [c / norm for c in counts]
+        counts = collections.Counter(map(self._bucket, _TOKEN_RE.findall(text.casefold())))
+        vec = [0.0] * DEFAULT_DIM  # no tokens: zero vector, cosine treats it as 0 similarity
+        # integer counts: the sum of squares is exact, so the vector does not depend on bucket order
+        norm = math.sqrt(sum(c * c for c in counts.values()))
+        for bucket, count in counts.items():
+            vec[bucket] = count / norm
+        return vec
 
 
 class EmbeddingIndex:
-    """Immutable id -> vector store with uniform dimensionality."""
+    """Immutable id -> vector store with uniform dimensionality.
+
+    An empty vector, a dimension unlike the first's or a repeated id raises ``DomainError`` at the first
+    such item, before the matrix is checked for non-finite entries, so it wins over a non-finite entry.
+    """
 
     def __init__(self, items: Sequence[tuple[str, Sequence[float]]]):
         import numpy as np
@@ -58,8 +70,6 @@ class EmbeddingIndex:
         for item_id, vec in items:
             if len(vec) == 0:
                 raise DomainError("embedding vector must be nonempty")
-            if not all(math.isfinite(v) for v in vec):
-                raise DomainError("embedding vector contains non-finite entries")
             if self.dim is None:
                 self.dim = len(vec)
             elif len(vec) != self.dim:
@@ -68,8 +78,10 @@ class EmbeddingIndex:
                 raise DomainError(f"duplicate item id {item_id!r}")
             self._rows[item_id] = len(self._ids)
             self._ids.append(item_id)
-            vectors.append(np.asarray(vec, dtype=np.float64))
-        self._matrix = np.vstack(vectors) if vectors else np.zeros((0, 0))
+            vectors.append(vec)
+        self._matrix = np.array(vectors, dtype=np.float64) if vectors else np.zeros((0, 0))
+        if not np.isfinite(self._matrix).all():
+            raise DomainError("embedding vector contains non-finite entries")
         self._norms = np.linalg.norm(self._matrix, axis=1) if vectors else np.zeros(0)
 
     def __len__(self) -> int:

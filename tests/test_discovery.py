@@ -642,6 +642,18 @@ def test_funnel_markdown_escapes_a_pipe_in_a_patient_key():
     assert finalist_table.splitlines()[2] == "| P\\|7 | 8 | HP:0001250 (0.90) |"
 
 
+def test_funnel_markdown_writes_a_line_break_in_a_patient_key_as_br():
+    stages = tuple((stage, 1) for stage in ("candidates", "scored", "filtered", "extracted", "finalists"))
+    report = FunnelReport(stages, (FunnelFinalist("P\n7", 8, (("HP:0001250", 0.9),)),))
+    _, stage_table, finalist_table = report.to_markdown().split("\n\n")
+    assert len(stage_table.splitlines()) == 2 + len(stages)
+    assert finalist_table.splitlines() == [
+        "| patient | score | top assertions |",
+        "| --- | --- | --- |",
+        "| P<br>7 | 8 | HP:0001250 (0.90) |",
+    ]
+
+
 def test_funnel_report_rejects_increasing_counts():
     with pytest.raises(DomainError):
         FunnelReport((("a", 1), ("b", 2)), ())

@@ -227,6 +227,15 @@ def test_render_report_escapes_a_pipe_in_a_markdown_cell():
     assert lines[2] == "| a\\|b | HPO | 1.000 | 1.000 | 1.000 |  |"
 
 
+@pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
+def test_render_report_writes_a_line_break_in_a_markdown_cell_as_br(brk):
+    text = render_report({f"a{brk}b": MetricReport(per_key={"HPO": KeyMetrics.from_counts(1, 0, 0)})})
+    assert text.splitlines() == text.split("\n")[:-1]
+    lines = text.splitlines()
+    assert len(lines) == 3  # header, rule, one row
+    assert lines[2] == "| a<br>b | HPO | 1.000 | 1.000 | 1.000 |  |"
+
+
 def test_render_report_rejects_empty_and_bad_format():
     with pytest.raises(DomainError):
         render_report({}, fmt="csv")

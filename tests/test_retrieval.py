@@ -1,9 +1,13 @@
+import hashlib
 import math
 import random
+import re
+import struct
+import threading
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from phenokg.errors import DomainError
 from phenokg.retrieval import (
@@ -130,6 +134,29 @@ def test_top_k_errors():
         top_k(EmbeddingIndex([]), [1.0], k=1)
 
 
+NAN, INF = float("nan"), float("inf")
+
+
+@pytest.mark.parametrize(
+    "items, message",
+    [
+        ([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [1.0, NAN])], "non-finite"),
+        ([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [INF, 0.0])], "non-finite"),
+        ([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [-INF, 0.0])], "non-finite"),
+        ([("a", [1.0, 0.0]), ("b", [1.0])], r"vector for 'b' has dim 1, index dim is 2"),
+        ([("a", [1.0]), ("b", [])], "embedding vector must be nonempty"),
+        ([("a", [1.0]), ("a", [2.0])], r"duplicate item id 'a'"),
+        # two faults in one input: the structural fault wins over a non-finite entry
+        ([("a", [NAN, 0.0]), ("b", [1.0])], r"vector for 'b' has dim 1, index dim is 2"),
+        ([("a", [1.0]), ("a", [NAN])], r"duplicate item id 'a'"),
+        ([("a", [INF]), ("b", [])], "embedding vector must be nonempty"),
+    ],
+)
+def test_index_validation_messages(items, message):
+    with pytest.raises(DomainError, match=message):
+        EmbeddingIndex(items)
+
+
 def test_index_rejects_dim_mismatch_and_duplicates():
     with pytest.raises(DomainError):
         EmbeddingIndex([("a", [1.0, 0.0]), ("b", [1.0])])
@@ -146,6 +173,88 @@ def test_fallback_embedder_frozen_buckets():
     nonzero = {i for i, v in enumerate(vec) if v != 0.0}
     assert nonzero == {39, 124, 247}
     assert all(vec[i] == pytest.approx(1 / math.sqrt(3), abs=1e-12) for i in nonzero)
+
+
+def dense_embed_one(text: str) -> list[float]:
+    """Reference embedder: hashes every token occurrence byte by byte and divides every slot."""
+    counts = [0.0] * DEFAULT_DIM
+    for token in re.findall(r"[a-z0-9]+", text.casefold()):
+        h = 0xCBF29CE484222325
+        for byte in token.encode("utf-8"):
+            h ^= byte
+            h = (h * 0x100000001B3) & 0xFFFFFFFFFFFFFFFF
+        counts[h % DEFAULT_DIM] += 1.0
+    norm = math.sqrt(sum(c * c for c in counts))
+    if norm == 0.0:
+        return counts
+    return [c / norm for c in counts]
+
+
+# case-folding expanders (ß -> ss, ﬁ -> fi, İ -> i + U+0307), punctuation, and few
+# letters, so tokens repeat within a text and buckets collide
+_EMBED_TEXTS = st.one_of(
+    st.text(alphabet=st.sampled_from(list("abAB1 ßﬁİ.,;-!\n\t")), max_size=60),
+    st.text(max_size=60),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(_EMBED_TEXTS, min_size=1, max_size=6))
+@example(["", "   ", "-- ; !", "Straße ﬁt İstanbul STRASSE", "ß ss SS"])
+def test_embed_one_is_bit_identical_to_the_dense_reference(texts):
+    embedder = HashedEmbedder()  # one embedder: later texts hit tokens cached by earlier ones
+    for text in texts:
+        vec, expected = embedder.embed_one(text), dense_embed_one(text)
+        assert vec == expected
+        assert struct.pack("256d", *vec) == struct.pack("256d", *expected)
+
+
+def test_index_matrix_bytes_are_pinned(synth_docs):
+    pool = [(d.document.doc_id, d.document.text) for d in synth_docs] + [
+        ("empty", ""),
+        ("punct", "-- ; !"),
+        ("fold", "Straße ﬁt İstanbul STRASSE"),
+        ("repeat", "seizure seizure seizure fever"),
+    ]
+    matrix = build_index(HashedEmbedder(), pool)._matrix
+    assert hashlib.sha256(matrix.tobytes()).hexdigest() == (
+        "54fdd13ebf4e3a6495291cce7e499874e76d95fad8dac50b39d9260b9cb736e5"
+    )
+
+
+def test_each_embedder_has_its_own_bounded_token_cache():
+    first, second = HashedEmbedder(), HashedEmbedder()
+    first.embed_one("seizure onset in infancy, seizure")
+    assert first._bucket.cache_info().currsize == 4
+    assert second._bucket.cache_info().currsize == 0
+    text = " ".join(f"t{i}" for i in range(70_000))
+    assert first.embed_one(text) == dense_embed_one(text)
+    info = first._bucket.cache_info()
+    assert info.maxsize == 65_536 and info.currsize == 65_536
+    assert second._bucket.cache_info().currsize == 0
+
+
+@pytest.mark.threads
+def test_concurrent_embeds_on_one_embedder_equal_serial_ones():
+    rng = random.Random(5)
+    vocabulary = [f"w{i}" for i in range(600)]
+    texts = [" ".join(rng.choices(vocabulary, k=40)) for _ in range(200)]
+    serial = [HashedEmbedder().embed_one(text) for text in texts]
+    shared = HashedEmbedder()  # cold, so the threads miss on the same tokens at once
+    results = [None] * 4
+
+    def work(slot: int) -> None:
+        order = list(range(slot * 50, 200)) + list(range(slot * 50))
+        vectors = {i: shared.embed_one(texts[i]) for i in order}
+        results[slot] = [vectors[i] for i in range(200)]
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert results == [serial] * 4
 
 
 # -- top_k against an exhaustive oracle (property-based) ------------------------
