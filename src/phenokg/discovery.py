@@ -196,9 +196,10 @@ def run_funnel(
     keywords: Iterable[str],
     generic_icd: Iterable[str],
     threshold: int = 7,
-    allowed_terms: set[TermId] | frozenset[TermId] = frozenset(),
-    backend=None,
-    ontology: Ontology | None = None,
+    *,
+    allowed_terms: set[TermId] | frozenset[TermId],
+    backend,
+    ontology: Ontology,
     glean: GleanConfig = GleanConfig(1),
     min_assertions: int | None = None,
     audit: AuditLog | None = None,
@@ -218,8 +219,6 @@ def run_funnel(
         raise DomainError(f"threshold {threshold} outside [0, 9]")
     if not allowed_terms:
         raise DomainError("allowed_terms must be nonempty")
-    if ontology is None:
-        raise DomainError("ontology is required")
     audit = audit if audit is not None else AuditLog()
 
     candidates = sorted(candidate_cohort(graph, keywords, generic_icd))
@@ -229,7 +228,7 @@ def run_funnel(
         return _score_chain(patient_record(graph, key), rubric, backend)
 
     scores = {}
-    for key, outcome in zip(candidates, _run_bounded(candidates, score, getattr(backend, "max_in_flight", 4))):
+    for key, outcome in zip(candidates, _run_bounded(candidates, score, backend.max_in_flight)):
         if isinstance(outcome, PhenoKGError):
             audit.record("scoring_failed", patient=key, error=str(outcome))
         else:

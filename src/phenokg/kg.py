@@ -26,8 +26,6 @@ from __future__ import annotations
 
 import enum
 import functools
-import json
-import math
 import re
 from dataclasses import dataclass, field, fields, is_dataclass
 from json.encoder import encode_basestring_ascii
@@ -316,19 +314,24 @@ def patient_record(graph: Graph, key: str) -> PatientRecord:
 
 # -- persistence (typed JSON Lines) -----------------------------------------
 
-_encode = json.JSONEncoder(sort_keys=True).encode
 _NOTE_KINDS = {kind.value: kind for kind in NoteKind}
 
 
-def _value(value) -> str:
-    """``value`` as ``json.dumps`` writes it: a str, None, int or finite float directly, the rest by the encoder."""
-    if isinstance(value, str):
-        return encode_basestring_ascii(value)
-    if value is None:
-        return "null"
-    if type(value) is int or type(value) is float and math.isfinite(value):
+def _optional(value) -> str:
+    """An optional string field: ``null``, or the string as ``encode_basestring_ascii`` writes it."""
+    return "null" if value is None else encode_basestring_ascii(value)
+
+
+def _age(value) -> str:
+    if value is None or type(value) is int:
+        return "null" if value is None else repr(value)
+    raise TypeError(f"age_years must be an int or null, got {value!r}")
+
+
+def _confidence(value) -> str:
+    if type(value) is float or type(value) is int:
         return repr(value)
-    return _encode(value)
+    raise TypeError(f"confidence must be an int or a float, got {value!r}")
 
 
 @functools.lru_cache(maxsize=64)
@@ -338,29 +341,31 @@ def _codes(codes: frozenset[str]) -> str:
 
 
 # One line writer per kind: the keys in sorted order, as ``json.dumps(record, sort_keys=True)`` writes
-# them. ``s`` writes the string fields: ``encode_basestring_ascii``, or ``_value`` for a node holding
-# a field of another type.
-def _patient_line(node: PatientNode, s) -> str:
+# them. Each field is written only as a type its reader reads back; another type raises TypeError or AttributeError.
+def _patient_line(node: PatientNode) -> str:
     demo = node.demographics
     return (
-        f'{{"cpt": {_codes(node.cpt)}, "demographics": {{"age_years": {_value(demo.age_years)}, '
-        f'"race": {_value(demo.race)}, "state": {_value(demo.state)}, "zip": {_value(demo.zip)}}}, '
-        f'"icd10": {_codes(node.icd10)}, "key": {s(node.key)}, "kind": "patient", "rxnorm": {_codes(node.rxnorm)}}}\n'
+        f'{{"cpt": {_codes(node.cpt)}, "demographics": {{"age_years": {_age(demo.age_years)}, '
+        f'"race": {_optional(demo.race)}, "state": {_optional(demo.state)}, "zip": {_optional(demo.zip)}}}, '
+        f'"icd10": {_codes(node.icd10)}, "key": {encode_basestring_ascii(node.key)}, "kind": "patient", '
+        f'"rxnorm": {_codes(node.rxnorm)}}}\n'
     )
 
 
-def _note_line(note: NoteNode, s) -> str:
+def _note_line(note: NoteNode) -> str:
     return (
-        f'{{"kind": "note", "note_id": {s(note.note_id)}, "note_kind": {s(note.kind.value)}, '
-        f'"patient": {s(note.patient)}, "text": {s(note.text)}}}\n'
+        f'{{"kind": "note", "note_id": {encode_basestring_ascii(note.note_id)}, '
+        f'"note_kind": {encode_basestring_ascii(note.kind.value)}, "patient": {encode_basestring_ascii(note.patient)}, '
+        f'"text": {encode_basestring_ascii(note.text)}}}\n'
     )
 
 
-def _assertion_line(a: PhenotypeAssertion, s) -> str:
+def _assertion_line(a: PhenotypeAssertion) -> str:
     return (
-        f'{{"confidence": {_value(a.confidence)}, "extractor_version": {s(a.extractor_version)}, '
-        f'"kind": "assertion", "patient": {s(a.patient)}, "reasoning": {s(a.reasoning)}, '
-        f'"source_note": {_value(a.source_note)}, "term": {s(a.term)}}}\n'
+        f'{{"confidence": {_confidence(a.confidence)}, '
+        f'"extractor_version": {encode_basestring_ascii(a.extractor_version)}, "kind": "assertion", '
+        f'"patient": {encode_basestring_ascii(a.patient)}, "reasoning": {encode_basestring_ascii(a.reasoning)}, '
+        f'"source_note": {_optional(a.source_note)}, "term": {encode_basestring_ascii(a.term)}}}\n'
     )
 
 
@@ -386,9 +391,9 @@ def _lines(*writers: tuple) -> Iterator[str]:
     for line, nodes in writers:
         for node in nodes:
             try:
-                text = line(node, encode_basestring_ascii)
-            except TypeError:  # a string field holds another type
-                text = line(node, _value)
+                text = line(node)
+            except (TypeError, AttributeError) as exc:
+                raise DomainError(f"cannot save {node!r:.120}: {exc}") from None
             if "\\" in text and "\\ud" in text and _holds_surrogate_pair(node):
                 raise DomainError(
                     f"cannot save {node!r:.120}: a string holds a high surrogate directly followed by a low one, "

@@ -1,20 +1,21 @@
 """Chat-completion backends: OpenAI-compatible HTTP, cassettes, scripted.
 
-Every backend has ``complete(request)``; ``make_backend`` is the one place a
-BackendConfig becomes a backend, and everything else (``complete_batch``,
-extraction, the funnel, ``cassette record``) takes the built backend, so a
-cassette is read once per run. One claim-an-index dispatcher,
-``_run_bounded``, keeps at most ``max_in_flight`` calls running: for
-``complete_batch`` an item is one request, for the funnel one candidate's
-whole score chain. The HTTP backend posts through one
-stdlib ``urllib`` opener (a fresh connection per request) and retries
-transport errors, 5xx and 429 with exponential backoff; the cassette backend
-answers from a recorded cassette keyed by a stable hash of (system, user),
-with the hash state of each distinct system text kept once, on one thread
-(a lookup never waits, so its ``max_in_flight`` is 1), and, wrapped around
-another backend, records that backend's answers and saves them sorted by hash;
-the scripted backend answers from an in-process responder and exists for
-oracle runs and tests.
+Every backend has ``complete(request)`` and ``max_in_flight``, the bound on
+its concurrent calls; ``make_backend`` is the one place a BackendConfig
+becomes a backend (a bad config is one ConfigError listing every problem),
+and everything else (``complete_batch``, extraction, the funnel, ``cassette
+record``) takes the built backend, so a cassette is read once per run. One
+claim-an-index dispatcher, ``_run_bounded``, keeps at most ``max_in_flight``
+calls running: for ``complete_batch`` an item is one request, for the funnel
+one candidate's whole score chain. The HTTP backend posts through one stdlib
+``urllib`` opener (a fresh connection per request) and retries transport
+errors, 5xx and 429 with exponential backoff; the cassette backend answers
+from a recorded cassette keyed by a stable hash of (system, user), with the
+hash state of each distinct system text kept once, on one thread (a lookup
+never waits, so its ``max_in_flight`` is 1), and, wrapped around another
+backend, records that backend's answers and saves them sorted by hash; the
+scripted backend answers from an in-process responder and exists for oracle
+runs and tests. Only HTTP replies carry token usage and attempt counts.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
 
-from .errors import BackendUnavailableError, DomainError, PhenoKGError, ReplayMissError
+from .errors import BackendUnavailableError, ConfigError, DomainError, PhenoKGError, ReplayMissError
 from .jsonl import expect_number, expect_type, iter_jsonl, write_jsonl
 
 ENDPOINT_ENV_VAR = "PHENOKG_ENDPOINT_URL"
@@ -110,8 +111,8 @@ def _api_key_problems(api_key: str) -> list[str]:
     return []
 
 
-def validate_config(config: BackendConfig) -> list[str]:
-    """Return every problem with the config (empty list means valid)."""
+def check_config(config: BackendConfig) -> None:
+    """Raise one ConfigError listing every problem with the config."""
     problems = []
     if config.kind not in ("http", "replay"):
         problems.append(f"backend kind must be 'http' or 'replay', got {config.kind!r}")
@@ -128,7 +129,8 @@ def validate_config(config: BackendConfig) -> list[str]:
         problems.append(f"max_in_flight must be >= 1, got {config.max_in_flight}")
     if config.timeout <= 0:
         problems.append(f"timeout must be positive, got {config.timeout}")
-    return problems
+    if problems:
+        raise ConfigError(problems)
 
 
 @dataclass(frozen=True, slots=True)
@@ -139,33 +141,26 @@ class Usage:
 
 @dataclass(frozen=True, slots=True)
 class ChatResponse:
+    """A reply; a replayed or scripted one spent no tokens, in one attempt."""
+
     text: str
-    usage: Usage
-    attempts: int
+    usage: Usage = Usage()
+    attempts: int = 1
 
 
 @functools.lru_cache(maxsize=64)
 def _system_part(system: str):
-    """(sha256 state after the length-prefixed system part, system word count); copy the state before updating it."""
+    """The sha256 state after the length-prefixed system part; copy it before updating it."""
     sys_b = system.encode("utf-8")
-    h = hashlib.sha256(b"%d:%b|" % (len(sys_b), sys_b))
-    return h, len(system.split())
+    return hashlib.sha256(b"%d:%b|" % (len(sys_b), sys_b))
 
 
 def request_hash(system: str, user: str) -> str:
     """Stable content hash keying cassette entries; length-prefixed to avoid collisions."""
     usr_b = user.encode("utf-8")
-    h = _system_part(system)[0].copy()
+    h = _system_part(system).copy()
     h.update(b"%d:%b" % (len(usr_b), usr_b))
     return h.hexdigest()
-
-
-def _approx_usage(request: ChatRequest, text: str) -> Usage:
-    # deterministic whitespace-token counts for offline backends
-    return Usage(
-        prompt_tokens=_system_part(request.system)[1] + len(request.user.split()),
-        completion_tokens=len(text.split()),
-    )
 
 
 class _RefuseRedirects(urllib.request.HTTPRedirectHandler):
@@ -193,9 +188,7 @@ class HttpBackend:
     """
 
     def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep):
-        problems = validate_config(config)
-        if problems:
-            raise DomainError("; ".join(problems))
+        check_config(config)
         self.config = config
         self.endpoint_url = _effective_endpoint(config.endpoint_url)
         self.max_in_flight = config.max_in_flight
@@ -302,14 +295,14 @@ class CassetteBackend:
         self.inner = inner
         # a replay answer is a dict lookup that never waits, so a second worker
         # thread overlaps nothing and only adds interpreter-lock handoffs
-        self.max_in_flight = 1 if inner is None else getattr(inner, "max_in_flight", 4)
+        self.max_in_flight = 1 if inner is None else inner.max_in_flight
         self._lock = threading.Lock()
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         key = request_hash(request.system, request.user)
         text = self.responses.get(key)
         if text is not None:
-            return ChatResponse(text=text, usage=_approx_usage(request, text), attempts=1)
+            return ChatResponse(text)
         if self.inner is None:
             raise ReplayMissError(key)
         response = self.inner.complete(request)
@@ -334,16 +327,14 @@ class ScriptedBackend:
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         self.calls.append(request)  # atomic, so it is safe from worker threads
-        text = self._responder(request)
-        return ChatResponse(text=text, usage=_approx_usage(request, text), attempts=1)
+        return ChatResponse(self._responder(request))
 
 
 def make_backend(config: BackendConfig):
-    problems = validate_config(config)
-    if problems:
-        raise DomainError("; ".join(problems))
+    """The backend ``config`` names; a bad config is one ConfigError listing every problem."""
     if config.kind == "http":
-        return HttpBackend(config)
+        return HttpBackend(config)  # which checks the config
+    check_config(config)
     return CassetteBackend(load_cassette(config.cassette_path))
 
 
@@ -353,9 +344,7 @@ def complete_batch(
     max_in_flight: int | None = None,
 ) -> list[ChatResponse | PhenoKGError]:
     """``backend.complete`` each request through ``_run_bounded`` (bound: ``max_in_flight`` or the backend's)."""
-    if not requests_:
-        raise DomainError("complete_batch requires a nonempty request list")
-    return _run_bounded(requests_, backend.complete, max_in_flight or getattr(backend, "max_in_flight", 4))
+    return _run_bounded(requests_, backend.complete, max_in_flight or backend.max_in_flight)
 
 
 def _run_bounded(items: Sequence, fn: Callable, bound: int) -> list:

@@ -222,9 +222,7 @@ def _parse_quoted(value: str, line_no: int, tag: str) -> str:
 def parse_obo(text: str) -> Ontology:
     """Parse OBO-subset text into an Ontology. See load_ontology."""
     terms: list[OntologyTerm] = []
-    in_term = False
-    skipping_stanza = False
-    current: dict | None = None
+    current: dict | None = None  # the [Term] stanza being read; None elsewhere
     current_line = 0
 
     def finish():
@@ -253,16 +251,10 @@ def parse_obo(text: str) -> Ontology:
             continue
         if line.startswith("["):
             finish()
-            if line == "[Term]":
-                in_term = True
-                skipping_stanza = False
-                current = {"_line": line_no}
-            else:
-                # other stanza kinds ([Typedef], ...) are outside the subset
-                in_term = False
-                skipping_stanza = True
+            # other stanza kinds ([Typedef], ...) are outside the subset
+            current = {"_line": line_no} if line == "[Term]" else None
             continue
-        if skipping_stanza or not in_term:
+        if current is None:
             continue  # header lines, or stanza kinds outside the subset
         tag, sep, value = line.partition(":")
         if not sep:

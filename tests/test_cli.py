@@ -892,3 +892,12 @@ def test_manifests_list_every_path_input(tmp_path, graph_file, ontology_file, an
                     "--keyword", "BPAN", "--allowed-terms", allowed,
                     "--backend-kind", "replay", "--cassette", empty, "--out", out]) == 1
     _assert_manifest_input(out, "allowed_terms", allowed)
+
+
+def test_the_config_file_is_hashed_in_the_manifest(tmp_path, ontology_file):
+    config = tmp_path / "run.yaml"
+    config.write_text(f"ontology: {ontology_file}\n")
+    out = tmp_path / "stats"
+    assert run_cli(["--config", config, "ontology", "stats", "--out", out]) == 0
+    _assert_manifest_input(out, "config", config)
+    _assert_manifest_input(out, "ontology", ontology_file)

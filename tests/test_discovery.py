@@ -307,12 +307,8 @@ def test_threshold_bounds(haystack, dravet_ontology):
         )
 
 
-@pytest.mark.parametrize(
-    "allowed_terms, has_ontology, match",
-    [(frozenset(), True, "allowed_terms"), (BPAN_ALLOWED_TERMS, False, "ontology")],
-    ids=["no allowed terms", "no ontology"],
-)
-def test_run_funnel_preconditions_send_nothing(haystack, dravet_ontology, allowed_terms, has_ontology, match):
+@pytest.mark.parametrize("allowed_terms, match", [(frozenset(), "allowed_terms")], ids=["no allowed terms"])
+def test_run_funnel_preconditions_send_nothing(haystack, dravet_ontology, allowed_terms, match):
     graph, planted = haystack
     backend = oracle_backend(planted, BPAN_ALLOWED_TERMS)
     with pytest.raises(DomainError, match=match):
@@ -323,7 +319,7 @@ def test_run_funnel_preconditions_send_nothing(haystack, dravet_ontology, allowe
             generic_icd=set(BPAN_GENERIC_ICD10),
             allowed_terms=allowed_terms,
             backend=backend,
-            ontology=dravet_ontology if has_ontology else None,
+            ontology=dravet_ontology,
         )
     assert backend.calls == []
 

@@ -613,6 +613,10 @@ def test_each_saved_line_is_json_dumps_of_its_record(graph):
     ids=["patient key", "note text", "demographics", "code", "reasoning"],
 )
 def test_a_surrogate_pair_is_refused_at_save_and_the_old_file_kept(tmp_path, graph, named):
+    _assert_save_refused(tmp_path, graph, named)
+
+
+def _assert_save_refused(tmp_path, graph, named):
     path = tmp_path / "graph.jsonl"
     save_graph(_small_graph(), path)
     before = path.read_bytes()
@@ -630,13 +634,33 @@ def test_non_bmp_characters_and_lone_or_escaped_surrogates_still_round_trip(tmp_
     assert load_graph(path) == graph
 
 
-def test_fields_of_another_type_are_saved_as_json_dumps_writes_them(tmp_path):
-    # nodes built in Python are not type-checked; their lines still match json.dumps, byte for byte
-    graph = build_graph([
-        PatientNode(7, Demographics(age_years=float("nan"), race=2.5, state=True)),
-        NoteNode(8, 7, ["text"], NoteKind.OTHER),
-        PhenotypeAssertion(7, TermId("HP:0011172"), True, reasoning=("why", None), source_note=8, extractor_version=0.5),
-    ])
+def _assertion(**fields):
+    return PhenotypeAssertion(**{"patient": "p1", "term": TermId("HP:0011172"), "confidence": 0.5, **fields})
+
+
+# nodes built in Python are not type-checked, so save_graph refuses a field its reader would refuse on load
+@pytest.mark.parametrize(
+    "node, named",
+    [
+        (NoteNode("n1", "p1", 123), "NoteNode(note_id='n1'"),
+        (NoteNode("n1", "p1", "text", "history"), "NoteNode(note_id='n1'"),
+        (PatientNode("p2", Demographics(age_years=3.0)), "PatientNode(key='p2'"),
+        (PatientNode("p2", Demographics(age_years=True)), "PatientNode(key='p2'"),
+        (PatientNode("p2", Demographics(race=7)), "PatientNode(key='p2'"),
+        (_assertion(confidence=True), "PhenotypeAssertion(patient='p1'"),
+        (_assertion(extractor_version=None), "PhenotypeAssertion(patient='p1'"),
+        (_assertion(reasoning=None), "PhenotypeAssertion(patient='p1'"),
+    ],
+    ids=["note text an int", "note kind a string", "age a float", "age a bool", "race an int", "confidence a bool",
+         "extractor version null", "reasoning null"],
+)
+def test_save_refuses_a_field_its_reader_refuses_and_keeps_the_old_file(tmp_path, node, named):
+    _assert_save_refused(tmp_path, build_graph([PatientNode("p1"), node]), named)
+
+
+def test_an_int_confidence_round_trips(tmp_path):
+    graph = build_graph([PatientNode("p1"), _assertion(confidence=1)])
     path = tmp_path / "graph.jsonl"
     save_graph(graph, path)
-    assert path.read_text(encoding="utf-8").splitlines() == [json.dumps(r, sort_keys=True) for r in _records(graph)]
+    assert '"confidence": 1,' in path.read_text(encoding="utf-8")
+    assert load_graph(path) == graph

@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, strategies as st
 
-from phenokg.errors import BackendUnavailableError, DomainError, ReplayMissError
+from phenokg.errors import BackendUnavailableError, ConfigError, DomainError, ReplayMissError
 from phenokg.llm import (
     BackendConfig,
     CassetteBackend,
@@ -24,12 +24,11 @@ from phenokg.llm import (
     RetryPolicy,
     ScriptedBackend,
     backoff_schedule,
+    check_config,
     complete_batch,
     load_cassette,
     make_backend,
     request_hash,
-    validate_config,
-    _approx_usage,
 )
 from phenokg.corpus import Document
 from phenokg.extraction import AuditLog, GleanConfig, HpoTask, extract_corpus
@@ -459,13 +458,26 @@ def _reference_request_hash(system, user):
     return hashlib.sha256(b"%d:%b|%d:%b" % (len(sys_b), sys_b, len(usr_b), usr_b)).hexdigest()
 
 
-@given(st.text(), st.text(), st.text(min_size=1))
-def test_request_hash_and_usage_match_the_uncached_formulas(system, text, user):
+@given(st.text(), st.text(min_size=1))
+def test_request_hash_matches_the_uncached_formula(system, user):
     # an equal system string built anew must hit the same cached system part
     for system_copy in (system, "".join(list(system)), system.encode("utf-8").decode("utf-8")):
         assert request_hash(system_copy, user) == _reference_request_hash(system, user)
-        usage = _approx_usage(ChatRequest(system=system_copy, user=user), text)
-        assert usage == Usage(len(system.split()) + len(user.split()), len(text.split()))
+
+
+def test_offline_replies_report_no_tokens_in_one_attempt(tmp_path):
+    path = tmp_path / "cassette.jsonl"
+    _record(path, [(REQ, "a reply of five words")])
+    for backend in (_replay(path), ScriptedBackend(responder=lambda request: "a reply of five words")):
+        assert backend.complete(REQ) == ChatResponse("a reply of five words", Usage(0, 0), attempts=1)
+
+
+def test_a_recorder_passes_its_inner_backends_usage_and_attempts_through(http_stub):
+    http_stub.script[:] = [(500, ""), (200, "recorded")]
+    recorder = CassetteBackend(inner=HttpBackend(_http_config(http_stub, max_attempts=2), sleep=lambda _: None))
+    assert recorder.complete(REQ) == ChatResponse("recorded", Usage(7, 3), attempts=2)
+    assert recorder.complete(REQ) == ChatResponse("recorded", Usage(0, 0), attempts=1)  # now a replay
+    assert len(http_stub.requests_seen) == 2
 
 
 @pytest.mark.threads
@@ -491,7 +503,7 @@ def test_a_recorded_request_reaches_the_inner_backend_once():
     other = ChatRequest(system="sys", user="other prompt")
     assert [recorder.complete(r).text for r in (REQ, other, REQ, other)] == ["reply-hello", "reply-other prompt"] * 2
     assert inner.calls == [REQ, other]
-    assert recorder.complete(REQ) == ChatResponse("reply-hello", _approx_usage(REQ, "reply-hello"), attempts=1)
+    assert recorder.complete(REQ) == ChatResponse("reply-hello")
 
 
 @pytest.mark.threads
@@ -516,22 +528,37 @@ def test_two_simultaneous_misses_on_one_request_get_the_saved_text(tmp_path):
     ]
 
 
-def test_batch_rejects_empty():
-    with pytest.raises(DomainError):
-        complete_batch(ScriptedBackend(responder=lambda request: next(iter([]))), [])
+def test_empty_batch_is_an_empty_result():
+    backend = ScriptedBackend(responder=lambda request: "never asked")
+    assert complete_batch(backend, []) == []
+    assert backend.calls == []
 
 
-def test_validate_config_lists_every_problem():
-    config = BackendConfig(kind="nope", max_in_flight=0, timeout=-1)
-    problems = validate_config(config)
-    assert len(problems) == 3
-    with pytest.raises(DomainError):
-        make_backend(config)
+BAD_BOUNDS = ["max_in_flight must be >= 1, got 0", "timeout must be positive, got -1"]
+
+
+@pytest.mark.parametrize(
+    "build, kind, problem",
+    [
+        (check_config, "nope", "backend kind must be 'http' or 'replay', got 'nope'"),
+        (make_backend, "nope", "backend kind must be 'http' or 'replay', got 'nope'"),
+        (make_backend, "http", "http backend requires endpoint_url (or $PHENOKG_ENDPOINT_URL)"),
+        (HttpBackend, "http", "http backend requires endpoint_url (or $PHENOKG_ENDPOINT_URL)"),
+    ],
+    ids=["check_config", "make_backend", "make_backend http", "HttpBackend"],
+)
+def test_a_bad_config_is_one_config_error_listing_every_problem(build, kind, problem, monkeypatch):
+    monkeypatch.delenv("PHENOKG_ENDPOINT_URL", raising=False)
+    monkeypatch.delenv("PHENOKG_API_KEY", raising=False)
+    with pytest.raises(ConfigError) as err:
+        build(BackendConfig(kind=kind, max_in_flight=0, timeout=-1))
+    assert err.value.problems == [problem, *BAD_BOUNDS]
 
 
 def test_make_backend_replay_requires_cassette():
-    problems = validate_config(BackendConfig(kind="replay"))
-    assert any("cassette" in p for p in problems)
+    with pytest.raises(ConfigError) as err:
+        make_backend(BackendConfig(kind="replay"))
+    assert err.value.problems == ["replay backend requires cassette_path"]
 
 
 def test_env_vars_override_endpoint_and_key(http_stub, monkeypatch):
@@ -543,7 +570,7 @@ def test_env_vars_override_endpoint_and_key(http_stub, monkeypatch):
     http_stub.script[:] = [(200, "from env")]
     # config has no endpoint at all: the env var supplies it
     config = BackendConfig(kind="http", model_name="m", retry=RetryPolicy(max_attempts=1))
-    assert not validate_config(config)
+    check_config(config)
     assert make_backend(config).complete(REQ).text == "from env"
 
 
@@ -562,30 +589,28 @@ def test_http_backs_off_through_the_injected_sleep(http_stub, monkeypatch):
 def test_malformed_endpoint_is_rejected_at_construction(url, monkeypatch):
     monkeypatch.delenv("PHENOKG_ENDPOINT_URL", raising=False)
     config = BackendConfig(kind="http", endpoint_url=url)
-    assert len(validate_config(config)) == 1
-    with pytest.raises(DomainError, match="endpoint URL"):
+    with pytest.raises(ConfigError, match="endpoint URL") as err:
         make_backend(config)
+    assert len(err.value.problems) == 1
     # the environment variable is the effective endpoint when set
     monkeypatch.setenv("PHENOKG_ENDPOINT_URL", url)
     config = BackendConfig(kind="http", endpoint_url="http://127.0.0.1:8000/v1")
-    assert len(validate_config(config)) == 1
-    with pytest.raises(DomainError, match="endpoint URL"):
+    with pytest.raises(ConfigError, match="endpoint URL") as err:
         make_backend(config)
+    assert len(err.value.problems) == 1
 
 
 @pytest.mark.parametrize("key", ["sekrit\n", "sek\r\nX-Injected: 1", "ключ"])
 def test_malformed_api_key_is_rejected_at_construction(key, monkeypatch):
     monkeypatch.setenv("PHENOKG_API_KEY", key)
     config = BackendConfig(kind="http", endpoint_url="http://127.0.0.1:8000/v1")
-    problems = validate_config(config)
-    assert len(problems) == 1 and "PHENOKG_API_KEY" in problems[0]
-    assert key not in problems[0]
-    with pytest.raises(DomainError, match="PHENOKG_API_KEY"):
-        make_backend(config)
-    with pytest.raises(DomainError, match="PHENOKG_API_KEY"):
-        HttpBackend(config)
+    for build in (check_config, make_backend, HttpBackend):
+        with pytest.raises(ConfigError) as err:
+            build(config)
+        assert len(err.value.problems) == 1 and "PHENOKG_API_KEY" in err.value.problems[0]
+        assert key not in str(err.value)
     # a replay backend sends no key, so the key does not matter to it
-    assert validate_config(BackendConfig(kind="replay", cassette_path="c.jsonl")) == []
+    check_config(BackendConfig(kind="replay", cassette_path="c.jsonl"))
 
 
 # -- transport failures against real sockets ------------------------------------

@@ -81,6 +81,31 @@ def test_typedef_stanzas_skipped(tiny_obo):
     assert parse_obo(text).term_count == 3
 
 
+def test_header_tags_and_a_typedef_between_terms_are_skipped():
+    text = """\
+format-version: 1.2
+ontology: hp
+
+[Term]
+id: HP:0000001
+name: Root
+
+[Typedef]
+id: part_of
+name: part of
+is_a: HP:9999999
+
+[Term]
+id: HP:0000002
+name: Child
+is_a: HP:0000001
+"""
+    ontology = parse_obo(text)
+    assert ontology.term_ids() == ["HP:0000001", "HP:0000002"]
+    assert (ontology.name_of(TermId("HP:0000001")), ontology[TermId("HP:0000001")].parents) == ("Root", ())
+    assert ontology[TermId("HP:0000002")].parents == ("HP:0000001",)
+
+
 def test_resolve_label_normalizes_case_and_whitespace(dravet_ontology):
     assert resolve_label(dravet_ontology, "CoMpLeX   Febrile Seizure") == ["HP:0011172"]
 
