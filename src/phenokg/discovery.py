@@ -121,7 +121,7 @@ def _score_chain(record: PatientRecord, rubric: ScoringRubric, backend) -> Likel
     backend (replay) would only repeat its answer, so it gets no retry.
     """
     request = build_score_prompt(record, rubric)
-    attempts = 1 if getattr(backend, "deterministic", False) else 2
+    attempts = 1 if backend.deterministic else 2
     for attempt in range(1, attempts + 1):
         try:
             return LikelihoodScore(record.key, *parse_model_output(backend.complete(request).text, ScoreSchema()))

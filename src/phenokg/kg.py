@@ -12,18 +12,22 @@ two tables, so that equal identifiers in that file share one object:
 - a value table for the identifier fields: the patient ``key`` and demographic ``race``, ``state``
   and ``zip``, the note ``note_id`` and ``patient``, and the assertion ``patient``, ``source_note``
   and ``extractor_version``; a note's ``patient`` is then its patient's ``key``, and an assertion's
-  ``source_note`` its note's ``note_id``;
+  ``source_note`` its note's ``note_id``. The same table shares each distinct ``Demographics`` and
+  each distinct non-zero ``confidence`` (a zero keeps its own float, so ``0.0`` and ``-0.0`` save back
+  as they were read);
 - a term table, in which each distinct term id is validated once into one ``TermId``.
 
-Free text (a note's ``text``, an assertion's ``reasoning``) and numbers are not shared. The tables
-live for one load: two loads share no identifier object, and ``record_to_node`` shares nothing. Code
-sets go through a small bounded cache (``_normalized_code_set``), so a code set that repeats is normally
-normalized once and shared. ``sys.intern`` is not used, because interned strings are immortal on
-CPython 3.12: they would never be freed.
+Free text (a note's ``text``, an assertion's ``reasoning``) is not shared. The tables live for one
+load: two loads share no object, and ``record_to_node`` shares nothing. Code sets go through a small
+bounded cache (``_normalized_code_set``), so a code set that repeats is normally normalized once and
+shared. ``sys.intern`` is not used, because interned strings are immortal on CPython 3.12: they would
+never be freed. The notes-by-patient index is built by the first ``Graph.notes_for``, so a graph that is
+only loaded, saved or searched never holds it.
 """
 
 from __future__ import annotations
 
+import bisect
 import enum
 import functools
 import re
@@ -121,7 +125,7 @@ class Graph:
     def __init__(self):
         self._patients: dict[str, PatientNode] = {}
         self._notes: dict[str, NoteNode] = {}
-        self._notes_by_patient: dict[str, list[str]] = {}
+        self._notes_by_patient: dict[str, list[str]] | None = None  # built by the first ``notes_for``
         self._assertions: dict[PhenotypeAssertion, None] = {}
 
     # -- mutation -----------------------------------------------------------
@@ -137,7 +141,8 @@ class Graph:
         if note.note_id in self._notes:
             raise GraphIntegrityError(f"duplicate note id {note.note_id}")
         self._notes[note.note_id] = note
-        self._notes_by_patient.setdefault(note.patient, []).append(note.note_id)
+        if self._notes_by_patient is not None:
+            bisect.insort(self._notes_by_patient.setdefault(note.patient, []), note.note_id)
 
     # -- access -------------------------------------------------------------
 
@@ -166,7 +171,21 @@ class Graph:
         return key in self._patients
 
     def notes_for(self, key: str) -> list[NoteNode]:
-        return [self._notes[n] for n in sorted(self._notes_by_patient.get(key, []))]
+        """The patient's notes by note id. The first call builds the notes index (patient -> sorted note ids;
+        a patient's first id starts an exact-size list) and publishes it whole, without a lock: concurrent
+        first callers may each build one."""
+        index = self._notes_by_patient
+        if index is None:
+            index = {}
+            for note_id, note in self._notes.items():
+                if (ids := index.get(note.patient)) is None:
+                    index[note.patient] = [note_id]
+                else:
+                    ids.append(note_id)
+            for ids in index.values():
+                ids.sort()
+            self._notes_by_patient = index
+        return [self._notes[n] for n in index.get(key, ())]
 
     def iter_notes(self) -> Iterator[NoteNode]:
         for note_id in sorted(self._notes):
@@ -245,12 +264,9 @@ def cohort_by_icd(graph: Graph, codes: Iterable[str], mode: str = "any") -> set[
         raise DomainError("codes must be nonempty")
     if mode not in ("any", "all"):
         raise DomainError(f"mode must be 'any' or 'all', got {mode!r}")
-    out = set()
-    for key in graph.patient_keys():
-        icd = graph.patient(key).icd10
-        if (mode == "any" and icd & normalized) or (mode == "all" and normalized <= icd):
-            out.add(key)
-    return out
+    if mode == "any":
+        return {key for key, node in graph._patients.items() if not normalized.isdisjoint(node.icd10)}
+    return {key for key, node in graph._patients.items() if normalized <= node.icd10}
 
 
 def expand_icd_prefix(graph: Graph, prefix: str) -> set[str]:
@@ -260,10 +276,7 @@ def expand_icd_prefix(graph: Graph, prefix: str) -> set[str]:
     cohort_by_icd themselves.
     """
     normalized = _normalize_code(prefix)
-    found = set()
-    for key in graph.patient_keys():
-        found.update(c for c in graph.patient(key).icd10 if c.startswith(normalized))
-    return found
+    return {code for node in graph._patients.values() for code in node.icd10 if code.startswith(normalized)}
 
 
 def keyword_search(graph: Graph, pattern: str) -> list[tuple[str, str]]:
@@ -275,8 +288,7 @@ def keyword_search(graph: Graph, pattern: str) -> list[tuple[str, str]]:
     if not pattern:
         raise DomainError("pattern must be nonempty")
     needle = pattern.casefold()
-    hits = {(note.patient, note.note_id) for note in graph.iter_notes() if needle in note.text.casefold()}
-    return sorted(hits)
+    return sorted((note.patient, note.note_id) for note in graph._notes.values() if needle in note.text.casefold())
 
 
 @dataclass(frozen=True, slots=True)
@@ -416,7 +428,8 @@ def _read_patient(record: dict, share, term_id) -> PatientNode:
     icd10 = v if isinstance(v := record.get("icd10", []), list) else expect_type(v, list, "icd10")
     cpt = v if isinstance(v := record.get("cpt", []), list) else expect_type(v, list, "cpt")
     rxnorm = v if isinstance(v := record.get("rxnorm", []), list) else expect_type(v, list, "rxnorm")
-    return PatientNode(key, Demographics(age, race, state, zip_), icd10, cpt, rxnorm)
+    # keyed by the field tuple: its hash and compare run in C, a dataclass's own run as Python calls
+    return PatientNode(key, share((age, race, state, zip_), Demographics(age, race, state, zip_)), icd10, cpt, rxnorm)
 
 
 def _read_note(record: dict, share, term_id) -> NoteNode:
@@ -431,6 +444,7 @@ def _read_assertion(record: dict, share, term_id) -> PhenotypeAssertion:
     patient = share(v, v) if isinstance(v := record["patient"], str) else expect_type(v, str, "patient")
     term = term_id(v if isinstance(v := record["term"], str) else expect_type(v, str, "term"))
     confidence = v if type(v := record["confidence"]) is float else expect_number(v, "confidence")
+    confidence = share(confidence, confidence) if confidence else confidence  # 0.0 == -0.0, but each saves as read
     reasoning = v if isinstance(v := record.get("reasoning", ""), str) else expect_type(v, str, "reasoning")
     v = record.get("source_note")
     source = v if v is None else share(v, v) if isinstance(v, str) else expect_type(v, str, "source_note")

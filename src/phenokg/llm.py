@@ -1,15 +1,17 @@
 """Chat-completion backends: OpenAI-compatible HTTP, cassettes, scripted.
 
-Every backend has ``complete(request)`` and ``max_in_flight``, the bound on
-its concurrent calls; ``make_backend`` is the one place a BackendConfig
+Every backend has ``complete(request)``, ``max_in_flight``, the bound on
+its concurrent calls, and ``deterministic``, whether a re-sent request can
+only get the same answer; ``make_backend`` is the one place a BackendConfig
 becomes a backend (a bad config is one ConfigError listing every problem),
 and everything else (``complete_batch``, extraction, the funnel, ``cassette
 record``) takes the built backend, so a cassette is read once per run. One
 claim-an-index dispatcher, ``_run_bounded``, keeps at most ``max_in_flight``
 calls running: for ``complete_batch`` an item is one request, for the funnel
 one candidate's whole score chain. The HTTP backend posts through one stdlib
-``urllib`` opener (a fresh connection per request) and retries transport
-errors, 5xx and 429 with exponential backoff; the cassette backend answers
+``urllib`` opener (a fresh connection per request; the HTTP stack is
+imported with the first HTTP backend) and retries transport errors, 5xx and
+429 with exponential backoff; the cassette backend answers
 from a recorded cassette keyed by a stable hash of (system, user), with the
 hash state of each distinct system text kept once, on one thread (a lookup
 never waits, so its ``max_in_flight`` is 1), and, wrapped around another
@@ -22,16 +24,13 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import http.client
 import itertools
 import json
 import math
 import os
 import threading
 import time
-import urllib.error
 import urllib.parse
-import urllib.request
 from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable, Sequence
@@ -163,17 +162,6 @@ def request_hash(system: str, user: str) -> str:
     return h.hexdigest()
 
 
-class _RefuseRedirects(urllib.request.HTTPRedirectHandler):
-    """Every 3xx reply ends as an HTTPError instead of being followed.
-
-    Following one would re-send the POST as a bodiless GET, with the bearer
-    token, to whatever host and scheme the Location names.
-    """
-
-    def redirect_request(self, req, fp, code, msg, headers, newurl):
-        return None
-
-
 def backoff_schedule(retry: RetryPolicy) -> list[float]:
     """Delays slept between attempts; non-decreasing by construction."""
     return [retry.base_backoff * (2**i) for i in range(retry.max_attempts - 1)]
@@ -184,8 +172,13 @@ class HttpBackend:
 
     Endpoint URL and bearer token can be overridden/supplied via the
     PHENOKG_ENDPOINT_URL and PHENOKG_API_KEY environment variables. Those,
-    and any proxy settings in the environment, are read once, here.
+    and any proxy settings in the environment, are read once, here. The
+    HTTP stack (``urllib.request``, ``http.client``, ``ssl``) is imported
+    here too, so a process that builds no HTTP backend never loads it.
     """
+
+    # a re-sent request may get another answer
+    deterministic = False
 
     def __init__(self, config: BackendConfig, sleep: Callable[[float], None] = time.sleep):
         check_config(config)
@@ -197,8 +190,17 @@ class HttpBackend:
         api_key = os.environ.get(API_KEY_ENV_VAR, "")
         if api_key:
             self._headers["Authorization"] = f"Bearer {api_key}"
+        import urllib.request
+
+        class RefuseRedirects(urllib.request.HTTPRedirectHandler):
+            """Every 3xx reply ends as an HTTPError instead of being followed: following one would re-send the
+            POST as a bodiless GET, with the bearer token, to whatever host and scheme the Location names."""
+
+            def redirect_request(self, req, fp, code, msg, headers, newurl):
+                return None
+
         # proxies come from the environment; redirects are refused
-        self._opener = urllib.request.build_opener(_RefuseRedirects)
+        self._opener = urllib.request.build_opener(RefuseRedirects)
 
     def complete(self, request: ChatRequest) -> ChatResponse:
         body = {
@@ -231,6 +233,8 @@ class HttpBackend:
         attempt opens a fresh connection. The caller validates the payload;
         a malformed one is not retried.
         """
+        import http.client
+
         retry = self.config.retry
         delays = backoff_schedule(retry)
         last_status: int | None = None
@@ -265,6 +269,9 @@ class HttpBackend:
 
     def _post_once(self, data: bytes) -> tuple[int, bytes]:
         """(status, body bytes) of one POST; an HTTP error status is a reply, not an exception."""
+        import urllib.error
+        import urllib.request
+
         request = urllib.request.Request(self.endpoint_url, data, self._headers)
         try:
             response = self._opener.open(request, timeout=self.config.timeout)
@@ -318,7 +325,10 @@ class CassetteBackend:
 
 
 class ScriptedBackend:
-    """In-process deterministic backend for oracle runs and tests: answers from a responder (request -> text)."""
+    """In-process backend for oracle runs and tests: answers from a responder (request -> text)."""
+
+    # a responder may answer a re-sent request differently
+    deterministic = False
 
     def __init__(self, responder: Callable[[ChatRequest], str], max_in_flight: int = 4):
         self._responder = responder

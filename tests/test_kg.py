@@ -1,6 +1,8 @@
 import json
 import re
 import tempfile
+import threading
+import time
 from pathlib import Path
 
 import pytest
@@ -453,6 +455,76 @@ def test_two_loads_of_one_file_share_no_identifier_object(tmp_path):
     first, second = load_graph(path), load_graph(path)
     assert first == second
     assert not {id(value) for value in _identifiers(first)} & {id(value) for value in _identifiers(second)}
+
+
+def test_a_loaded_graph_holds_one_demographics_and_one_confidence_per_distinct_value(tmp_path):
+    path = tmp_path / "graph.jsonl"
+    records = [{"kind": "patient", "key": "p-none"}]
+    for i in range(30):
+        key = f"p{i:02d}"
+        records.append({"kind": "patient", "key": key, "demographics": {"age_years": i % 3, "state": ["PA", "NJ"][i % 2]}})
+        records += [{"kind": "assertion", "patient": key, "term": "HP:0011172", "confidence": c} for c in (0.25, 0.5, 1)]
+    _write_lines(path, records)
+    graph = load_graph(path)
+    demographics = [graph.patient(key).demographics for key in graph.patient_keys()]
+    assert len({id(demo) for demo in demographics}) == len(set(demographics)) == 7
+    confidences = [a.confidence for a in graph.assertions()]
+    assert len({id(c) for c in confidences}) == len(set(confidences)) == 3
+
+
+def test_zero_and_negative_zero_confidences_save_back_byte_for_byte(tmp_path):
+    path, again = tmp_path / "graph.jsonl", tmp_path / "again.jsonl"
+    graph = build_graph(
+        [
+            PatientNode("p1"),
+            PatientNode("p2"),
+            PhenotypeAssertion("p1", TermId("HP:0011172"), 0.0),
+            PhenotypeAssertion("p2", TermId("HP:0011172"), -0.0),
+        ]
+    )
+    save_graph(graph, path)
+    save_graph(load_graph(path), again)
+    assert again.read_bytes() == path.read_bytes()
+    assert b'"confidence": 0.0' in path.read_bytes() and b'"confidence": -0.0' in path.read_bytes()
+
+
+def test_notes_for_stays_right_after_an_add_note_that_follows_a_read(tmp_path):
+    graph = _small_graph()
+    save_graph(graph, tmp_path / "graph.jsonl")
+    loaded = load_graph(tmp_path / "graph.jsonl")
+    assert loaded._notes_by_patient is None  # a graph that is only loaded holds no notes index
+    for g in (graph, loaded):
+        assert [note.note_id for note in g.notes_for("p1")] == ["n1"]
+        g.add_note(NoteNode("n0", "p1", "Earlier note."))
+        g.add_note(NoteNode("n3", "p2", "First note of p2."))
+        assert [note.note_id for note in g.notes_for("p1")] == ["n0", "n1"]
+        assert [note.note_id for note in g.notes_for("p2")] == ["n3"]
+        assert [note.note_id for note in g.notes_for("p3")] == ["n2"]
+
+
+@pytest.mark.threads
+def test_concurrent_first_notes_for_calls_each_get_the_right_notes():
+    keys = [f"p{i:03d}" for i in range(800)]
+    notes = [NoteNode(f"n{j:05d}", keys[j * 7 % 800], f"note {j}") for j in range(16000)]
+    expected = {key: [] for key in keys}
+    for note in notes:
+        expected[note.patient].append(note.note_id)
+    graph = build_graph([*(PatientNode(key) for key in keys), *notes[::-1]])  # notes added in descending id order
+    start = threading.Barrier(8)
+    seen = []
+
+    def read(w):
+        start.wait()
+        time.sleep(w / 5000)  # so that most threads make their first read while another builds the index
+        order = keys[100 * w:] + keys[:100 * w]
+        seen.append({key: [note.note_id for note in graph.notes_for(key)] for key in order})
+
+    workers = [threading.Thread(target=read, args=(w,)) for w in range(8)]
+    for worker in workers:
+        worker.start()
+    for worker in workers:
+        worker.join()
+    assert len(seen) == 8 and all(result == expected for result in seen)
 
 
 def test_record_to_node_takes_one_record():

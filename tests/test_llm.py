@@ -774,3 +774,30 @@ def test_importing_a_command_module_leaves_requests_and_numpy_unimported(module)
     embedder = HashedEmbedder()
     expected = top_k(build_index(embedder, texts), embedder.embed_one(texts["q"]), k=3, exclude={"q"})
     assert json.loads(out.stdout) == {"before": [], "numpy_after": True, "ranking": [list(pair) for pair in expected]}
+
+
+HTTP_STACK_CHECK = """
+import sys
+import phenokg.cli
+stack = ("http.client", "urllib.request", "ssl")
+before = [m for m in stack if m in sys.modules]
+from phenokg.llm import BackendConfig, ChatRequest, make_backend
+backend = make_backend(BackendConfig(kind="http", endpoint_url=sys.argv[1]))
+print(before, backend.complete(ChatRequest(system="sys", user="hello")).text)
+"""
+
+
+def test_the_http_stack_loads_with_the_first_http_backend(http_stub):
+    """``import phenokg.cli`` loads no HTTP client module; an HTTP backend built after it still posts."""
+    import phenokg
+
+    http_stub.script[:] = [(200, "hi there")]
+    src = str(Path(phenokg.__file__).resolve().parent.parent)
+    env = {key: value for key, value in os.environ.items() if key != "PHENOKG_ENDPOINT_URL"}
+    url = f"http://127.0.0.1:{http_stub.server_address[1]}/v1/chat/completions"
+    out = subprocess.run(
+        [sys.executable, "-c", HTTP_STACK_CHECK, url],
+        env={**env, "PYTHONPATH": src}, capture_output=True, encoding="utf-8", check=True, timeout=60,
+    )
+    assert out.stdout == "[] hi there\n"
+    assert http_stub.requests_seen[0]["messages"][1] == {"role": "user", "content": "hello"}
