@@ -22,7 +22,7 @@ from typing import Container, Sequence
 
 from .errors import CorpusIntegrityError, DomainError
 from .jsonl import expect_type, iter_jsonl, write_atomic, write_jsonl
-from .ontology import Ontology, TermId, normalize_label
+from .ontology import Ontology, TermId, TermIds, normalize_label
 
 _WS_RE = re.compile(r"\s+")
 
@@ -188,31 +188,32 @@ def save_span_corpus(corpus: Sequence[tuple[Document, Sequence[SpanAnnotation]]]
 
 
 def _load_labeled_docs(
-    path: str | Path, labels_key: str, make_item, known: Container | None, unknown_what: str
+    path: str | Path, labels_key: str, make_set, known: Container | None, unknown_what: str
 ) -> list[tuple[Document, frozenset]]:
-    """(Document, frozenset of ``make_item`` over record[labels_key]) per line.
+    """(Document, ``make_set(record[labels_key])``) per line.
 
     A bad line, a duplicate doc_id, or an item not in ``known`` (when given) is refused, naming its line.
     """
     seen: set[str] = set()
 
     def convert(record: dict) -> tuple[Document, frozenset]:
-        doc = Document(expect_type(record["doc_id"], str, "doc_id"), expect_type(record["text"], str, "text"))
-        if doc.doc_id in seen:
-            raise CorpusIntegrityError(f"duplicate doc_id {doc.doc_id}")
-        seen.add(doc.doc_id)
-        gold = frozenset(make_item(item) for item in record[labels_key])
-        unknown = sorted(item for item in gold if known is not None and item not in known)
-        if unknown:
-            raise CorpusIntegrityError(f"doc {doc.doc_id}: {unknown_what}: {', '.join(unknown)}")
+        doc_id = v if isinstance(v := record["doc_id"], str) else expect_type(v, str, "doc_id")
+        doc = Document(doc_id, v if isinstance(v := record["text"], str) else expect_type(v, str, "text"))
+        if doc_id in seen:
+            raise CorpusIntegrityError(f"duplicate doc_id {doc_id}")
+        seen.add(doc_id)
+        gold = make_set(record[labels_key])
+        if known is not None and (unknown := sorted(item for item in gold if item not in known)):
+            raise CorpusIntegrityError(f"doc {doc_id}: {unknown_what}: {', '.join(unknown)}")
         return doc, gold
 
     return [pair for _, pair in iter_jsonl(path, CorpusIntegrityError, convert)]
 
 
 def load_hpo_gold(path: str | Path, ontology: Ontology | None = None) -> list[tuple[Document, frozenset[TermId]]]:
-    """Load ontology-labeled notes (JSON Lines of {doc_id, text, hpo_ids})."""
-    return _load_labeled_docs(path, "hpo_ids", TermId, ontology, "gold terms not in ontology")
+    """Load ontology-labeled notes (JSON Lines of {doc_id, text, hpo_ids}); each distinct id is validated once,
+    into one ``TermId`` shared by every document that holds it."""
+    return _load_labeled_docs(path, "hpo_ids", TermIds().set_of, ontology, "gold terms not in ontology")
 
 
 def save_hpo_gold(corpus: Sequence[tuple[Document, frozenset[TermId]]], path: str | Path) -> None:
@@ -226,7 +227,7 @@ def load_multilabel_gold(
     """Load multilabel note annotations (JSON Lines of {doc_id, text, labels})."""
     if len(universe) != 15:
         raise DomainError(f"label universe must have exactly 15 names, got {len(universe)}")
-    return _load_labeled_docs(path, "labels", lambda label: label, universe, "labels outside universe")
+    return _load_labeled_docs(path, "labels", frozenset, universe, "labels outside universe")
 
 
 def save_multilabel_gold(corpus: Sequence[tuple[Document, frozenset[str]]], path: str | Path) -> None:

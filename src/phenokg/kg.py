@@ -38,7 +38,7 @@ from typing import Iterable, Iterator
 
 from .errors import DomainError, GraphIntegrityError
 from .jsonl import expect_number, expect_type, iter_jsonl, write_atomic
-from .ontology import Ontology, TermId
+from .ontology import Ontology, TermId, TermIds
 
 _WS_RE = re.compile(r"\s")
 
@@ -417,7 +417,7 @@ def _lines(*writers: tuple) -> Iterator[str]:
 # One reader per kind. Each field is ``v if <v has the right type> else expect_type(v, ...)``: the check
 # runs inline, and expect_type/expect_number are called only to raise, on the first bad field in order.
 # ``share`` is the bound ``setdefault`` of one load's value table, so an identifier field is ``share(v, v)``,
-# one C call; ``term_id`` is the bound ``__getitem__`` of its term table (``_TermIds``), or ``TermId``.
+# one C call; ``term_id`` is the bound ``__getitem__`` of its term table (``TermIds``), or ``TermId``.
 def _read_patient(record: dict, share, term_id) -> PatientNode:
     demo = v if isinstance(v := record.get("demographics", {}), dict) else expect_type(v, dict, "demographics")
     key = share(v, v) if isinstance(v := record["key"], str) else expect_type(v, str, "key")
@@ -456,18 +456,6 @@ def _read_assertion(record: dict, share, term_id) -> PhenotypeAssertion:
 _READERS = {"patient": _read_patient, "note": _read_note, "assertion": _read_assertion}
 
 
-class _TermIds(dict):
-    """One load's term table: raw id -> its ``TermId``, validated on the first lookup of each raw id;
-    raw ids that canonicalize alike (``hp:`` and ``HP:``) share one ``TermId``."""
-
-    __slots__ = ()
-
-    def __missing__(self, raw: str) -> TermId:
-        term = TermId(raw)
-        term = self[raw] = self.setdefault(term, term)
-        return term
-
-
 def _node_reader(share, term_id):
     """``record_to_node`` over one load's tables: ``share``, a value table's bound ``setdefault``, and ``term_id``."""
 
@@ -497,5 +485,5 @@ def load_graph(path: str | Path, ontology: Ontology | None = None) -> Graph:
 
 
 def _read_records(path: str | Path) -> Iterator[PatientNode | NoteNode | PhenotypeAssertion]:
-    read = _node_reader({}.setdefault, _TermIds().__getitem__)
+    read = _node_reader({}.setdefault, TermIds().__getitem__)
     return (node for _, node in iter_jsonl(path, GraphIntegrityError, read))

@@ -11,7 +11,8 @@ calls running: for ``complete_batch`` an item is one request, for the funnel
 one candidate's whole score chain. The HTTP backend posts through one stdlib
 ``urllib`` opener (a fresh connection per request; the HTTP stack is
 imported with the first HTTP backend) and retries transport errors, 5xx and
-429 with exponential backoff; the cassette backend answers
+429 with exponential backoff, waiting longer when a 429 or 503 reply's
+``Retry-After`` asks for it; the cassette backend answers
 from a recorded cassette keyed by a stable hash of (system, user), with the
 hash state of each distinct system text kept once, on one thread (a lookup
 never waits, so its ``max_in_flight`` is 1), and, wrapped around another
@@ -229,9 +230,13 @@ class HttpBackend:
 
         The one retry loop: transport errors (refused, reset, timed out,
         truncated), 5xx and 429 are retried on the backoff schedule, any
-        other status fails at once (both as BackendUnavailableError). Each
-        attempt opens a fresh connection. The caller validates the payload;
-        a malformed one is not retried.
+        other status fails at once (both as BackendUnavailableError). A 429
+        or 503 reply's ``Retry-After`` (delta-seconds or an HTTP-date) makes
+        the wait ``max(scheduled delay, Retry-After)``; a value the client
+        cannot parse leaves the schedule alone, and one above
+        ``config.timeout`` stops retrying at once. Each attempt opens a
+        fresh connection. The caller validates the payload; a malformed one
+        is not retried.
         """
         import http.client
 
@@ -240,8 +245,9 @@ class HttpBackend:
         last_status: int | None = None
         last_error = ""
         for attempt in range(1, retry.max_attempts + 1):
+            server_wait = 0.0
             try:
-                status, raw = self._post_once(data)
+                status, retry_after, raw = self._post_once(data)
             except (OSError, http.client.HTTPException) as exc:
                 last_status, last_error = None, str(exc)
             else:
@@ -258,8 +264,17 @@ class HttpBackend:
                         last_status=last_status,
                         attempts=attempt,
                     )
+                if status in (429, 503) and (asked := _retry_after_seconds(retry_after)) is not None:
+                    if asked > self.config.timeout:
+                        raise BackendUnavailableError(
+                            f"backend returned status {status} with Retry-After {retry_after!r} "
+                            f"({asked:g} s), beyond the {self.config.timeout:g} s timeout: {last_error}",
+                            last_status=status,
+                            attempts=attempt,
+                        )
+                    server_wait = asked
             if attempt < retry.max_attempts:
-                self._sleep(delays[attempt - 1])
+                self._sleep(max(delays[attempt - 1], server_wait))
         raise BackendUnavailableError(
             f"backend unavailable after {retry.max_attempts} attempts "
             f"(last status: {last_status}, last error: {last_error})",
@@ -267,8 +282,8 @@ class HttpBackend:
             attempts=retry.max_attempts,
         )
 
-    def _post_once(self, data: bytes) -> tuple[int, bytes]:
-        """(status, body bytes) of one POST; an HTTP error status is a reply, not an exception."""
+    def _post_once(self, data: bytes) -> tuple[int, str | None, bytes]:
+        """(status, Retry-After header, body bytes) of one POST; an HTTP error status is a reply, not an exception."""
         import urllib.error
         import urllib.request
 
@@ -278,7 +293,27 @@ class HttpBackend:
         except urllib.error.HTTPError as exc:
             response = exc
         with response:
-            return response.status, response.read()
+            return response.status, response.headers.get("Retry-After"), response.read()
+
+
+def _retry_after_seconds(value: str | None) -> float | None:
+    """Seconds a ``Retry-After`` value asks the client to wait (RFC 9110 section 10.2.3): delta-seconds, or
+    an HTTP-date, counted from now and 0 once past; None when absent or unparseable."""
+    if value is None:
+        return None
+    value = value.strip()
+    if value.isascii() and value.isdigit():
+        return float(value)
+    import datetime
+    import email.utils
+
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (TypeError, ValueError, IndexError, OverflowError):
+        return None
+    if when.tzinfo is None:  # an asctime date or "-0000": HTTP dates are in GMT
+        when = when.replace(tzinfo=datetime.timezone.utc)
+    return max(0.0, when.timestamp() - time.time())
 
 
 def _error_snippet(payload: dict) -> str:

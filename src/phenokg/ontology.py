@@ -40,6 +40,25 @@ class TermId(str):
         return super().__new__(cls, candidate)
 
 
+class TermIds(dict):
+    """One load's term table: raw id -> its ``TermId``, validated on the first lookup of each raw id;
+    raw ids that canonicalize alike (``hp:`` and ``HP:``) share one ``TermId``."""
+
+    __slots__ = ()
+
+    def __missing__(self, raw: str) -> TermId:
+        term = TermId(raw)
+        term = self[raw] = self.setdefault(term, term)
+        return term
+
+    def set_of(self, raw_ids) -> frozenset[TermId]:
+        """The ``TermId`` of each raw id; any raw id ``TermId`` refuses raises its error, in order."""
+        try:
+            return frozenset(map(self.__getitem__, raw_ids))
+        except TypeError:  # an unhashable raw id: ``TermId`` names its type
+            return frozenset(map(TermId, raw_ids))
+
+
 @dataclass(frozen=True)
 class OntologyTerm:
     id: TermId

@@ -127,6 +127,38 @@ def test_hpo_gold_rejects_unknown_terms(tmp_path, dravet_ontology):
         load_hpo_gold(path, dravet_ontology)
 
 
+def test_hpo_gold_holds_one_term_id_object_per_distinct_id(tmp_path, dravet_ontology):
+    lines = [
+        '{"doc_id": "d1", "text": "t", "hpo_ids": ["HP:0000118", "HP:0000152"]}',
+        '{"doc_id": "d2", "text": "t", "hpo_ids": ["HP:0000118"]}',
+        '{"doc_id": "d3", "text": "t", "hpo_ids": ["hp:0000118", " HP:0000152"]}',
+    ]
+    path = _write(tmp_path, "g.jsonl", "\n".join(lines) + "\n")
+    for ontology in (None, dravet_ontology):
+        terms = [term for _, gold in load_hpo_gold(path, ontology) for term in gold]
+        assert sorted(terms) == ["HP:0000118", "HP:0000118", "HP:0000118", "HP:0000152", "HP:0000152"]
+        assert len({id(term) for term in terms}) == 2
+
+
+@pytest.mark.parametrize(
+    "hpo_ids, message",
+    [
+        ("[5]", "term id must be a string, got int"),
+        ("[null]", "term id must be a string, got NoneType"),
+        ('["HP:0001250", ["HP:0001250"]]', "term id must be a string, got list"),
+        ('[{"id": "HP:0001250"}]', "term id must be a string, got dict"),
+        ('["HP:0001250", "HP:12"]', r"invalid term id 'HP:12': expected HP: followed by 7 digits"),
+        ('["Seizure"]', r"invalid term id 'Seizure'"),
+        ("5", "'int' object is not iterable"),
+    ],
+)
+def test_hpo_gold_refuses_a_bad_id_naming_its_line(tmp_path, hpo_ids, message):
+    good = '{"doc_id": "d1", "text": "t", "hpo_ids": ["HP:0001250"]}'
+    path = _write(tmp_path, "g.jsonl", f'{good}\n\n{{"doc_id": "d2", "text": "t", "hpo_ids": {hpo_ids}}}\n')
+    with pytest.raises(CorpusIntegrityError, match=f"{path} line 3: {message}"):
+        load_hpo_gold(path)
+
+
 def test_multilabel_gold_round_trip(tmp_path):
     corpus = synthesize_multilabel_fixture(seed=2, n_docs=4, labels_per_doc=3)
     path = tmp_path / "ml.jsonl"

@@ -1,4 +1,5 @@
 import contextlib
+import email.utils
 import hashlib
 import json
 import os
@@ -37,13 +38,14 @@ import phenokg.cli
 
 
 class _ScriptedHandler(BaseHTTPRequestHandler):
-    """Serves a per-server queue of (status, text) responses; a dict text is sent as the whole payload."""
+    """Serves a per-server queue of (status, text) or (status, text, headers) responses; a dict text is sent
+    as the whole payload."""
 
     def do_POST(self):
         length = int(self.headers.get("Content-Length", 0))
         body = json.loads(self.rfile.read(length)) if length else {}
         with self.server.lock:
-            status, text = self.server.script.pop(0) if self.server.script else (200, "fallback")
+            status, text, *headers = self.server.script.pop(0) if self.server.script else (200, "fallback")
             self.server.requests_seen.append(body)
         payload = {
             "choices": [{"message": {"role": "assistant", "content": text}}],
@@ -57,6 +59,8 @@ class _ScriptedHandler(BaseHTTPRequestHandler):
         self.send_response(status)
         self.send_header("Content-Type", "application/json")
         self.send_header("Content-Length", str(len(encoded)))
+        for name, value in (headers[0] if headers else {}).items():
+            self.send_header(name, value)
         self.end_headers()
         self.wfile.write(encoded)
 
@@ -77,12 +81,12 @@ def http_stub():
     server.server_close()
 
 
-def _http_config(server, max_attempts=3, max_in_flight=4):
+def _http_config(server, max_attempts=3, max_in_flight=4, base_backoff=0.0):
     return BackendConfig(
         kind="http",
         model_name="stub-model",
         endpoint_url=f"http://127.0.0.1:{server.server_address[1]}/v1/chat/completions",
-        retry=RetryPolicy(max_attempts=max_attempts, base_backoff=0.0),
+        retry=RetryPolicy(max_attempts=max_attempts, base_backoff=base_backoff),
         max_in_flight=max_in_flight,
     )
 
@@ -141,6 +145,46 @@ def test_http_429_is_retryable(http_stub):
     http_stub.script[:] = [(429, ""), (200, "after limit")]
     backend = HttpBackend(_http_config(http_stub, max_attempts=2), sleep=lambda _: None)
     assert backend.complete(REQ).text == "after limit"
+
+
+def _backend_sleeping_into(http_stub, slept, **config):
+    return HttpBackend(_http_config(http_stub, **config), sleep=slept.append)
+
+
+def test_http_retry_after_seconds_lengthen_the_wait(http_stub):
+    http_stub.script[:] = [
+        (503, "", {"Retry-After": "7"}),
+        (429, "", {"Retry-After": "0"}),
+        (500, "", {"Retry-After": "9"}),  # only a 429 or 503 reply is read for it
+        (200, "ok"),
+    ]
+    slept = []
+    backend = _backend_sleeping_into(http_stub, slept, max_attempts=4, base_backoff=0.5)
+    assert backend.complete(REQ).attempts == 4
+    assert slept == [7.0, 1.0, 2.0]  # max(scheduled delay, Retry-After)
+
+
+def test_http_retry_after_date_is_counted_from_now(http_stub):
+    http_stub.script[:] = [(429, "", {"Retry-After": email.utils.formatdate(time.time() + 12, usegmt=True)}), (200, "ok")]
+    slept = []
+    assert _backend_sleeping_into(http_stub, slept).complete(REQ).text == "ok"
+    assert len(slept) == 1 and 9.0 < slept[0] <= 12.0
+
+
+def test_http_unparseable_retry_after_keeps_the_schedule(http_stub):
+    http_stub.script[:] = [(503, "", {"Retry-After": "soon"}), (503, "", {"Retry-After": "3"}), (200, "ok")]
+    slept = []
+    assert _backend_sleeping_into(http_stub, slept, base_backoff=0.5).complete(REQ).text == "ok"
+    assert slept == [0.5, 3.0]
+
+
+def test_http_retry_after_beyond_the_timeout_stops_retrying(http_stub):
+    http_stub.script[:] = [(503, "", {"Retry-After": "120"}), (200, "never sent")]
+    slept = []
+    with pytest.raises(BackendUnavailableError, match=r"Retry-After '120' \(120 s\), beyond the 30 s timeout") as err:
+        _backend_sleeping_into(http_stub, slept).complete(REQ)
+    assert (err.value.last_status, err.value.attempts, slept) == (503, 1, [])
+    assert len(http_stub.script) == 1
 
 
 def test_backoff_non_decreasing():

@@ -209,6 +209,47 @@ def test_embed_one_is_bit_identical_to_the_dense_reference(texts):
         assert struct.pack("256d", *vec) == struct.pack("256d", *expected)
 
 
+_FOLDING_TEXTS = ["", "   ", "-- ; !", "Straße ﬁt İstanbul", "Straße ﬁt İstanbul STRASSE", "ß ss SS", "a\ud800b"]
+
+
+def _assert_rows_are_embed_one(texts):
+    index = build_index(HashedEmbedder(), [(f"d{i}", text) for i, text in enumerate(texts)])
+    assert index._matrix.flags.f_contiguous
+    reference = HashedEmbedder()
+    for row, text in zip(index._matrix, texts):
+        assert row.tobytes() == struct.pack("256d", *reference.embed_one(text)) == struct.pack("256d", *dense_embed_one(text))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_EMBED_TEXTS, min_size=1, max_size=8))
+@example(_FOLDING_TEXTS)
+def test_bulk_built_rows_are_bit_identical_to_embed_one(texts):
+    _assert_rows_are_embed_one(texts)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_EMBED_TEXTS, min_size=1, max_size=5), st.randoms(use_true_random=False))
+@example(_FOLDING_TEXTS, random.Random(0))
+def test_bulk_built_rows_of_duplicated_texts_are_bit_identical_to_embed_one(texts, rng):
+    doubled = texts * 2
+    rng.shuffle(doubled)
+    _assert_rows_are_embed_one(doubled)
+
+
+def test_top_k_on_a_hashed_pool_ranks_as_a_dense_reference(synth_docs):
+    texts = {d.document.doc_id: d.document.text for d in synth_docs}
+    texts |= {"twin-a": "seizure fever seizure", "twin-b": "seizure fever seizure", "empty": "", "fold": "SEIZURE Fever"}
+    embedder = HashedEmbedder()
+    index = build_index(embedder, texts)
+    dense = [(item_id, dense_embed_one(text)) for item_id, text in texts.items()]
+    for query_id, text in [*texts.items(), ("q", "fever and seizure onset"), ("none", "!!")]:
+        for k in (1, 5, len(texts)):
+            got = top_k(index, embedder.embed_one(text), k=k, exclude={query_id})
+            expected = brute_force_ranking(dense, dense_embed_one(text), exclude={query_id})[:k]
+            assert [item_id for item_id, _ in got] == [item_id for item_id, _ in expected]
+            assert [score for _, score in got] == pytest.approx([score for _, score in expected], abs=1e-12)
+
+
 def test_index_matrix_bytes_are_pinned(synth_docs):
     pool = [(d.document.doc_id, d.document.text) for d in synth_docs] + [
         ("empty", ""),
