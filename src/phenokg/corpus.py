@@ -190,9 +190,10 @@ def save_span_corpus(corpus: Sequence[tuple[Document, Sequence[SpanAnnotation]]]
 def _load_labeled_docs(
     path: str | Path, labels_key: str, make_set, known: Container | None, unknown_what: str
 ) -> list[tuple[Document, frozenset]]:
-    """(Document, ``make_set(record[labels_key])``) per line.
+    """(Document, ``make_set(record[labels_key])``) per line; ``make_set`` refuses an item that is not a string.
 
-    A bad line, a duplicate doc_id, or an item not in ``known`` (when given) is refused, naming its line.
+    A bad line, a ``labels_key`` that is not an array, a duplicate doc_id, or an item not in ``known`` (when
+    given) is refused, naming its line.
     """
     seen: set[str] = set()
 
@@ -202,7 +203,7 @@ def _load_labeled_docs(
         if doc_id in seen:
             raise CorpusIntegrityError(f"duplicate doc_id {doc_id}")
         seen.add(doc_id)
-        gold = make_set(record[labels_key])
+        gold = make_set(v if isinstance(v := record[labels_key], list) else expect_type(v, list, labels_key))
         if known is not None and (unknown := sorted(item for item in gold if item not in known)):
             raise CorpusIntegrityError(f"doc {doc_id}: {unknown_what}: {', '.join(unknown)}")
         return doc, gold
@@ -227,7 +228,11 @@ def load_multilabel_gold(
     """Load multilabel note annotations (JSON Lines of {doc_id, text, labels})."""
     if len(universe) != 15:
         raise DomainError(f"label universe must have exactly 15 names, got {len(universe)}")
-    return _load_labeled_docs(path, "labels", frozenset, universe, "labels outside universe")
+    return _load_labeled_docs(path, "labels", _label_set, universe, "labels outside universe")
+
+
+def _label_set(labels: list) -> frozenset[str]:
+    return frozenset(label if isinstance(label, str) else expect_type(label, str, "label") for label in labels)
 
 
 def save_multilabel_gold(corpus: Sequence[tuple[Document, frozenset[str]]], path: str | Path) -> None:

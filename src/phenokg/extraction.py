@@ -194,11 +194,15 @@ def substitute(template: str, **placeholders: str) -> str:
     return pattern.sub(lambda match: placeholders[match.group(0)[1:-1]], template)
 
 
+def _require_marker(text: str) -> str:
+    if USER_SECTION_MARKER not in text:
+        raise DomainError(f"template missing {USER_SECTION_MARKER} section marker")
+    return text
+
+
 def render_template(template: str, **placeholders: str) -> tuple[str, str]:
     """``substitute`` the placeholders, then split into (system, user) sections."""
-    rendered = substitute(template, **placeholders)
-    if USER_SECTION_MARKER not in rendered:
-        raise DomainError(f"template missing {USER_SECTION_MARKER} section marker")
+    rendered = _require_marker(substitute(template, **placeholders))
     system, user = rendered.split(USER_SECTION_MARKER, 1)
     return system.strip() + "\n", user.strip() + "\n"
 
@@ -616,6 +620,28 @@ def build_prompt(
     return _render_prompt(task, document, examples, previous, round_no)
 
 
+@dataclass(frozen=True, slots=True)
+class _RoundPrompts:
+    """One round's requests, item ``i`` rendered for document ``i`` when it is read.
+
+    ``complete_batch`` reads each index once, on the worker that claims it, so
+    only the prompts in flight exist at once. ``results`` is only read here:
+    the round's replies are merged after the batch returns.
+    """
+
+    task: object
+    active: list[tuple[Document, str]]
+    results: dict[str, object]
+    round_no: int
+
+    def __len__(self) -> int:
+        return len(self.active)
+
+    def __getitem__(self, i: int) -> ChatRequest:
+        doc, examples = self.active[i]
+        return _render_prompt(self.task, doc, examples, self.results.get(doc.doc_id), self.round_no)
+
+
 def merge_gleaned(prev, new):
     """Set-union merge of two rounds' results for the same document key.
 
@@ -661,11 +687,18 @@ def extract_corpus(
     cumulative result and sends no further rounds; a document that fails
     round 0 is therefore omitted. One bad response never aborts the run; a
     program bug (any exception but a PhenoKGError) does. Duplicate document
-    keys are a DomainError, raised before any request is sent.
+    keys and a task template without its section marker are DomainErrors,
+    raised before any request is sent.
+
+    Each document's examples are selected once, up front, on the calling
+    thread; its prompt is rendered only when a dispatcher worker claims it,
+    so a round holds at most ``max_in_flight`` rendered prompts, not one per
+    active document.
     """
     duplicates = sorted(key for key, n in Counter(doc.doc_id for doc in documents).items() if n > 1)
     if duplicates:
         raise DomainError(f"duplicate document keys: {', '.join(duplicates)}")
+    _require_marker(load_template(task.name))
     audit = audit if audit is not None else AuditLog()
     results: dict[str, object] = {}
     # examples are selected once per document and reused in every round
@@ -674,11 +707,8 @@ def extract_corpus(
     for round_no in range(glean.iterations + 1):
         if not active:
             break
-        requests = [
-            _render_prompt(task, doc, examples, results.get(doc.doc_id), round_no)
-            for doc, examples in active
-        ]
-        responses = complete_batch(backend, requests, max_in_flight=max_in_flight)
+        prompts = _RoundPrompts(task, active, results, round_no)
+        responses = complete_batch(backend, prompts, max_in_flight=max_in_flight)
         still_active = []
         for (doc, examples), response in zip(active, responses):
             key = doc.doc_id

@@ -7,8 +7,10 @@ becomes a backend (a bad config is one ConfigError listing every problem),
 and everything else (``complete_batch``, extraction, the funnel, ``cassette
 record``) takes the built backend, so a cassette is read once per run. One
 claim-an-index dispatcher, ``_run_bounded``, keeps at most ``max_in_flight``
-calls running: for ``complete_batch`` an item is one request, for the funnel
-one candidate's whole score chain. The HTTP backend posts through one stdlib
+calls running and reads each item once, on the worker that claims it: for
+``complete_batch`` an item is one request (extraction passes a sequence that
+renders each prompt as it is read), for the funnel one candidate's whole
+score chain. The HTTP backend posts through one stdlib
 ``urllib`` opener (a fresh connection per request; the HTTP stack is
 imported with the first HTTP backend) and retries transport errors, 5xx and
 429 with exponential backoff, waiting longer when a 429 or 503 reply's
@@ -388,7 +390,11 @@ def complete_batch(
     requests_: Sequence[ChatRequest],
     max_in_flight: int | None = None,
 ) -> list[ChatResponse | PhenoKGError]:
-    """``backend.complete`` each request through ``_run_bounded`` (bound: ``max_in_flight`` or the backend's)."""
+    """``backend.complete`` each request through ``_run_bounded`` (bound: ``max_in_flight`` or the backend's).
+
+    ``requests_[i]`` is read exactly once, by the worker that claims ``i``, so a sequence may build each
+    request as it is read and hold no more than the requests in flight.
+    """
     return _run_bounded(requests_, backend.complete, max_in_flight or backend.max_in_flight)
 
 
@@ -397,7 +403,9 @@ def _run_bounded(items: Sequence, fn: Callable, bound: int) -> list:
 
     ``min(bound, len(items))`` workers, the calling thread one of them, each
     claim the next unclaimed index until none is left, so at most ``bound``
-    calls run at once and each item is started once. An expected failure (a
+    calls run at once and each item is started once. ``items[i]`` is read
+    exactly once, by the worker that claims ``i``, just before ``fn`` is
+    called on it; an index left unclaimed is never read. An expected failure (a
     PhenoKGError: backend unavailable, replay miss, unparseable reply) is
     returned in place as its exception instead of aborting the rest (the
     asyncio.gather(return_exceptions=True) idiom). Any other exception,

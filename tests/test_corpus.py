@@ -149,7 +149,8 @@ def test_hpo_gold_holds_one_term_id_object_per_distinct_id(tmp_path, dravet_onto
         ('[{"id": "HP:0001250"}]', "term id must be a string, got dict"),
         ('["HP:0001250", "HP:12"]', r"invalid term id 'HP:12': expected HP: followed by 7 digits"),
         ('["Seizure"]', r"invalid term id 'Seizure'"),
-        ("5", "'int' object is not iterable"),
+        ("5", "hpo_ids must be an array, got 5"),
+        ('"HP:0000118"', 'hpo_ids must be an array, got "HP:0000118"'),
     ],
 )
 def test_hpo_gold_refuses_a_bad_id_naming_its_line(tmp_path, hpo_ids, message):
@@ -169,6 +170,17 @@ def test_multilabel_gold_round_trip(tmp_path):
 def test_multilabel_rejects_stray_labels(tmp_path):
     path = _write(tmp_path, "ml.jsonl", '{"doc_id": "d1", "text": "t", "labels": ["NOT_A_LABEL"]}\n')
     with pytest.raises(CorpusIntegrityError, match="NOT_A_LABEL"):
+        load_multilabel_gold(path)
+
+
+@pytest.mark.parametrize(
+    "labels, message",
+    [('"abc"', 'labels must be an array, got "abc"'), ("[5]", "label must be a string, got 5")],
+)
+def test_multilabel_gold_refuses_a_bad_labels_field_naming_its_line(tmp_path, labels, message):
+    good = '{"doc_id": "d1", "text": "t", "labels": ["HEART_FAILURE"]}'
+    path = _write(tmp_path, "ml.jsonl", f'{good}\n{{"doc_id": "d2", "text": "t", "labels": {labels}}}\n')
+    with pytest.raises(CorpusIntegrityError, match=f"{path} line 2: {message}"):
         load_multilabel_gold(path)
 
 

@@ -1,9 +1,12 @@
 import json
 import random
+import threading
 import time
+from collections import Counter
 
 import pytest
 
+from phenokg import extraction
 from phenokg.corpus import DEFAULT_LABEL_UNIVERSE, Document, EntityType
 from phenokg.errors import (
     BackendUnavailableError,
@@ -636,6 +639,80 @@ def test_program_bug_propagates_from_extract(dravet_ontology):
     with pytest.raises(TypeError):
         extract_corpus(HpoTask(dravet_ontology), [Document("p", "t")], backend, glean=GleanConfig(2))
     assert len(backend.calls) == 1  # later rounds are never sent
+
+
+_ALLOWED = sorted(dravet_allowed_terms())
+
+
+def _glean_responder(request):
+    """A reply that depends only on (key, round): some documents fail a round, some replies carry an unknown term."""
+    _, key, round_part = request.request_tag.split(":")
+    i, round_no = int(key[1:]), int(round_part[1:])
+    if i % 7 == round_no + 3:
+        return "no object here"
+    rows = [{"category": str(_ALLOWED[(i + round_no) % len(_ALLOWED)]), "confidence": 0.8, "reasoning": "r"}]
+    if i % 5 == round_no:
+        rows.append({"category": "HP:0000000", "confidence": 0.5, "reasoning": "unknown"})
+    return json.dumps({key: rows})
+
+
+_GLEAN_DOCS = [Document(f"p{i}", f"note {i}: seizures with fever") for i in range(50)]
+
+
+@pytest.mark.threads
+@pytest.mark.parametrize("bound", [1, 4])
+def test_extract_corpus_holds_only_in_flight_prompts(dravet_ontology, monkeypatch, bound):
+    lock = threading.Lock()
+    counts = {"rendered": 0, "pending": 0, "peak": 0}
+    render = extraction._render_prompt
+
+    def counting_render(*args):
+        request = render(*args)
+        with lock:
+            counts["rendered"] += 1
+            counts["pending"] += 1
+        return request
+
+    def responder(request):
+        with lock:
+            counts["peak"] = max(counts["peak"], counts["pending"])
+            counts["pending"] -= 1
+        return _glean_responder(request)
+
+    monkeypatch.setattr(extraction, "_render_prompt", counting_render)
+    backend = ScriptedBackend(responder=responder, max_in_flight=bound)
+    extract_corpus(_hpo_task(dravet_ontology), _GLEAN_DOCS, backend, glean=GleanConfig(2))
+    # rendering every prompt of a round before sending any would hold 50 at once
+    assert 1 <= counts["peak"] <= bound
+    assert counts["rendered"] == len(backend.calls) > 2 * len(_GLEAN_DOCS)
+    assert counts["pending"] == 0
+
+
+@pytest.mark.threads
+def test_extract_corpus_is_the_same_at_every_bound(dravet_ontology):
+    task = _hpo_task(dravet_ontology)
+
+    def run(bound):
+        backend = ScriptedBackend(responder=_glean_responder, max_in_flight=bound)
+        audit = AuditLog()
+        results = extract_corpus(task, _GLEAN_DOCS, backend, glean=GleanConfig(2), audit=audit)
+        return results, audit.entries, Counter(backend.calls)
+
+    results, entries, sent = run(1)
+    assert run(4) == (results, entries, sent)
+    assert {entry["event"] for entry in entries} == {"document_round_failed", "dropped_unknown_term"}
+    assert [e["round"] for e in entries if e["event"] == "document_round_failed"] == [0] * 7 + [1] * 7 + [2] * 7
+    assert len(results) == 43 and max(sent.values()) == 1
+
+
+def test_template_without_marker_raises_before_any_request(dravet_ontology, monkeypatch):
+    monkeypatch.setattr(extraction, "load_template", lambda name: "{examples}\n{document}\n{previous_result}")
+    backend = ScriptedBackend(responder=lambda request: "{}")
+    audit = AuditLog()
+    with pytest.raises(DomainError, match="---USER--- section marker"):
+        extract_corpus(HpoTask(dravet_ontology), _GLEAN_DOCS[:3], backend, audit=audit)
+    assert backend.calls == []
+    assert audit.entries == []
 
 
 def test_hpo_context_is_built_once_per_task(dravet_ontology, monkeypatch):

@@ -65,7 +65,9 @@ def test_the_check_finds_unused_imports():
 # ``fixtures`` is the demo and test data module, so its definitions may serve tests alone
 UNCHECKED_MODULES = {"fixtures"}
 # "module.name": why the name stays though no program code refers to it
-UNREFERENCED_ALLOWED: dict[str, str] = {}
+UNREFERENCED_ALLOWED: dict[str, str] = {
+    "ontology.resolve_label": "ROADMAP item 6 grounds model labels through it",
+}
 
 
 def _referenced(nodes) -> set[str]:
@@ -84,14 +86,28 @@ def _referenced(nodes) -> set[str]:
     return found
 
 
+def _without_re_exports(body: list[ast.stmt]) -> list[ast.stmt]:
+    """A package ``__init__``'s statements less its imports and its ``__all__``: a re-export is no use."""
+
+    def re_exports(node: ast.stmt) -> bool:
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            return True
+        return isinstance(node, ast.Assign) and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+
+    return [node for node in body if not re_exports(node)]
+
+
 def unreferenced_definitions(modules: dict[str, str], others: list[str], prose: str) -> list[str]:
     """The module-level functions and classes of ``modules`` (name -> source) that nothing refers to.
 
     A definition is referred to where its name appears in another module, in its own module outside its own
-    definition, in one of the ``others`` sources, or as a word of ``prose``. Each unreferenced one comes as
-    ``"module.name"``, in module and then source order.
+    definition, in one of the ``others`` sources, or as a word of ``prose``. ``__init__``'s re-exports (its
+    imports and its ``__all__`` strings) are not references. Each unreferenced one comes as ``"module.name"``,
+    in module and then source order.
     """
     trees = {name: ast.parse(source).body for name, source in modules.items()}
+    if "__init__" in trees:
+        trees["__init__"] = _without_re_exports(trees["__init__"])
     outside = set(re.findall(r"\w+", prose)).union(*(_referenced(ast.parse(source).body) for source in others))
     dead = []
     for module, body in trees.items():
@@ -116,6 +132,7 @@ def test_every_module_level_definition_is_referred_to_by_the_program():
 
 def test_the_check_finds_unreferenced_definitions():
     modules = {
+        "__init__": "from .a import Dead, used\n__all__ = ['Dead', 'used']\n__version__ = '1'\n",
         "a": "def used(): pass\ndef only_self(): only_self()\nclass Dead: pass\nclass Documented: pass\n",
         "b": "from .a import used\ndef _helper(): pass\ndef looked_up(): pass\nused(_helper)\n",
     }

@@ -429,24 +429,42 @@ def test_batch_program_bug_propagates_and_cancels_unsent():
     assert len(backend.calls) < len(requests_)
 
 
+class _RecordedReads:
+    """A request sequence that records which thread reads each index."""
+
+    def __init__(self, n):
+        self.n = n
+        self.reads = []
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        self.reads.append((i, threading.get_ident()))
+        return ChatRequest(system="s", user=str(i))
+
+
 @pytest.mark.threads
 @pytest.mark.parametrize("bound", [1, 4])
 def test_batch_runs_on_the_calling_thread_and_joins_its_workers(bound):
-    threads = []
+    senders = {}
 
     def responder(request):
-        threads.append(threading.get_ident())
+        senders[int(request.user)] = threading.get_ident()
         time.sleep(0.005)
         return "ok"
 
     before = set(threading.enumerate())
-    requests_ = [ChatRequest(system="s", user=str(i)) for i in range(8)]
+    requests_ = _RecordedReads(8)
     results = complete_batch(ScriptedBackend(responder=responder), requests_, max_in_flight=bound)
     assert [r.text for r in results] == ["ok"] * 8
     if bound == 1:
-        assert set(threads) == {threading.get_ident()}
+        assert set(senders.values()) == {threading.get_ident()}
     else:
-        assert 2 <= len(set(threads)) <= bound
+        assert 2 <= len(set(senders.values())) <= bound
+    # each item is read once, by the worker that sends it
+    assert sorted(i for i, _ in requests_.reads) == list(range(8))
+    assert dict(requests_.reads) == senders
     assert set(threading.enumerate()) <= before
 
 
@@ -459,11 +477,13 @@ def test_batch_program_bug_stops_every_worker():
         return "ok"
 
     backend = ScriptedBackend(responder=responder)
-    requests_ = [ChatRequest(system="s", user=str(i)) for i in range(20)]
+    requests_ = _RecordedReads(20)
     before = set(threading.enumerate())
     with pytest.raises(TypeError):
         complete_batch(backend, requests_, max_in_flight=3)
     assert len(backend.calls) < len(requests_)
+    # an item is read only by the worker that claims it, so one left unclaimed is never read
+    assert sorted(i for i, _ in requests_.reads) == sorted(int(request.user) for request in backend.calls)
     assert set(threading.enumerate()) <= before  # every worker joined before the bug propagates
 
 
