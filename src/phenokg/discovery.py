@@ -5,8 +5,9 @@ Stages: candidate assembly (keyword hits union generic-ICD hits), rubric
 extraction, and deterministic finalist ranking. Each candidate is scored by
 one chain (patient record, prompt, request, parse, at most one retry) on the
 backend's bounded worker pool, and only its score is kept: the record of
-each candidate that clears the threshold is rebuilt for extraction. The
-rubric part of the score prompt is rendered once per rubric. Per-patient
+each candidate that clears the threshold is rebuilt for extraction. A score
+prompt's system part is the rubric's, rendered once per rubric from the
+score template; its user message is the patient record. Per-patient
 failures are audited in key order and skipped; a sweep over tens of
 thousands of candidates must never abort on one bad response.
 """
@@ -15,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -22,16 +24,14 @@ from typing import Iterable
 from .corpus import Document
 from .errors import DomainError, PhenoKGError
 from .extraction import (
-    USER_SECTION_MARKER,
     AuditLog,
     GleanConfig,
     HpoExtraction,
     HpoTask,
     ScoreSchema,
     extract_corpus,
-    load_template,
     parse_model_output,
-    substitute,
+    render_template,
 )
 from .jsonl import expect_number, expect_type, markdown_table
 from .kg import Graph, PatientRecord, cohort_by_icd, keyword_search, patient_record
@@ -48,8 +48,8 @@ class RubricCriterion:
     weight: float
 
     def __post_init__(self):
-        if self.weight <= 0:
-            raise DomainError(f"criterion weight must be positive, got {self.weight}")
+        if not 0 < self.weight < math.inf:
+            raise DomainError(f"criterion weight must be positive and finite, got {self.weight}")
 
 
 @dataclass(frozen=True)
@@ -66,13 +66,15 @@ class ScoringRubric:
             raise DomainError("rubric needs at least one criterion")
 
     @functools.cached_property
-    def _score_frame(self) -> tuple[str, str, str]:
-        """(system, user text before the record, user text after it) of the score template, rendered once."""
-        fill = dict(disease_name=self.disease_name, disease_context=self.disease_context, scale_note=self.scale_note)
-        fill["criteria"] = "\n".join(f"- (weight {c.weight:g}) {c.description}" for c in self.criteria)
-        before, after = (substitute(part, **fill) for part in load_template("score").split("{document}"))
-        system, head = before.split(USER_SECTION_MARKER, 1)
-        return system.strip() + "\n", head, after
+    def system_prompt(self) -> str:
+        """The score template rendered for this rubric, once."""
+        return render_template(
+            "score",
+            disease_name=self.disease_name,
+            disease_context=self.disease_context,
+            criteria="\n".join(f"- (weight {c.weight:g}) {c.description}" for c in self.criteria),
+            scale_note=self.scale_note,
+        )
 
 
 def load_rubric(path: str | Path) -> ScoringRubric:
@@ -91,7 +93,7 @@ def load_rubric(path: str | Path) -> ScoringRubric:
         )
     except KeyError as exc:
         raise DomainError(f"{path}: missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, DomainError) as exc:
         raise DomainError(f"{path}: {exc}") from None
 
 
@@ -107,10 +109,9 @@ class LikelihoodScore:
 
 
 def build_score_prompt(record: PatientRecord, rubric: ScoringRubric) -> ChatRequest:
-    """The score template rendered for ``record``: byte for byte one single-pass ``render_template``."""
-    system, head, tail = rubric._score_frame
-    user = (head + record.render() + tail).strip() + "\n"
-    return ChatRequest(system=system, user=user, request_tag=f"score:{record.key}")
+    """The rubric's system prompt, and ``record`` rendered as the user message."""
+    user = record.render().strip() + "\n"
+    return ChatRequest(system=rubric.system_prompt, user=user, request_tag=f"score:{record.key}")
 
 
 def _score_chain(record: PatientRecord, rubric: ScoringRubric, backend) -> LikelihoodScore:

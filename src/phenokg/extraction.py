@@ -1,15 +1,16 @@
 """Prompt building, strict-JSON output parsing, and the gleaning loop.
 
 Three task families share one pipeline: named entity mentions, ontology
-term extraction, and multilabel classification. Prompts are rendered from
-plain-text templates (system and user sections split by a marker line)
-and are byte-deterministic for equal inputs. Model output must be a
-single JSON object; exactly two deviations are recovered (a fenced code
-block wrapping the object, and prose around exactly one object). Each
-gleaning round feeds the cumulative result back and asks for new entities
-only; merged results therefore grow monotonically. ``extract_corpus`` is the
-one gleaning loop, for one document or many: a failed round is audited,
-never raised.
+term extraction, and multilabel classification. A task's system prompt is
+its plain-text template with the examples and task context substituted in;
+its user message, built here, is the document's input block plus, on a
+gleaning round, the previous result. Prompts are byte-deterministic for
+equal inputs. Model output must be a single JSON object; exactly two
+deviations are recovered (a fenced code block wrapping the object, and
+prose around exactly one object). Each gleaning round feeds the cumulative
+result back and asks for new entities only; merged results therefore grow
+monotonically. ``extract_corpus`` is the one gleaning loop, for one document
+or many: a failed round is audited, never raised.
 """
 
 from __future__ import annotations
@@ -33,8 +34,6 @@ from .ontology import Ontology, TermId
 from .retrieval import EmbeddingIndex, top_k
 
 logger = logging.getLogger(__name__)
-
-USER_SECTION_MARKER = "---USER---"
 
 
 class PolicyMode(enum.Enum):
@@ -194,17 +193,9 @@ def substitute(template: str, **placeholders: str) -> str:
     return pattern.sub(lambda match: placeholders[match.group(0)[1:-1]], template)
 
 
-def _require_marker(text: str) -> str:
-    if USER_SECTION_MARKER not in text:
-        raise DomainError(f"template missing {USER_SECTION_MARKER} section marker")
-    return text
-
-
-def render_template(template: str, **placeholders: str) -> tuple[str, str]:
-    """``substitute`` the placeholders, then split into (system, user) sections."""
-    rendered = _require_marker(substitute(template, **placeholders))
-    system, user = rendered.split(USER_SECTION_MARKER, 1)
-    return system.strip() + "\n", user.strip() + "\n"
+def render_template(name: str, **placeholders: str) -> str:
+    """The system prompt: the bundled template ``name`` with its placeholders ``substitute``d."""
+    return substitute(load_template(name), **placeholders).strip() + "\n"
 
 
 class NerTask:
@@ -591,19 +582,12 @@ def _render_examples(task, examples: list[tuple[Document, object]]) -> str:
 
 
 def _render_prompt(task, document: Document, examples: str, previous, round_no: int) -> ChatRequest:
-    template = load_template(task.name)
-    placeholders = {
-        "examples": examples,
-        "document": task.render_input(document),
-        "previous_result": "" if previous is None else _glean_block(task.gold_to_json(previous.key, previous)),
-        "allowed_terms": "",
-        "disease_context": "",
-    }
-    placeholders.update(task.context_placeholders())
-    system, user = render_template(template, **placeholders)
+    user = task.render_input(document)
+    if previous is not None:
+        user += "\n\n" + _glean_block(task.gold_to_json(previous.key, previous))
     return ChatRequest(
-        system=system,
-        user=user,
+        system=render_template(task.name, examples=examples, **task.context_placeholders()),
+        user=user.strip() + "\n",
         request_tag=f"{task.name}:{document.doc_id}:r{round_no}",
     )
 
@@ -686,8 +670,8 @@ def extract_corpus(
     ``document_round_failed`` with its key, round and error, keeps its
     cumulative result and sends no further rounds; a document that fails
     round 0 is therefore omitted. One bad response never aborts the run; a
-    program bug (any exception but a PhenoKGError) does. Duplicate document
-    keys and a task template without its section marker are DomainErrors,
+    program bug (any exception but a PhenoKGError) does, and so does a task
+    template that cannot be read. Duplicate document keys are a DomainError,
     raised before any request is sent.
 
     Each document's examples are selected once, up front, on the calling
@@ -698,7 +682,6 @@ def extract_corpus(
     duplicates = sorted(key for key, n in Counter(doc.doc_id for doc in documents).items() if n > 1)
     if duplicates:
         raise DomainError(f"duplicate document keys: {', '.join(duplicates)}")
-    _require_marker(load_template(task.name))
     audit = audit if audit is not None else AuditLog()
     results: dict[str, object] = {}
     # examples are selected once per document and reused in every round

@@ -256,8 +256,7 @@ def upsert_assertion(graph: Graph, assertion: PhenotypeAssertion, ontology: Onto
 def cohort_by_icd(graph: Graph, codes: Iterable[str], mode: str = "any") -> set[str]:
     """Patients whose ICD-10 set intersects (any) or contains (all) ``codes``.
 
-    Matching is exact on normalized codes; no prefix expansion happens
-    implicitly (see expand_icd_prefix).
+    Matching is exact on normalized codes; a prefix matches no longer code.
     """
     normalized = _normalize_codes(codes)
     if not normalized:
@@ -267,16 +266,6 @@ def cohort_by_icd(graph: Graph, codes: Iterable[str], mode: str = "any") -> set[
     if mode == "any":
         return {key for key, node in graph._patients.items() if not normalized.isdisjoint(node.icd10)}
     return {key for key, node in graph._patients.items() if normalized <= node.icd10}
-
-
-def expand_icd_prefix(graph: Graph, prefix: str) -> set[str]:
-    """Every normalized ICD-10 code present in the graph starting with ``prefix``.
-
-    Explicit helper only: callers expand, inspect, then pass the codes to
-    cohort_by_icd themselves.
-    """
-    normalized = _normalize_code(prefix)
-    return {code for node in graph._patients.values() for code in node.icd10 if code.startswith(normalized)}
 
 
 def keyword_search(graph: Graph, pattern: str) -> list[tuple[str, str]]:

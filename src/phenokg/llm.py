@@ -448,7 +448,9 @@ def load_cassette(path: str | Path) -> dict[str, str]:
     """Map request hash -> response (a string); a hash recorded twice must carry the same response."""
     responses: dict[str, str] = {}
     first_line: dict[str, int] = {}
-    entries = iter_jsonl(path, DomainError, lambda r: (r["hash"], expect_type(r["response"], str, "response")))
+    entries = iter_jsonl(
+        path, DomainError, lambda r: (expect_type(r["hash"], str, "hash"), expect_type(r["response"], str, "response"))
+    )
     for line_no, (key, response) in entries:
         if responses.setdefault(key, response) != response:
             raise DomainError(f"{path} lines {first_line[key]} and {line_no}: different responses for hash {key}")

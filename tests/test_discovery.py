@@ -21,7 +21,7 @@ from phenokg.discovery import (
     _score_chain,
 )
 from phenokg.errors import DomainError, OutputParseError
-from phenokg.extraction import AuditLog, GleanConfig, HpoTask, build_prompt, load_template, render_template
+from phenokg.extraction import AuditLog, GleanConfig, HpoTask, build_prompt, render_template
 from phenokg.fixtures import (
     BPAN_ALLOWED_TERMS,
     BPAN_GENERIC_ICD10,
@@ -82,10 +82,14 @@ BAD_RUBRICS = [
     ({"disease_name": "d", "disease_context": "ctx", "criteria": 5}, "criteria must be an array, got 5"),
     ({"disease_name": "d", "disease_context": "ctx", "criteria": [{"description": "c", "weight": "heavy"}]},
      'weight must be a number, got "heavy"'),
+    ({"disease_name": "d", "disease_context": "ctx", "criteria": [{"description": "c", "weight": float("nan")}]},
+     "criterion weight must be positive and finite, got nan"),
+    ({"disease_name": "d", "disease_context": "ctx", "criteria": [{"description": "c", "weight": float("inf")}]},
+     "criterion weight must be positive and finite, got inf"),
 ]
 
 
-@pytest.mark.parametrize("payload, problem", BAD_RUBRICS, ids=["array", "criteria", "weight"])
+@pytest.mark.parametrize("payload, problem", BAD_RUBRICS, ids=["array", "criteria", "weight", "nan", "infinity"])
 def test_load_rubric_names_the_file_and_the_field_of_the_wrong_shape(tmp_path, payload, problem):
     path = tmp_path / "rubric.json"
     path.write_text(json.dumps(payload))
@@ -579,15 +583,14 @@ def test_score_prompt_equals_the_single_pass_render(name, context, description, 
     graph = build_graph([PatientNode("p1"), NoteNode("p1-n", "p1", note + "tail")])
     record = patient_record(graph, "p1")
     request = build_score_prompt(record, rubric)
-    system, user = render_template(
-        load_template("score"),
+    system = render_template(
+        "score",
         disease_name=name,
         disease_context=context,
         criteria=f"- (weight 2) {description}\n- (weight 0.5) x",
         scale_note=scale_note,
-        document=record.render(),
     )
-    assert (request.system, request.user) == (system, user)
+    assert (request.system, request.user) == (system, record.render().strip() + "\n")
 
 
 def test_min_assertions_filter(haystack, dravet_ontology):

@@ -97,18 +97,24 @@ def _without_re_exports(body: list[ast.stmt]) -> list[ast.stmt]:
     return [node for node in body if not re_exports(node)]
 
 
-def unreferenced_definitions(modules: dict[str, str], others: list[str], prose: str) -> list[str]:
+# a fenced code block of a Markdown file: its opening fence, info string, body and closing fence
+_FENCED_BLOCK = re.compile(r"^(```|~~~)[^\n]*\n(.*?)^\1", re.MULTILINE | re.DOTALL)
+
+
+def unreferenced_definitions(modules: dict[str, str], others: list[str], readme: str) -> list[str]:
     """The module-level functions and classes of ``modules`` (name -> source) that nothing refers to.
 
     A definition is referred to where its name appears in another module, in its own module outside its own
-    definition, in one of the ``others`` sources, or as a word of ``prose``. ``__init__``'s re-exports (its
-    imports and its ``__all__`` strings) are not references. Each unreferenced one comes as ``"module.name"``,
-    in module and then source order.
+    definition, in one of the ``others`` sources, or as a word of a fenced code block of the Markdown
+    ``readme`` (code a reader runs; a name in its prose or in an inline code span is not a use).
+    ``__init__``'s re-exports (its imports and its ``__all__`` strings) are not references. Each unreferenced
+    one comes as ``"module.name"``, in module and then source order.
     """
     trees = {name: ast.parse(source).body for name, source in modules.items()}
     if "__init__" in trees:
         trees["__init__"] = _without_re_exports(trees["__init__"])
-    outside = set(re.findall(r"\w+", prose)).union(*(_referenced(ast.parse(source).body) for source in others))
+    code = "\n".join(block.group(2) for block in _FENCED_BLOCK.finditer(readme))
+    outside = set(re.findall(r"\w+", code)).union(*(_referenced(ast.parse(source).body) for source in others))
     dead = []
     for module, body in trees.items():
         if module in UNCHECKED_MODULES:
@@ -133,8 +139,12 @@ def test_every_module_level_definition_is_referred_to_by_the_program():
 def test_the_check_finds_unreferenced_definitions():
     modules = {
         "__init__": "from .a import Dead, used\n__all__ = ['Dead', 'used']\n__version__ = '1'\n",
-        "a": "def used(): pass\ndef only_self(): only_self()\nclass Dead: pass\nclass Documented: pass\n",
+        "a": (
+            "def used(): pass\ndef only_self(): only_self()\nclass Dead: pass\nclass Documented: pass\n"
+            "def in_prose(): pass\ndef in_a_span(): pass\n"
+        ),
         "b": "from .a import used\ndef _helper(): pass\ndef looked_up(): pass\nused(_helper)\n",
     }
     others = ["getattr(b, 'looked_up')\n"]
-    assert unreferenced_definitions(modules, others, "Call `Documented` for it.") == ["a.only_self", "a.Dead"]
+    readme = "Call in_prose or `in_a_span` for it:\n\n```python\nfrom phenokg.a import Documented\n```\n"
+    assert unreferenced_definitions(modules, others, readme) == ["a.only_self", "a.Dead", "a.in_prose", "a.in_a_span"]

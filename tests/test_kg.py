@@ -21,7 +21,6 @@ from phenokg.kg import (
     _normalize_codes,
     build_graph,
     cohort_by_icd,
-    expand_icd_prefix,
     keyword_search,
     load_graph,
     patient_record,
@@ -197,7 +196,6 @@ def test_exactly_one_patient_holds_both_codes(demo_graph):
 def test_no_prefix_expansion_in_cohort_query():
     graph = build_graph([PatientNode("p1", icd10=frozenset({"G40.833"}))])
     assert cohort_by_icd(graph, {"G40.83"}, mode="any") == set()
-    assert expand_icd_prefix(graph, "G40.83") == {"G40.833"}
 
 
 def test_keyword_search_two_bpan_patients(demo_graph):

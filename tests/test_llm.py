@@ -3,6 +3,7 @@ import email.utils
 import hashlib
 import json
 import os
+import re
 import socket
 import subprocess
 import sys
@@ -515,6 +516,14 @@ def test_conflicting_duplicate_cassette_hash_is_rejected(tmp_path):
         request_hash(REQ.system, REQ.user): "same",
         request_hash(other.system, other.user): "x",
     }
+
+
+@pytest.mark.parametrize("hash_value", [5, ["a"]], ids=["number", "array"])
+def test_cassette_hash_of_the_wrong_type_names_its_line(tmp_path, hash_value):
+    path = tmp_path / "cassette.jsonl"
+    write_jsonl(path, [json.dumps({"hash": "h", "response": "ok"}), json.dumps({"hash": hash_value, "response": "x"})])
+    with pytest.raises(DomainError, match=re.escape(f"line 2: hash must be a string, got {json.dumps(hash_value)}")):
+        load_cassette(path)
 
 
 def _reference_request_hash(system, user):
