@@ -316,6 +316,8 @@ def cmd_discover(args) -> None:
     stages = dict(report.stage_counts)
     if stages["candidates"] and not stages["scored"]:
         raise ScoringError(f"scored 0/{stages['candidates']} candidates; see {out / 'audit.jsonl'}")
+    if stages["filtered"] and not stages["extracted"]:
+        raise PhenoKGError(f"extracted 0/{stages['filtered']} survivors; see {out / 'audit.jsonl'}")
     print(report.to_markdown(), end="")
 
 

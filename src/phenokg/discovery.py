@@ -4,8 +4,8 @@ Stages: candidate assembly (keyword hits union generic-ICD hits), rubric
 0-9 likelihood scoring, threshold filtering, per-patient phenotype
 extraction, and deterministic finalist ranking. Each candidate is scored by
 one chain (patient record, prompt, request, parse, at most one retry) on the
-backend's bounded worker pool, and only its score is kept: the record of
-each candidate that clears the threshold is rebuilt for extraction. A score
+backend's bounded worker pool. Scores are counted, only a survivor's is
+kept, and each survivor's record is rebuilt for extraction. A score
 prompt's system part is the rubric's, rendered once per rubric from the
 score template; its user message is the patient record. Per-patient
 failures are audited in key order and skipped; a sweep over tens of
@@ -211,10 +211,11 @@ def run_funnel(
     threshold) -> extracted -> finalists. Finalists rank by (score desc,
     count of assertions with confidence >= ``HIGH_CONFIDENCE`` desc, patient
     key asc). A candidate whose score fails is audited as ``scoring_failed``
-    and skipped. Only scores are kept; each survivor's record is rebuilt with
-    ``patient_record`` for extraction. ``min_assertions`` optionally demands
-    that many high-confidence assertions as a hard filter (off by default:
-    phenotype extraction is a ranking input, not a second gate).
+    and skipped. One loop over the dispatcher's results counts the scores and
+    keeps only the survivors', in key order; each survivor's record is rebuilt
+    with ``patient_record`` for extraction. ``min_assertions`` optionally
+    demands that many high-confidence assertions as a hard filter (off by
+    default: phenotype extraction is a ranking input, not a second gate).
     """
     if not 0 <= threshold <= 9:
         raise DomainError(f"threshold {threshold} outside [0, 9]")
@@ -228,14 +229,15 @@ def run_funnel(
     def score(key: str) -> LikelihoodScore:
         return _score_chain(patient_record(graph, key), rubric, backend)
 
-    scores = {}
+    scored, survivors = 0, {}
     for key, outcome in zip(candidates, _run_bounded(candidates, score, backend.max_in_flight)):
         if isinstance(outcome, PhenoKGError):
             audit.record("scoring_failed", patient=key, error=str(outcome))
         else:
-            scores[key] = outcome
-    survivors = [key for key, result in scores.items() if result.score >= threshold]
-    stage_counts.append(("scored", len(scores)))
+            scored += 1
+            if outcome.score >= threshold:
+                survivors[key] = outcome
+    stage_counts.append(("scored", scored))
     stage_counts.append(("filtered", len(survivors)))
 
     task = HpoTask(ontology, allowed_terms=allowed_terms, disease_context=rubric.disease_context)
@@ -254,7 +256,7 @@ def run_funnel(
         if min_assertions is not None and len(strong) < min_assertions:
             audit.record("below_min_assertions", patient=key, strong=len(strong))
             continue
-        ranked.append((scores[key].score, len(strong), key, strong))
+        ranked.append((survivors[key].score, len(strong), key, strong))
     ranked.sort(key=lambda row: (-row[0], -row[1], row[2]))
     finalists = tuple(
         FunnelFinalist(key, score, tuple(strong[:5])) for score, _, key, strong in ranked

@@ -408,10 +408,11 @@ def _run_bounded(items: Sequence, fn: Callable, bound: int) -> list:
     called on it; an index left unclaimed is never read. An expected failure (a
     PhenoKGError: backend unavailable, replay miss, unparseable reply) is
     returned in place as its exception instead of aborting the rest (the
-    asyncio.gather(return_exceptions=True) idiom). Any other exception,
-    including an interrupt, is a program bug: it stops the workers claiming
-    new items (unclaimed items are never started) and, once every worker has
-    returned, the first one is re-raised.
+    asyncio.gather(return_exceptions=True) idiom), with every traceback on its
+    cause/context chain cleared: their frames would hold the results list in a
+    reference cycle. Any other exception, including an interrupt, is a program
+    bug: it stops the workers claiming new items (unclaimed items are never
+    started) and, once every worker has returned, the first one is re-raised.
     """
     if bound < 1:
         raise DomainError(f"max_in_flight must be >= 1, got {bound}")
@@ -429,7 +430,7 @@ def _run_bounded(items: Sequence, fn: Callable, bound: int) -> list:
                 try:
                     results[i] = fn(items[i])
                 except PhenoKGError as exc:
-                    results[i] = exc
+                    results[i] = _without_frames(exc)
         except BaseException as exc:  # re-raised on the calling thread once every worker is joined
             bugs.append(exc)
 
@@ -442,6 +443,18 @@ def _run_bounded(items: Sequence, fn: Callable, bound: int) -> list:
     if bugs:
         raise bugs[0]
     return results
+
+
+def _without_frames(exc: BaseException) -> BaseException:
+    """``exc``, its traceback and every traceback on its ``__cause__``/``__context__`` chain cleared."""
+    todo, seen = [exc], set()
+    while todo:
+        link = todo.pop()
+        if link is not None and id(link) not in seen:
+            seen.add(id(link))
+            link.__traceback__ = None
+            todo += (link.__cause__, link.__context__)
+    return exc
 
 
 def load_cassette(path: str | Path) -> dict[str, str]:

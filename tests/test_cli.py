@@ -620,6 +620,59 @@ def test_discover_with_nothing_scored_exits_nonzero(tmp_path, ontology_file, cap
     assert len(audit) == 20
 
 
+def _discover_six_survivors(tmp_path, dravet_ontology, ontology_file, extraction_reply, *flags):
+    """``discover`` over a 200-patient haystack on a cassette scoring its 6 planted patients 8, the rest 2,
+    and answering every extraction prompt with ``extraction_reply(patient)``; returns (exit code, out dir)."""
+    from phenokg.discovery import run_funnel
+
+    graph, planted = fixtures.build_discovery_graph(200, n_positive=6)
+    graph_path = tmp_path / "haystack.jsonl"
+    save_graph(graph, graph_path)
+    rubric_path = tmp_path / "rubric.json"
+    rubric_path.write_text(json.dumps(dataclasses.asdict(fixtures.bpan_rubric())), encoding="utf-8")
+
+    def oracle(request):
+        kind, key, *_ = request.request_tag.split(":")
+        if kind == "score":
+            return json.dumps({"score": 8 if key in planted else 2, "rationale": "oracle"})
+        return extraction_reply(key)
+
+    recorder = CassetteBackend(inner=ScriptedBackend(oracle))
+    run_funnel(graph, fixtures.bpan_rubric(), keywords=["BPAN"], generic_icd=fixtures.BPAN_GENERIC_ICD10,
+               allowed_terms=frozenset(t.id for t in dravet_ontology), backend=recorder, ontology=dravet_ontology)
+    recorder.save(tmp_path / "cassette.jsonl")
+    out = tmp_path / "discover"
+    code = run_cli([
+        "discover", "--graph", graph_path, "--ontology", ontology_file, "--rubric", rubric_path,
+        "--keyword", "BPAN", "--icd", *fixtures.BPAN_GENERIC_ICD10, *flags,
+        "--backend-kind", "replay", "--cassette", tmp_path / "cassette.jsonl", "--out", out,
+    ])
+    return code, out
+
+
+def _stage_counts(out):
+    return {s["stage"]: s["count"] for s in json.loads((out / "funnel.json").read_text(encoding="utf-8"))["stage_counts"]}
+
+
+def test_discover_with_survivors_but_none_extracted_exits_nonzero(tmp_path, dravet_ontology, ontology_file, capsys):
+    code, out = _discover_six_survivors(tmp_path, dravet_ontology, ontology_file, lambda key: "sorry, I cannot help")
+    audit = _failed_run_audit(code, out, capsys, "PhenoKGError")
+    assert [entry["event"] for entry in audit] == ["document_round_failed"] * 6
+    assert _stage_counts(out) == {"candidates": 200, "scored": 200, "filtered": 6, "extracted": 0, "finalists": 0}
+    assert (out / "funnel.md").exists()
+
+
+def test_discover_whose_finalists_min_assertions_filtered_all_exits_zero(tmp_path, dravet_ontology, ontology_file):
+    term = min(t.id for t in dravet_ontology)
+    code, out = _discover_six_survivors(
+        tmp_path, dravet_ontology, ontology_file,
+        lambda key: json.dumps({key: [{"category": term, "confidence": 0.9, "reasoning": "oracle"}]}),
+        "--min-assertions", "2",
+    )
+    assert code == 0
+    assert _stage_counts(out) == {"candidates": 200, "scored": 200, "filtered": 6, "extracted": 6, "finalists": 0}
+
+
 @contextlib.contextmanager
 def _chat_stub():
     """An OpenAI-compatible endpoint answering every request "reply <n>", n counting from 1; yields its URL."""

@@ -500,10 +500,42 @@ def test_notes_for_stays_right_after_an_add_note_that_follows_a_read(tmp_path):
         assert [note.note_id for note in g.notes_for("p3")] == ["n2"]
 
 
+@pytest.mark.parametrize("new_id", ["n0", "n4", "n9"])  # before, between (from 3 notes on) or after the others
+@pytest.mark.parametrize("read_first", [False, True])
+@pytest.mark.parametrize("n_notes", [0, 1, 2, 3])
+def test_notes_for_lists_a_patients_notes_by_id_around_an_add_note(n_notes, read_first, new_id):
+    graph = Graph()
+    for key in ("p1", "p2"):
+        graph.add_patient(PatientNode(key))
+    for note_id in ["n5", "n1", "n3"][:n_notes]:
+        graph.add_note(NoteNode(note_id, "p1", f"note {note_id}"))
+    graph.add_note(NoteNode("n2", "p2", "note n2"))
+    before = sorted(["n5", "n1", "n3"][:n_notes])
+    if read_first:
+        first = graph.notes_for("p1")
+        assert [note.note_id for note in first] == before
+        first.clear()  # a returned list is the caller's own
+        assert [note.note_id for note in graph.notes_for("p1")] == before
+    graph.add_note(NoteNode(new_id, "p1", f"note {new_id}"))
+    after = graph.notes_for("p1")
+    assert [note.note_id for note in after] == sorted([*before, new_id])
+    assert [note.text for note in after] == [f"note {n}" for n in sorted([*before, new_id])]
+    after.append(after[0])
+    assert len(graph.notes_for("p1")) == n_notes + 1
+    assert [note.note_id for note in graph.notes_for("p2")] == ["n2"]
+    assert graph.notes_for("p3") == []
+    # the index holds a patient's one note itself, and several as a tuple
+    held = graph._notes_by_patient
+    assert held["p2"] is graph._notes["n2"]
+    assert isinstance(held["p1"], NoteNode if n_notes == 0 else tuple)
+
+
 @pytest.mark.threads
 def test_concurrent_first_notes_for_calls_each_get_the_right_notes():
-    keys = [f"p{i:03d}" for i in range(800)]
+    # 20 notes for each of p000-p799, one for each of p800-p899, none for p900-p999
+    keys = [f"p{i:03d}" for i in range(1000)]
     notes = [NoteNode(f"n{j:05d}", keys[j * 7 % 800], f"note {j}") for j in range(16000)]
+    notes += [NoteNode(f"m{j:03d}", keys[800 + j], f"note m{j}") for j in range(100)]
     expected = {key: [] for key in keys}
     for note in notes:
         expected[note.patient].append(note.note_id)

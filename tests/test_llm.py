@@ -1,5 +1,6 @@
 import contextlib
 import email.utils
+import gc
 import hashlib
 import json
 import os
@@ -25,6 +26,7 @@ from phenokg.llm import (
     Usage,
     RetryPolicy,
     ScriptedBackend,
+    _run_bounded,
     backoff_schedule,
     check_config,
     complete_batch,
@@ -405,6 +407,27 @@ def test_batch_failure_is_positional():
     assert results[0].text == "fine"
     assert isinstance(results[1], BackendUnavailableError)
     assert results[2].text == "fine"
+
+
+@pytest.mark.parametrize("bound", [1, 4])
+def test_failures_come_back_without_frames_and_leave_nothing_for_the_cycle_collector(bound):
+    def fail(item: str):
+        try:
+            int(item)
+        except ValueError as exc:
+            raise BackendUnavailableError(f"failed {item}") from exc
+
+    gc.collect()
+    gc.disable()
+    try:
+        results = _run_bounded([f"x{i}" for i in range(100)], fail, bound)
+        assert [str(r) for r in results] == [f"failed x{i}" for i in range(100)]
+        assert all(isinstance(r.__cause__, ValueError) and r.__cause__ is r.__context__ for r in results)
+        assert all(r.__traceback__ is None and r.__cause__.__traceback__ is None for r in results)
+        del results
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 @pytest.mark.threads
