@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .corpus import Document, EntityType, normalize_surface
 from .errors import DomainError, OutputParseError, OutputSchemaError, PhenoKGError
-from .jsonl import _loads, expect_number, expect_type, write_jsonl
+from .jsonl import expect_number, expect_type, write_jsonl
 from .llm import ChatRequest, complete_batch
 from .ontology import Ontology, TermId
 from .retrieval import EmbeddingIndex, top_k
@@ -454,8 +454,8 @@ def parse_model_output(raw: str, expected_schema):
     raise OutputSchemaError naming the field.
     """
     candidate = raw.strip()
-    # ``\s`` and ``str.strip`` share one whitespace set, so only a reply that strips to a leading fence can match
-    if candidate.startswith("```") and (fence := _FENCE_RE.match(raw)):
+    fence = _FENCE_RE.match(raw)
+    if fence:
         candidate = fence.group(1).strip()
     obj = _try_load_object(candidate, raw)
     if obj is None:
@@ -465,7 +465,7 @@ def parse_model_output(raw: str, expected_schema):
 
 def _try_load_object(text: str, raw: str):
     try:
-        loaded = _loads(text)  # one raw_decode; exactly json.loads
+        loaded = json.loads(text)
     except json.JSONDecodeError:
         return None
     if not isinstance(loaded, dict):
@@ -482,7 +482,7 @@ def _extract_single_object(raw: str) -> dict:
     if len(segments) > 1:
         raise OutputParseError(f"found {len(segments)} top-level JSON objects, expected exactly one", raw=raw)
     try:
-        obj = _loads(segments[0])
+        obj = json.loads(segments[0])
     except json.JSONDecodeError:
         raise OutputParseError("brace-balanced segment is not a valid JSON object", raw=raw) from None
     if not isinstance(obj, dict):

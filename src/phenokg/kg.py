@@ -21,8 +21,8 @@ Free text (a note's ``text``, an assertion's ``reasoning``) is not shared. The t
 load: two loads share no object, and ``record_to_node`` shares nothing. Code sets go through a small
 bounded cache (``_normalized_code_set``), so a code set that repeats is normally normalized once and
 shared. ``sys.intern`` is not used, because interned strings are immortal on CPython 3.12: they would
-never be freed. The notes-by-patient index (a patient's one ``NoteNode``, or a tuple of several by note id)
-is built by the first ``Graph.notes_for``, so a graph that is only loaded, saved or searched never holds it.
+never be freed. The notes-by-patient index (patient -> a tuple of its ``NoteNode``s by note id) is built by
+the first ``Graph.notes_for``, so a graph that is only loaded, saved or searched never holds it.
 """
 
 from __future__ import annotations
@@ -125,7 +125,7 @@ class Graph:
     def __init__(self):
         self._patients: dict[str, PatientNode] = {}
         self._notes: dict[str, NoteNode] = {}
-        self._notes_by_patient: dict[str, NoteNode | tuple[NoteNode, ...]] | None = None  # see ``notes_for``
+        self._notes_by_patient: dict[str, tuple[NoteNode, ...]] | None = None  # built by the first ``notes_for``
         self._assertions: dict[PhenotypeAssertion, None] = {}
 
     # -- mutation -----------------------------------------------------------
@@ -144,7 +144,7 @@ class Graph:
         if self._notes_by_patient is not None:
             notes = self.notes_for(note.patient)
             bisect.insort(notes, note, key=lambda n: n.note_id)
-            self._notes_by_patient[note.patient] = notes[0] if len(notes) == 1 else tuple(notes)
+            self._notes_by_patient[note.patient] = tuple(notes)
 
     # -- access -------------------------------------------------------------
 
@@ -173,9 +173,9 @@ class Graph:
         return key in self._patients
 
     def notes_for(self, key: str) -> list[NoteNode]:
-        """The patient's notes by note id, as a new list. The first call builds the notes index (patient ->
-        its one note, or a tuple of its notes by note id) and publishes it whole, without a lock: concurrent
-        first callers may each build one."""
+        """The patient's notes by note id, as a new list. The first call builds the notes index (patient -> a
+        tuple of its notes by note id) and publishes it whole, without a lock: concurrent first callers may each
+        build one."""
         index = self._notes_by_patient
         if index is None:
             index = {}
@@ -185,10 +185,9 @@ class Graph:
                 else:
                     group.append(note)
             for patient, group in index.items():
-                index[patient] = group[0] if len(group) == 1 else tuple(sorted(group, key=lambda n: n.note_id))
+                index[patient] = tuple(sorted(group, key=lambda n: n.note_id))
             self._notes_by_patient = index
-        notes = index.get(key, ())
-        return list(notes) if isinstance(notes, tuple) else [notes]
+        return list(index.get(key, ()))
 
     def iter_notes(self) -> Iterator[NoteNode]:
         for note_id in sorted(self._notes):

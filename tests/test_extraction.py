@@ -5,7 +5,6 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from phenokg import extraction
 from phenokg.corpus import DEFAULT_LABEL_UNIVERSE, Document, EntityType
@@ -67,77 +66,6 @@ def test_parse_prose_wrapped_single_object():
 
 def test_parse_result_prefix_is_recoverable_prose():
     assert parse_model_output("Result:" + VALID_HPO, KeyedListSchema("d1"))
-
-
-def _two_step_parse(raw: str) -> dict:
-    """The reference: the fence regex tried on every reply, then ``json.loads``, then the brace scan."""
-    candidate = raw.strip()
-    fence = extraction._FENCE_RE.match(raw)
-    if fence:
-        candidate = fence.group(1).strip()
-    try:
-        loaded = json.loads(candidate)
-    except json.JSONDecodeError:
-        segments = extraction._balanced_segments(raw)
-        if len(segments) == 0:
-            raise OutputParseError("no JSON object found in model output", raw=raw)
-        if len(segments) > 1:
-            raise OutputParseError(f"found {len(segments)} top-level JSON objects, expected exactly one", raw=raw)
-        try:
-            obj = json.loads(segments[0])
-        except json.JSONDecodeError:
-            raise OutputParseError("brace-balanced segment is not a valid JSON object", raw=raw) from None
-        if not isinstance(obj, dict):
-            raise OutputParseError("brace-balanced segment is not a JSON object", raw=raw)
-        return obj
-    if not isinstance(loaded, dict):
-        raise OutputParseError(f"top-level JSON is {type(loaded).__name__}, expected object", raw=raw)
-    return loaded
-
-
-class _AnyObject:
-    def validate(self, obj: dict) -> dict:
-        return obj
-
-
-def _outcome(parse, raw: str):
-    try:
-        return repr(parse(raw))
-    except OutputParseError as exc:
-        return type(exc), str(exc), exc.raw
-
-
-# JSON whitespace, other Unicode whitespace (which str.strip and the fence regex's \s also strip), and a BOM
-_SPACE = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000\ufeff"), max_size=3)
-_BODY = st.one_of(
-    st.sampled_from(
-        [VALID_HPO, '{"score": 8}', "[1, 2]", '"text"', "{", "}{", '{"a": 1} {"b": 2}', '{"a": 1} trailing',
-         '{"a": "}"}x', "```", "no json here", "\ufeff{}"]
-    ),
-    st.dictionaries(st.text(max_size=3), st.integers() | st.text(max_size=3), max_size=2).map(json.dumps),
-    st.text(max_size=12),
-)
-
-
-@st.composite
-def _replies(draw) -> str:
-    body = draw(_BODY)
-    shape = draw(st.sampled_from(["bare", "fenced", "prose"]))
-    if shape == "fenced":
-        tag = draw(st.sampled_from(["", "json", "JSON", "py-3"]))
-        body = f"```{tag}{draw(_SPACE)}\n{body}{draw(st.sampled_from(['', chr(10)]))}{draw(_SPACE)}```"
-    elif shape == "prose":
-        body = draw(st.text(max_size=8)) + body + draw(st.text(max_size=8))
-    return draw(_SPACE) + body + draw(_SPACE)
-
-
-@settings(max_examples=400, deadline=None)
-@given(_replies())
-@example("\u3000```json\n{\"a\": 1}\n```\u2028")
-@example("\ufeff```json\n{}\n```")
-@example("```\n{\"a\": 1}\n```\n\n{\"b\": 2}")
-def test_parse_equals_the_two_step_parse(raw):
-    assert _outcome(lambda r: parse_model_output(r, _AnyObject()), raw) == _outcome(_two_step_parse, raw)
 
 
 MALFORMED_PARSE_CASES = [

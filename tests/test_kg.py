@@ -524,10 +524,10 @@ def test_notes_for_lists_a_patients_notes_by_id_around_an_add_note(n_notes, read
     assert len(graph.notes_for("p1")) == n_notes + 1
     assert [note.note_id for note in graph.notes_for("p2")] == ["n2"]
     assert graph.notes_for("p3") == []
-    # the index holds a patient's one note itself, and several as a tuple
+    # the index holds every patient's notes as a tuple of the graph's own nodes
     held = graph._notes_by_patient
-    assert held["p2"] is graph._notes["n2"]
-    assert isinstance(held["p1"], NoteNode if n_notes == 0 else tuple)
+    assert held["p2"] == (graph._notes["n2"],) and held["p2"][0] is graph._notes["n2"]
+    assert isinstance(held["p1"], tuple)
 
 
 @pytest.mark.threads
