@@ -98,8 +98,8 @@ def _backend_config(args) -> BackendConfig:
     )
 
 
-def _read_lines(path: Path) -> list[str]:
-    return [ln.strip() for ln in path.read_text(encoding="utf-8").splitlines() if ln.strip()]
+def _universe(args) -> frozenset[str]:
+    return frozenset(read_tsv(args.universe, 1, str)) if args.universe else DEFAULT_LABEL_UNIVERSE
 
 
 # -- command handlers ---------------------------------------------------------
@@ -134,8 +134,7 @@ def cmd_corpus_synth(args) -> None:
         else:
             save_span_corpus([(d.document, list(d.spans)) for d in docs], out / "corpus.pubtator")
     else:
-        universe = frozenset(_read_lines(args.universe)) if args.universe else DEFAULT_LABEL_UNIVERSE
-        corpus = synthesize_multilabel_fixture(args.seed, args.n_docs, args.labels_per_doc, universe)
+        corpus = synthesize_multilabel_fixture(args.seed, args.n_docs, args.labels_per_doc, _universe(args))
         save_multilabel_gold(corpus, out / "corpus.jsonl")
     _write_manifest(out, "corpus synth", args)
     print(f"wrote {args.n_docs} documents to {out}")
@@ -179,7 +178,7 @@ def _build_policy(args, pool) -> FewShotPolicy:
 
 def cmd_extract(args) -> None:
     _require(args, ["task", "corpus", "out"])
-    universe = frozenset(_read_lines(args.universe)) if args.universe else DEFAULT_LABEL_UNIVERSE
+    universe = _universe(args)
     documents = [doc for doc, _ in _load_task_corpus(args.task, args.corpus, universe)]
     task = _build_task(args, universe)
     pool = _load_task_corpus(args.task, args.pool, universe) if args.pool else None
@@ -204,7 +203,7 @@ def _load_predictions(task_name: str, path: Path) -> dict:
 
 def cmd_eval(args) -> None:
     _require(args, ["task", "gold", "pred", "out"])
-    universe = frozenset(_read_lines(args.universe)) if args.universe else DEFAULT_LABEL_UNIVERSE
+    universe = _universe(args)
     gold = {doc.doc_id: items for doc, items in _load_task_corpus(args.task, args.gold, universe)}
     predictions = _load_predictions(args.task, args.pred)
     if args.task == "ner":
@@ -260,7 +259,7 @@ def cmd_cohort_freq(args) -> None:
     graph = load_graph(args.graph, ontology)
     annotations = load_annotations(args.annotations, ontology)
     if args.cohort_file:
-        cohort = set(_read_lines(args.cohort_file))
+        cohort = set(read_tsv(args.cohort_file, 1, str))
     elif args.icd:
         cohort = cohort_by_icd(graph, args.icd, mode="any")
     else:

@@ -71,7 +71,7 @@ class GraphIntegrityError(PhenoKGError):
 
 
 class ScoringError(PhenoKGError):
-    """A patient likelihood score could not be obtained after retry."""
+    """A discovery run scored none of its candidates; raised by ``discover`` after it writes its outputs."""
 
 
 class ConfigError(PhenoKGError):

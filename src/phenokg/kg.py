@@ -22,12 +22,11 @@ load: two loads share no object, and ``record_to_node`` shares nothing. Code set
 bounded cache (``_normalized_code_set``), so a code set that repeats is normally normalized once and
 shared. ``sys.intern`` is not used, because interned strings are immortal on CPython 3.12: they would
 never be freed. The notes-by-patient index (patient -> a tuple of its ``NoteNode``s by note id) is built by
-the first ``Graph.notes_for``, so a graph that is only loaded, saved or searched never holds it.
+the first ``Graph.notes_for`` after the last ``add_note``, so a graph only loaded, saved or searched never holds it.
 """
 
 from __future__ import annotations
 
-import bisect
 import enum
 import functools
 import re
@@ -141,10 +140,7 @@ class Graph:
         if note.note_id in self._notes:
             raise GraphIntegrityError(f"duplicate note id {note.note_id}")
         self._notes[note.note_id] = note
-        if self._notes_by_patient is not None:
-            notes = self.notes_for(note.patient)
-            bisect.insort(notes, note, key=lambda n: n.note_id)
-            self._notes_by_patient[note.patient] = tuple(notes)
+        self._notes_by_patient = None
 
     # -- access -------------------------------------------------------------
 
@@ -173,9 +169,9 @@ class Graph:
         return key in self._patients
 
     def notes_for(self, key: str) -> list[NoteNode]:
-        """The patient's notes by note id, as a new list. The first call builds the notes index (patient -> a
-        tuple of its notes by note id) and publishes it whole, without a lock: concurrent first callers may each
-        build one."""
+        """The patient's notes by note id, as a new list. The first call, and the first after an ``add_note``,
+        builds the notes index (patient -> a tuple of its notes by note id) and publishes it whole, without a
+        lock: concurrent first callers may each build one."""
         index = self._notes_by_patient
         if index is None:
             index = {}

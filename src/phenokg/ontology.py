@@ -183,9 +183,6 @@ class Ontology:
     def __iter__(self):
         return iter(self._terms.values())
 
-    def get(self, term_id: str) -> OntologyTerm | None:
-        return self._terms.get(term_id)
-
     def __getitem__(self, term_id: str) -> OntologyTerm:
         try:
             return self._terms[term_id]

@@ -3,22 +3,21 @@
 The embedder is a deterministic hashed bag-of-words model (case-folded
 tokens, FNV-1a hashed into a fixed 256-dim count vector, L2-normalized).
 ``build_index`` embeds the whole pool with one ``embed_many(texts)``,
-which hashes each distinct token once and fills one count matrix with a
-single ``np.bincount``; few-shot selection embeds each query document with
-``embed_one(text)``, the one-text case of the same code. Each embedder
-caches at most 65,536 token buckets, and the vectors are bit for bit
-those of hashing every occurrence. The index matrix is column-major, so a
-query is scored on the columns of its non-zero buckets only. An index is
-rebuilt from its texts on every run and is never persisted. Search is
-exact and exhaustive; corpora here are at most a few thousand items.
-numpy is imported on first use, so only ``extract --policy
-dynamic-fewshot`` loads it.
+which fills one count matrix with a single ``np.bincount``; few-shot
+selection embeds each query document with ``embed_one(text)``, the
+one-text case of the same code. Each embedder has one token table, which
+keeps the buckets of the first 65,536 tokens it meets; the vectors are bit
+for bit those of hashing every occurrence. ``EmbeddingIndex(ids, matrix)``
+is the one index constructor; its matrix is column-major, so a query is
+scored on the columns of its non-zero buckets only. An index is rebuilt
+from its texts on every run and is never persisted. Search is exact and
+exhaustive; corpora here are at most a few thousand items. numpy is
+imported on first use, so only ``extract --policy dynamic-fewshot`` loads
+it.
 """
 
 from __future__ import annotations
 
-import functools
-import itertools
 import string
 from typing import Sequence
 
@@ -48,27 +47,27 @@ def _fnv1a64(token: bytes) -> int:
 
 
 class HashedEmbedder:
-    """Deterministic hashed bag-of-words embedder (pure integer hashing) into ``DEFAULT_DIM`` dimensions."""
+    """Deterministic hashed bag-of-words embedder (pure integer hashing) into ``DEFAULT_DIM`` dimensions, with one
+    ``_BucketTable`` of its own."""
 
     def __init__(self) -> None:
-        # per embedder, so a new one starts cold as a one-shot run does; bounded, as queries bring new tokens
-        self._bucket = functools.lru_cache(maxsize=1 << 16)(lambda token: _fnv1a64(token) % DEFAULT_DIM)
+        self._buckets = _BucketTable()  # a new embedder starts cold, as a one-shot run does
 
     def embed_one(self, text: str) -> list[float]:
         return self.embed_many([text])[0].tolist()
 
     def embed_many(self, texts: Sequence[str]):
-        """The vectors of ``texts`` as the rows of one column-major float64 matrix. A token is hashed once per
-        call, through this embedder's cache. A text with no token embeds to the zero vector, which cosine
-        treats as 0 similarity."""
+        """The vectors of ``texts`` as the rows of one column-major float64 matrix. Each token's bucket comes from
+        this embedder's token table. A text with no token embeds to the zero vector, which cosine treats as 0
+        similarity."""
         import numpy as np
-        bucket_of = _BucketTable(self._bucket)
+        bucket_of = self._buckets.__getitem__
         buckets: list[int] = []
         lengths = []
         for text in texts:  # one text's tokens at a time: the pool's would all be alive at once
             tokens = _tokens(text)
             lengths.append(len(tokens))
-            buckets += map(bucket_of.__getitem__, tokens)
+            buckets += map(bucket_of, tokens)
         n = len(texts)
         # bucket b of row i is flat entry b * n + i, so the (dim, n) counts transposed are column-major;
         # float counts (no int64 copy) are exact, and so are their sums of squares below 2**53
@@ -84,62 +83,41 @@ class HashedEmbedder:
 
 
 class _BucketTable(dict):
-    """token -> bucket for one ``embed_many`` call; a token met for the first time goes through ``bucket``."""
+    """token -> bucket, FNV-hashed at first use. Bounded, as queries bring new tokens: it keeps only the first
+    65,536 tokens it meets, and hashes a token it does not hold on every use."""
 
-    __slots__ = ("_bucket",)
-
-    def __init__(self, bucket):
-        super().__init__()
-        self._bucket = bucket
+    __slots__ = ()
 
     def __missing__(self, token: bytes) -> int:
-        value = self[token] = self._bucket(token)
-        return value
+        bucket = _fnv1a64(token) % DEFAULT_DIM
+        if len(self) < 1 << 16:
+            self[token] = bucket
+        return bucket
 
 
 class EmbeddingIndex:
-    """Immutable id -> vector store with uniform dimensionality; the vectors are the rows of one
-    column-major float64 matrix.
+    """Immutable id -> vector store: item ``ids[i]`` has the vector ``matrix[i]`` of a column-major float64
+    matrix, and every vector has the matrix's ``dim`` columns.
 
-    An empty vector, a dimension unlike the first's or a repeated id raises ``DomainError`` at the first
-    such item, before the matrix is checked for non-finite entries, so it wins over a non-finite entry.
-    ``from_matrix`` runs the same checks in the same order.
+    The checks run in this order, and the first that fails raises ``DomainError``: as many ids as rows; at
+    least one column when there are ids; no repeated id; no non-finite entry.
     """
 
-    def __init__(self, items: Sequence[tuple[str, Sequence[float]]]):
+    def __init__(self, ids: Sequence[str], matrix):
         import numpy as np
-        pairs = list(items)
-        self._check_rows([item_id for item_id, _ in pairs], [len(vec) for _, vec in pairs])
-        vectors = [vec for _, vec in pairs]
-        self._set_matrix(np.array(vectors, dtype=np.float64, order="F") if vectors else np.zeros((0, 0)))
-
-    @classmethod
-    def from_matrix(cls, ids: Sequence[str], matrix) -> EmbeddingIndex:
-        """An index whose item ``ids[i]`` has the vector ``matrix[i]``, for a column-major float64 matrix."""
-        index = cls.__new__(cls)
-        index._check_rows(ids, itertools.repeat(matrix.shape[1]))
-        index._set_matrix(matrix)
-        return index
-
-    def _check_rows(self, ids: Sequence[str], dims) -> None:
         self._ids: list[str] = list(ids)
+        if len(self._ids) != matrix.shape[0]:
+            raise DomainError(f"{len(self._ids)} item ids for {matrix.shape[0]} matrix rows")
+        if self._ids and matrix.shape[1] == 0:
+            raise DomainError("embedding vector must be nonempty")
         self._rows: dict[str, int] = {}
-        self.dim: int | None = None
-        for item_id, dim in zip(self._ids, dims):
-            if dim == 0:
-                raise DomainError("embedding vector must be nonempty")
-            if self.dim is None:
-                self.dim = dim
-            elif dim != self.dim:
-                raise DomainError(f"vector for {item_id!r} has dim {dim}, index dim is {self.dim}")
+        for item_id in self._ids:
             if item_id in self._rows:
                 raise DomainError(f"duplicate item id {item_id!r}")
             self._rows[item_id] = len(self._rows)
-
-    def _set_matrix(self, matrix) -> None:
-        import numpy as np
         if not np.isfinite(matrix).all():
             raise DomainError("embedding vector contains non-finite entries")
+        self.dim = matrix.shape[1]
         self._matrix = matrix
         # einsum writes no squared copy of the matrix, as np.linalg.norm would
         self._norms = np.sqrt(np.einsum("ij,ij->i", matrix, matrix))
@@ -156,7 +134,7 @@ def build_index(embedder, items: dict[str, str] | Sequence[tuple[str, str]]) -> 
     pairs = list(items.items()) if isinstance(items, dict) else list(items)
     if not pairs:
         raise DomainError("cannot build an index from zero items")
-    return EmbeddingIndex.from_matrix([item_id for item_id, _ in pairs], embedder.embed_many([t for _, t in pairs]))
+    return EmbeddingIndex([item_id for item_id, _ in pairs], embedder.embed_many([t for _, t in pairs]))
 
 
 def top_k(
@@ -189,7 +167,7 @@ def top_k(
     if len(index) == 0:
         raise DomainError("index is empty")
     q = np.asarray(query, dtype=np.float64)
-    if q.ndim != 1 or (index.dim is not None and q.shape[0] != index.dim):
+    if q.ndim != 1 or q.shape[0] != index.dim:
         raise DomainError(f"query dim {q.shape} does not match index dim {index.dim}")
     if not np.all(np.isfinite(q)):
         raise DomainError("query vector contains non-finite entries")

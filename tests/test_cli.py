@@ -219,6 +219,24 @@ def test_extract_then_eval_round_trip(tmp_path, ontology_file, task_name, expect
     assert {key: metrics["f1"] for key, metrics in report["per_key"].items()} == dict.fromkeys(expected_keys, 1.0)
 
 
+def test_a_universe_file_skips_comment_and_blank_lines(tmp_path):
+    universe = tmp_path / "universe.txt"
+    universe.write_text("# the 15 labels\n\n" + "\n".join(sorted(DEFAULT_LABEL_UNIVERSE)) + "\n")
+    corpus = tmp_path / "gold.jsonl"
+    corpus.write_text(json.dumps({"doc_id": "d1", "text": "an obese patient", "labels": ["OBESITY"]}) + "\n")
+    task, gold_corpus = MultiLabelTask(DEFAULT_LABEL_UNIVERSE), load_multilabel_gold(corpus)
+    cassette = record_replay_cassette(
+        tmp_path,
+        "cassette.jsonl",
+        lambda backend: extract_corpus(task, [doc for doc, _ in gold_corpus], backend, glean=GleanConfig(1)),
+        gold_hpo_responder(task, {doc.doc_id: gold for doc, gold in gold_corpus}),
+    )
+    out = tmp_path / "extract"
+    assert run_cli(["extract", "--task", "multilabel", "--corpus", corpus, "--universe", universe,
+                    "--backend-kind", "replay", "--cassette", cassette, "--out", out]) == 0
+    assert json.loads((out / "predictions.jsonl").read_text()) == {"doc_id": "d1", "labels": ["OBESITY"]}
+
+
 def test_eval_gold_equals_pred_all_ones(tmp_path, ontology_file, extract_setup, capsys):
     corpus_path, pool_path, cassette_path, _ = extract_setup
     extract_out = tmp_path / "extract"

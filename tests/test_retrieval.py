@@ -39,6 +39,13 @@ def brute_force_ranking(items, query, exclude=frozenset()):
     return scored
 
 
+def index_of(items):
+    """The ``EmbeddingIndex`` of (id, vector) pairs: item i's vector is row i of a column-major matrix."""
+    vectors = [vec for _, vec in items]
+    matrix = np.array(vectors, dtype=np.float64, order="F") if vectors else np.zeros((0, 0))
+    return EmbeddingIndex([item_id for item_id, _ in items], matrix)
+
+
 def test_fallback_embedder_deterministic():
     embedder = HashedEmbedder()
     a, b = embedder.embed_one("a b"), embedder.embed_one("a b")
@@ -87,14 +94,14 @@ def test_top_k_self_similarity_first():
 
 
 def test_top_k_truncates_to_index_size():
-    index = EmbeddingIndex([("x", [1.0, 0.0]), ("y", [0.0, 1.0])])
+    index = index_of([("x", [1.0, 0.0]), ("y", [0.0, 1.0])])
     assert len(top_k(index, [1.0, 1.0], k=10)) == 2
 
 
 def test_top_k_matches_brute_force_on_random_vectors():
     rng = random.Random(42)
     items = [(f"item-{i:03d}", [float(rng.randint(-5, 5)) for _ in range(16)]) for i in range(50)]
-    index = EmbeddingIndex(items)
+    index = index_of(items)
     for _ in range(20):
         query = [float(rng.randint(-5, 5)) for _ in range(16)]
         expected = brute_force_ranking(items, query)[:5]
@@ -103,7 +110,7 @@ def test_top_k_matches_brute_force_on_random_vectors():
 
 def test_top_k_ties_break_by_ascending_id():
     vec = [1.0, 2.0, 3.0]
-    index = EmbeddingIndex([("zeta", vec), ("alpha", vec), ("mid", [3.0, 2.0, 1.0])])
+    index = index_of([("zeta", vec), ("alpha", vec), ("mid", [3.0, 2.0, 1.0])])
     ranked = top_k(index, vec, k=3)
     assert [item_id for item_id, _ in ranked] == ["alpha", "zeta", "mid"]
 
@@ -111,7 +118,7 @@ def test_top_k_ties_break_by_ascending_id():
 def test_top_k_scale_invariant():
     rng = random.Random(7)
     items = [(f"i{i}", [rng.uniform(-1, 1) for _ in range(8)]) for i in range(30)]
-    index = EmbeddingIndex(items)
+    index = index_of(items)
     query = [rng.uniform(-1, 1) for _ in range(8)]
     base = [item_id for item_id, _ in top_k(index, query, k=30)]
     scaled = [item_id for item_id, _ in top_k(index, [3.7 * v for v in query], k=30)]
@@ -119,19 +126,19 @@ def test_top_k_scale_invariant():
 
 
 def test_top_k_exclusion():
-    index = EmbeddingIndex([("a", [1.0, 0.0]), ("b", [0.9, 0.1]), ("c", [0.0, 1.0])])
+    index = index_of([("a", [1.0, 0.0]), ("b", [0.9, 0.1]), ("c", [0.0, 1.0])])
     ranked = top_k(index, [1.0, 0.0], k=2, exclude={"a"})
     assert [item_id for item_id, _ in ranked] == ["b", "c"]
 
 
 def test_top_k_errors():
-    index = EmbeddingIndex([("a", [1.0, 0.0])])
+    index = index_of([("a", [1.0, 0.0])])
     with pytest.raises(DomainError):
         top_k(index, [1.0, 0.0], k=0)
     with pytest.raises(DomainError):
         top_k(index, [1.0, 0.0, 0.0], k=1)
     with pytest.raises(DomainError):
-        top_k(EmbeddingIndex([]), [1.0], k=1)
+        top_k(index_of([]), [1.0], k=1)
 
 
 NAN, INF = float("nan"), float("inf")
@@ -143,27 +150,36 @@ NAN, INF = float("nan"), float("inf")
         ([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [1.0, NAN])], "non-finite"),
         ([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [INF, 0.0])], "non-finite"),
         ([("a", [1.0, 0.0]), ("b", [0.0, 1.0]), ("c", [-INF, 0.0])], "non-finite"),
-        ([("a", [1.0, 0.0]), ("b", [1.0])], r"vector for 'b' has dim 1, index dim is 2"),
-        ([("a", [1.0]), ("b", [])], "embedding vector must be nonempty"),
+        # the first repeat met is named
+        ([("b", [1.0]), ("a", [1.0]), ("a", [1.0]), ("b", [1.0])], r"duplicate item id 'a'"),
+        ([("a", [])], "embedding vector must be nonempty"),
         ([("a", [1.0]), ("a", [2.0])], r"duplicate item id 'a'"),
-        # two faults in one input: the structural fault wins over a non-finite entry
-        ([("a", [NAN, 0.0]), ("b", [1.0])], r"vector for 'b' has dim 1, index dim is 2"),
+        # two faults in one input: the earlier check wins, wherever the later fault sits
+        ([("a", [NAN]), ("b", [1.0]), ("a", [2.0])], r"duplicate item id 'a'"),
         ([("a", [1.0]), ("a", [NAN])], r"duplicate item id 'a'"),
-        ([("a", [INF]), ("b", [])], "embedding vector must be nonempty"),
+        ([("a", []), ("a", [])], "embedding vector must be nonempty"),
     ],
 )
 def test_index_validation_messages(items, message):
     with pytest.raises(DomainError, match=message):
-        EmbeddingIndex(items)
+        index_of(items)
 
 
 def test_index_rejects_dim_mismatch_and_duplicates():
     with pytest.raises(DomainError):
-        EmbeddingIndex([("a", [1.0, 0.0]), ("b", [1.0])])
+        index_of([("a", [1.0]), ("a", [2.0])])
     with pytest.raises(DomainError):
-        EmbeddingIndex([("a", [1.0]), ("a", [2.0])])
-    with pytest.raises(DomainError):
-        EmbeddingIndex([("a", [float("nan")])])
+        index_of([("a", [float("nan")])])
+
+
+def test_index_rejects_an_id_count_unlike_the_row_count():
+    with pytest.raises(DomainError, match="2 item ids for 3 matrix rows"):
+        EmbeddingIndex(["a", "b"], np.asfortranarray(np.eye(3)))
+    # the first check: it wins over a missing column, a repeated id and a non-finite entry
+    with pytest.raises(DomainError, match="3 item ids for 1 matrix rows"):
+        EmbeddingIndex(["a", "a", "b"], np.zeros((1, 0), order="F"))
+    with pytest.raises(DomainError, match="2 item ids for 1 matrix rows"):
+        EmbeddingIndex(["a", "a"], np.full((1, 1), np.nan, order="F"))
 
 
 def test_fallback_embedder_frozen_buckets():
@@ -266,13 +282,12 @@ def test_index_matrix_bytes_are_pinned(synth_docs):
 def test_each_embedder_has_its_own_bounded_token_cache():
     first, second = HashedEmbedder(), HashedEmbedder()
     first.embed_one("seizure onset in infancy, seizure")
-    assert first._bucket.cache_info().currsize == 4
-    assert second._bucket.cache_info().currsize == 0
+    assert len(first._buckets) == 4
+    assert len(second._buckets) == 0
     text = " ".join(f"t{i}" for i in range(70_000))
     assert first.embed_one(text) == dense_embed_one(text)
-    info = first._bucket.cache_info()
-    assert info.maxsize == 65_536 and info.currsize == 65_536
-    assert second._bucket.cache_info().currsize == 0
+    assert len(first._buckets) == 65_536
+    assert len(second._buckets) == 0
 
 
 @pytest.mark.threads
@@ -345,7 +360,7 @@ def retrieval_cases(draw):
 @given(retrieval_cases())
 def test_top_k_equals_exhaustive_oracle(case):
     items, query, exclude, k = case
-    index = EmbeddingIndex(items)
+    index = index_of(items)
     got = top_k(index, query, k=k, exclude=exclude)
     assert got == exact_oracle(items, query, k, exclude)
     live = sum(1 for item_id, _ in items if item_id not in exclude)
@@ -362,8 +377,8 @@ def test_duplicate_vectors_rank_by_id_under_any_insertion_order(data):
     items = [(item_id, palette[data.draw(st.integers(0, len(palette) - 1))]) for item_id in ids]
     shuffled = data.draw(st.permutations(items))
     query = data.draw(vector)
-    ranked = top_k(EmbeddingIndex(items), query, k=len(items))
-    assert top_k(EmbeddingIndex(shuffled), query, k=len(items)) == ranked
+    ranked = top_k(index_of(items), query, k=len(items))
+    assert top_k(index_of(shuffled), query, k=len(items)) == ranked
     vector_of = dict(items)
     for (a, _), (b, _) in zip(ranked, ranked[1:]):
         if vector_of[a] == vector_of[b]:
@@ -391,6 +406,6 @@ def test_scores_straddling_a_rounding_edge_are_not_tied(m):
     rest = math.sqrt(1.0 - lo * lo - hi * hi)
     query = [lo, hi, rest]
     assume(float(np.linalg.norm(query)) == 1.0)
-    index = EmbeddingIndex([("a", [1.0, 0.0, 0.0]), ("b", [0.0, 1.0, 0.0])])
+    index = index_of([("a", [1.0, 0.0, 0.0]), ("b", [0.0, 1.0, 0.0])])
     # one ulp apart, but in different buckets: "b" outranks the smaller id "a"
     assert top_k(index, query, k=2) == [("b", hi), ("a", lo)]
