@@ -4,7 +4,8 @@ Stages: candidate assembly (keyword hits union generic-ICD hits), rubric
 0-9 likelihood scoring, threshold filtering, per-patient phenotype
 extraction, and deterministic finalist ranking. Each candidate is scored by
 one chain (patient record, prompt, request, parse, at most one retry) on the
-backend's bounded worker pool. Scores are counted, only a survivor's is
+backend's bounded worker pool; a chain returns only its checked int score,
+the rationale checked, then dropped. Scores are counted, only a survivor's is
 kept, and each survivor's record is rebuilt for extraction. A score
 prompt's system part is the rubric's, rendered once per rubric from the
 score template; its user message is the patient record. Per-patient
@@ -97,35 +98,25 @@ def load_rubric(path: str | Path) -> ScoringRubric:
         raise DomainError(f"{path}: {exc}") from None
 
 
-@dataclass(frozen=True, slots=True)
-class LikelihoodScore:
-    patient: str
-    score: int
-    rationale: str = ""
-
-    def __post_init__(self):
-        if not 0 <= self.score <= 9:
-            raise DomainError(f"score {self.score} outside [0, 9]")
-
-
 def build_score_prompt(record: PatientRecord, rubric: ScoringRubric) -> ChatRequest:
     """The rubric's system prompt, and ``record`` rendered as the user message."""
     user = record.render().strip() + "\n"
     return ChatRequest(system=rubric.system_prompt, user=user, request_tag=f"score:{record.key}")
 
 
-def _score_chain(record: PatientRecord, rubric: ScoringRubric, backend) -> LikelihoodScore:
+def _score_chain(record: PatientRecord, rubric: ScoringRubric, backend) -> int:
     """Rubric-conditioned 0-9 likelihood score with strict JSON output: the one scorer.
 
-    An out-of-range, non-integer or unparseable response is re-sent once,
-    identically, and its error raised if it fails again. A ``deterministic``
-    backend (replay) would only repeat its answer, so it gets no retry.
+    Returns the int score ``ScoreSchema`` checked; the rationale is checked to
+    be a string, then dropped. A reply that fails the check or does not parse
+    is re-sent once, identically, and its error raised if it fails again. A
+    ``deterministic`` backend (replay) would only repeat it, so gets no retry.
     """
     request = build_score_prompt(record, rubric)
     attempts = 1 if backend.deterministic else 2
     for attempt in range(1, attempts + 1):
         try:
-            return LikelihoodScore(record.key, *parse_model_output(backend.complete(request).text, ScoreSchema()))
+            return parse_model_output(backend.complete(request).text, ScoreSchema())[0]
         except PhenoKGError:
             if attempt == attempts:
                 raise
@@ -211,9 +202,10 @@ def run_funnel(
     threshold) -> extracted -> finalists. Finalists rank by (score desc,
     count of assertions with confidence >= ``HIGH_CONFIDENCE`` desc, patient
     key asc). A candidate whose score fails is audited as ``scoring_failed``
-    and skipped. One loop over the dispatcher's results counts the scores and
-    keeps only the survivors', in key order; each survivor's record is rebuilt
-    with ``patient_record`` for extraction. ``min_assertions`` optionally
+    and skipped. The dispatcher's results hold an int score or a frameless
+    ``PhenoKGError`` per candidate; one loop over them counts the scores and
+    keeps only the survivors' (key -> score), in key order. Each survivor's
+    record is rebuilt with ``patient_record`` for extraction. ``min_assertions`` optionally
     demands that many high-confidence assertions as a hard filter (off by
     default: phenotype extraction is a ranking input, not a second gate).
     """
@@ -226,7 +218,7 @@ def run_funnel(
     candidates = sorted(candidate_cohort(graph, keywords, generic_icd))
     stage_counts = [("candidates", len(candidates))]
 
-    def score(key: str) -> LikelihoodScore:
+    def score(key: str) -> int:
         return _score_chain(patient_record(graph, key), rubric, backend)
 
     scored, survivors = 0, {}
@@ -235,7 +227,7 @@ def run_funnel(
             audit.record("scoring_failed", patient=key, error=str(outcome))
         else:
             scored += 1
-            if outcome.score >= threshold:
+            if outcome >= threshold:
                 survivors[key] = outcome
     stage_counts.append(("scored", scored))
     stage_counts.append(("filtered", len(survivors)))
@@ -256,7 +248,7 @@ def run_funnel(
         if min_assertions is not None and len(strong) < min_assertions:
             audit.record("below_min_assertions", patient=key, strong=len(strong))
             continue
-        ranked.append((survivors[key].score, len(strong), key, strong))
+        ranked.append((survivors[key], len(strong), key, strong))
     ranked.sort(key=lambda row: (-row[0], -row[1], row[2]))
     finalists = tuple(
         FunnelFinalist(key, score, tuple(strong[:5])) for score, _, key, strong in ranked

@@ -24,10 +24,6 @@ class OboParseError(PhenoKGError):
 class OntologyValidationError(PhenoKGError):
     """Loaded ontology violates referential invariants (dangling parents)."""
 
-    def __init__(self, message: str, orphans: dict[str, list[str]] | None = None):
-        self.orphans = orphans or {}
-        super().__init__(message)
-
 
 class CorpusIntegrityError(PhenoKGError):
     """A corpus record contradicts its document (bad offsets, duplicate ids)."""

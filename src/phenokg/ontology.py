@@ -163,7 +163,7 @@ class Ontology:
                     orphans.setdefault(parent, []).append(term.id)
         if orphans:
             listed = ", ".join(f"{p} (referenced by {', '.join(kids)})" for p, kids in sorted(orphans.items()))
-            raise OntologyValidationError(f"dangling parent ids: {listed}", orphans=orphans)
+            raise OntologyValidationError(f"dangling parent ids: {listed}")
         for term in self._terms.values():
             self._by_name.setdefault(normalize_label(term.name), []).append(term.id)
             for synonym in term.synonyms:

@@ -19,6 +19,7 @@ it.
 from __future__ import annotations
 
 import string
+import threading
 from typing import Sequence
 
 from .errors import DomainError
@@ -84,14 +85,23 @@ class HashedEmbedder:
 
 class _BucketTable(dict):
     """token -> bucket, FNV-hashed at first use. Bounded, as queries bring new tokens: it keeps only the first
-    65,536 tokens it meets, and hashes a token it does not hold on every use."""
+    65,536 tokens it meets, and hashes a token it does not hold on every use. A miss checks the bound and stores
+    under one lock, so threads sharing an embedder cannot push the table past it; a hit takes no lock."""
 
-    __slots__ = ()
+    __slots__ = ("_lock",)
+
+    def __init__(self) -> None:
+        super().__init__()
+        self._lock = threading.Lock()
 
     def __missing__(self, token: bytes) -> int:
         bucket = _fnv1a64(token) % DEFAULT_DIM
-        if len(self) < 1 << 16:
-            self[token] = bucket
+        self._lock.acquire()  # what ``with`` does, at about half its cost per miss
+        try:
+            if len(self) < 1 << 16:
+                self[token] = bucket
+        finally:
+            self._lock.release()
         return bucket
 
 

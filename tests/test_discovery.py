@@ -3,6 +3,7 @@ import json
 import re
 import threading
 import time
+import tracemalloc
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,7 +12,6 @@ from phenokg.corpus import Document
 from phenokg.discovery import (
     FunnelFinalist,
     FunnelReport,
-    LikelihoodScore,
     RubricCriterion,
     ScoringRubric,
     build_score_prompt,
@@ -103,8 +103,6 @@ def test_rubric_validation():
         ScoringRubric("d", "ctx", criteria=())
     with pytest.raises(DomainError):
         RubricCriterion("c", weight=0.0)
-    with pytest.raises(DomainError):
-        LikelihoodScore("p", 11)
 
 
 def test_score_patient_oracle(haystack):
@@ -113,7 +111,7 @@ def test_score_patient_oracle(haystack):
     replies = iter([json.dumps({"score": 8, "rationale": "clear"})])
     backend = ScriptedBackend(responder=lambda request: next(replies))
     score = _score_chain(record, bpan_rubric(), backend)
-    assert score == LikelihoodScore(planted[0], 8, "clear")
+    assert score == 8 and type(score) is int  # the checked score; the rationale is dropped
     assert len(backend.calls) == 1
 
 
@@ -122,7 +120,7 @@ def test_score_patient_retry_contract(haystack):
     record = patient_record(graph, planted[0])
     replies = iter([json.dumps({"score": 12, "rationale": "too high"}), json.dumps({"score": 7, "rationale": "ok"})])
     backend = ScriptedBackend(responder=lambda request: next(replies))
-    assert _score_chain(record, bpan_rubric(), backend) == LikelihoodScore(planted[0], 7, "ok")
+    assert _score_chain(record, bpan_rubric(), backend) == 7
     assert backend.calls == [build_score_prompt(record, bpan_rubric())] * 2  # the identical request, re-sent once
 
 
@@ -154,6 +152,15 @@ def test_score_patient_prose_twice_is_scoring_error(haystack, dravet_ontology):
     no_json = "no JSON object found in model output"
     assert audit.entries == [{"event": "scoring_failed", "patient": planted[0], "error": no_json}]
     assert len(backend.calls) == 2
+
+
+def test_a_non_string_rationale_is_audited_as_scoring_failed(haystack, dravet_ontology):
+    _, planted = haystack
+    backend = ScriptedBackend(responder=lambda request: json.dumps({"score": 8, "rationale": 5}))
+    audit = _one_candidate_funnel(haystack, dravet_ontology, backend)
+    error = "rationale must be a string (field: rationale)"
+    assert audit.entries == [{"event": "scoring_failed", "patient": planted[0], "error": error}]
+    assert len(backend.calls) == 2  # re-sent once, like any reply that fails its schema
 
 
 def test_score_patient_retries_on_scripted_but_not_on_replay(haystack, dravet_ontology):
@@ -487,6 +494,29 @@ def test_funnel_output_does_not_depend_on_completion_order(haystack, dravet_onto
     assert [e["patient"] for e in serial[1]] == sorted(key for key in rank if rank[key] % 7 == 3)
     assert serial[2] == 1
     assert 2 <= parallel[2] <= 4
+
+
+def test_a_scored_candidate_leaves_only_its_score(dravet_ontology):
+    graph, planted = build_discovery_graph(300, n_positive=5)
+    inner = oracle_backend(planted, BPAN_ALLOWED_TERMS)._responder
+    rationale = "r" * 10_000
+
+    def responder(request):
+        if request.request_tag.startswith("score:"):
+            return json.dumps({"score": json.loads(inner(request))["score"], "rationale": rationale})
+        return inner(request)
+
+    backend = ScriptedBackend(responder=responder, max_in_flight=2)
+    tracemalloc.start()
+    try:
+        report = _funnel(graph, backend, dravet_ontology)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    counts = dict(report.stage_counts)
+    assert counts["scored"] == counts["candidates"] > 250 and counts["finalists"] == 5
+    # one 10 KB rationale kept per scored candidate would be about 3 MB
+    assert peak < 1 << 20
 
 
 def test_each_survivor_is_extracted_from_its_rebuilt_patient_record(haystack, dravet_ontology):

@@ -158,18 +158,12 @@ NAN, INF = float("nan"), float("inf")
         ([("a", [NAN]), ("b", [1.0]), ("a", [2.0])], r"duplicate item id 'a'"),
         ([("a", [1.0]), ("a", [NAN])], r"duplicate item id 'a'"),
         ([("a", []), ("a", [])], "embedding vector must be nonempty"),
+        ([("a", [NAN])], "non-finite"),
     ],
 )
 def test_index_validation_messages(items, message):
     with pytest.raises(DomainError, match=message):
         index_of(items)
-
-
-def test_index_rejects_dim_mismatch_and_duplicates():
-    with pytest.raises(DomainError):
-        index_of([("a", [1.0]), ("a", [2.0])])
-    with pytest.raises(DomainError):
-        index_of([("a", [float("nan")])])
 
 
 def test_index_rejects_an_id_count_unlike_the_row_count():
@@ -311,6 +305,25 @@ def test_concurrent_embeds_on_one_embedder_equal_serial_ones():
         thread.join(timeout=60)
         assert not thread.is_alive()
     assert results == [serial] * 4
+
+
+@pytest.mark.threads
+def test_concurrent_misses_keep_the_token_table_at_its_bound():
+    shared = HashedEmbedder()  # cold: every thread's tokens are misses
+    texts = [" ".join(f"s{slot}x{i}" for i in range(17_000)) for slot in range(4)]  # 68,000 distinct tokens
+    results = [None] * 4
+
+    def work(slot: int) -> None:
+        results[slot] = shared.embed_one(texts[slot])
+
+    threads = [threading.Thread(target=work, args=(slot,)) for slot in range(4)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+    assert len(shared._buckets) == 65_536
+    assert results == [dense_embed_one(text) for text in texts]
 
 
 # -- top_k against an exhaustive oracle (property-based) ------------------------
