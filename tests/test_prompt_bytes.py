@@ -9,12 +9,13 @@ A change to any prompt byte (template text, rendering, example selection or bloc
 """
 
 import hashlib
+import json
 
 import pytest
 
 from phenokg import fixtures
 from phenokg.corpus import DEFAULT_LABEL_UNIVERSE, synthesize_fixture, synthesize_multilabel_fixture
-from phenokg.discovery import build_score_prompt
+from phenokg.discovery import build_score_prompt, run_funnel
 from phenokg.extraction import (
     FewShotPolicy,
     HpoAssertion,
@@ -28,6 +29,7 @@ from phenokg.extraction import (
     build_prompt,
 )
 from phenokg.kg import patient_record
+from phenokg.llm import ScriptedBackend
 from phenokg.retrieval import HashedEmbedder, build_index
 
 PINNED = {
@@ -35,6 +37,7 @@ PINNED = {
     "hpo": "f950c67557e6c71119e946b81ae48d4c6cd52e24dc30809966ea9ccd1276562e",
     "multilabel": "65326b1c14217fe1c7bb7e8b7e17d711538ee19f553ccf0f2f14088f3781b1fa",
     "score": "a48c9f99f72257512430ba2dee28f627d8930501d4612347a17b00d65bfc71a6",
+    "funnel": "b17875b3367eb9ac5cc23aa21ea5567c48f58b4d32a889b6aa81efc72d7b4a91",
 }
 
 
@@ -102,3 +105,26 @@ def test_score_prompt_bytes_are_pinned():
     graphs = [fixtures.build_discovery_graph(200, n_positive=6)[0], fixtures.build_demo_graph()]
     requests = [build_score_prompt(patient_record(g, key), rubric) for g in graphs for key in g.patient_keys()]
     assert _digest(requests) == PINNED["score"]
+
+
+def test_funnel_request_bytes_are_pinned():
+    """Every request ``run_funnel`` sends, score and extraction, with ``discover``'s default allowed terms."""
+    graph, planted = fixtures.build_discovery_graph(200, n_positive=6)
+    ontology = fixtures.dravet_ontology()
+    allowed = frozenset(t.id for t in ontology)
+
+    def oracle(request):
+        # tags: score:<patient>, or hpo:<patient>:r<round>
+        kind, key, *round_no = request.request_tag.split(":")
+        if kind == "score":
+            return json.dumps({"score": 8 if key in planted else 2, "rationale": "oracle"})
+        rows = [{"category": min(allowed), "confidence": 0.9, "reasoning": "oracle"}] if round_no == ["r0"] else []
+        return json.dumps({key: rows})
+
+    backend = ScriptedBackend(oracle, max_in_flight=1)
+    report = run_funnel(
+        graph, fixtures.bpan_rubric(), keywords=["BPAN"], generic_icd=fixtures.BPAN_GENERIC_ICD10,
+        allowed_terms=allowed, backend=backend, ontology=ontology,
+    )
+    assert len(report.finalists) == 6
+    assert _digest(sorted(backend.calls, key=lambda r: r.request_tag)) == PINNED["funnel"]
