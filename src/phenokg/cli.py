@@ -212,7 +212,7 @@ def cmd_eval(args) -> None:
         report = score_hpo(gold, predictions)
     else:
         report = score_multilabel(gold, predictions, universe)
-    text = render_report({args.model_name: report}, fmt=args.format)
+    text = render_report(args.model_name, report, fmt=args.format)
     out = _out_dir(args)
     suffix = "csv" if args.format == "csv" else "md"
     write_atomic(out / f"report.{suffix}", [text])

@@ -77,18 +77,10 @@ def phenotype_frequency(
 @dataclass(frozen=True)
 class FrequencyComparison:
     term: TermId
-    observed_count: int
-    cohort_size: int
     observed_fraction: float
     observed_bin: FrequencyCategory
     expected_bin: FrequencyCategory
     bin_delta: int  # observed - expected on the ordinal scale; negative = under-represented
-
-    def __post_init__(self):
-        if self.observed_count > self.cohort_size:
-            raise DomainError(
-                f"observed count {self.observed_count} exceeds cohort size {self.cohort_size}"
-            )
 
 
 def compare_to_ontology(
@@ -103,14 +95,11 @@ def compare_to_ontology(
                 f"annotation term {term} missing from computed frequencies; "
                 "include it in phenotype_frequency's term set (count 0 if unobserved)"
             )
-        count = frequencies.count(term)
         fraction = frequencies.fraction(term)
         observed = frequency_bin(fraction)
         rows.append(
             FrequencyComparison(
                 term=term,
-                observed_count=count,
-                cohort_size=frequencies.cohort_size,
                 observed_fraction=fraction,
                 observed_bin=observed,
                 expected_bin=annotation.expected,

@@ -15,7 +15,6 @@ from __future__ import annotations
 import enum
 import json
 import random
-import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Container, Sequence
@@ -23,14 +22,6 @@ from typing import Container, Sequence
 from .errors import CorpusIntegrityError, DomainError
 from .jsonl import expect_type, iter_jsonl, write_atomic, write_jsonl
 from .ontology import Ontology, TermId, TermIds, normalize_label
-
-_WS_RE = re.compile(r"\s+")
-
-
-def normalize_surface(text: str) -> str:
-    """Case-fold and collapse whitespace; canonical form for NER mentions."""
-    return _WS_RE.sub(" ", text).strip().casefold()
-
 
 class EntityType(enum.Enum):
     CHEMICAL = "Chemical"
@@ -71,7 +62,7 @@ class SpanAnnotation:
     @property
     def mention(self) -> tuple[str, EntityType]:
         """The (normalized surface, type) mention this span is prompted and scored as; chat output has no offsets."""
-        return normalize_surface(self.surface), self.entity_type
+        return normalize_label(self.surface), self.entity_type
 
 
 # Neutral 15-name default: 13 phenotype categories plus None/Unsure.

@@ -6,9 +6,11 @@ extraction, and deterministic finalist ranking. Each candidate is scored by
 one chain (patient record, prompt, request, parse, at most one retry) on the
 backend's bounded worker pool; a chain returns only its checked int score,
 the rationale checked, then dropped. Scores are counted, only a survivor's is
-kept, and each survivor's record is rebuilt for extraction. A score
+kept, and each survivor's record is rebuilt for extraction. A patient record
+is the ``corpus.Document`` that ``kg.patient_record`` renders: a score
+prompt's user message is its text, and extraction reads it as it is. A score
 prompt's system part is the rubric's, rendered once per rubric from the
-score template; its user message is the patient record. Per-patient
+score template. Per-patient
 failures are audited in key order and skipped; a sweep over tens of
 thousands of candidates must never abort on one bad response.
 """
@@ -35,7 +37,7 @@ from .extraction import (
     render_template,
 )
 from .jsonl import expect_number, expect_type, markdown_table
-from .kg import Graph, PatientRecord, cohort_by_icd, keyword_search, patient_record
+from .kg import Graph, cohort_by_icd, keyword_search, patient_record
 from .llm import ChatRequest, _run_bounded
 from .ontology import Ontology, TermId
 
@@ -98,13 +100,13 @@ def load_rubric(path: str | Path) -> ScoringRubric:
         raise DomainError(f"{path}: {exc}") from None
 
 
-def build_score_prompt(record: PatientRecord, rubric: ScoringRubric) -> ChatRequest:
-    """The rubric's system prompt, and ``record`` rendered as the user message."""
-    user = record.render().strip() + "\n"
-    return ChatRequest(system=rubric.system_prompt, user=user, request_tag=f"score:{record.key}")
+def build_score_prompt(document: Document, rubric: ScoringRubric) -> ChatRequest:
+    """The rubric's system prompt, and a patient record's text (``patient_record``) as the user message."""
+    user = document.text.strip() + "\n"
+    return ChatRequest(system=rubric.system_prompt, user=user, request_tag=f"score:{document.doc_id}")
 
 
-def _score_chain(record: PatientRecord, rubric: ScoringRubric, backend) -> int:
+def _score_chain(document: Document, rubric: ScoringRubric, backend) -> int:
     """Rubric-conditioned 0-9 likelihood score with strict JSON output: the one scorer.
 
     Returns the int score ``ScoreSchema`` checked; the rationale is checked to
@@ -112,7 +114,7 @@ def _score_chain(record: PatientRecord, rubric: ScoringRubric, backend) -> int:
     is re-sent once, identically, and its error raised if it fails again. A
     ``deterministic`` backend (replay) would only repeat it, so gets no retry.
     """
-    request = build_score_prompt(record, rubric)
+    request = build_score_prompt(document, rubric)
     attempts = 1 if backend.deterministic else 2
     for attempt in range(1, attempts + 1):
         try:
@@ -205,7 +207,7 @@ def run_funnel(
     and skipped. The dispatcher's results hold an int score or a frameless
     ``PhenoKGError`` per candidate; one loop over them counts the scores and
     keeps only the survivors' (key -> score), in key order. Each survivor's
-    record is rebuilt with ``patient_record`` for extraction. ``min_assertions`` optionally
+    record is rebuilt with ``patient_record`` and extracted from as it is. ``min_assertions`` optionally
     demands that many high-confidence assertions as a hard filter (off by
     default: phenotype extraction is a ranking input, not a second gate).
     """
@@ -233,7 +235,7 @@ def run_funnel(
     stage_counts.append(("filtered", len(survivors)))
 
     task = HpoTask(ontology, allowed_terms=allowed_terms, disease_context=rubric.disease_context)
-    documents = [Document(key, patient_record(graph, key).render()) for key in survivors]
+    documents = [patient_record(graph, key) for key in survivors]
     extractions: dict[str, HpoExtraction] = (
         extract_corpus(task, documents, backend, glean=glean, audit=audit) if documents else {}
     )

@@ -143,21 +143,17 @@ def score_multilabel(
     return MetricReport(per_key=per_key, micro_accuracy=accuracy)
 
 
-def render_report(reports: Mapping[str, MetricReport], fmt: str = "markdown") -> str:
-    """Render model reports as a deterministic CSV or Markdown table.
+def render_report(model: str, report: MetricReport, fmt: str = "markdown") -> str:
+    """Render one model's report as a deterministic CSV or Markdown table.
 
-    Rows are sorted by (model, type); metric values print with 3 decimals.
+    Rows are sorted by type; metric values print with 3 decimals.
     """
-    if not reports:
-        raise DomainError("render_report requires at least one report")
     if fmt not in ("markdown", "csv"):
         raise DomainError(f"unknown report format {fmt!r}")
+    acc = "" if report.micro_accuracy is None else f"{report.micro_accuracy:.3f}"
     rows = []
-    for model in sorted(reports):
-        report = reports[model]
-        for key in sorted(report.per_key):
-            m = report.per_key[key]
-            acc = "" if report.micro_accuracy is None else f"{report.micro_accuracy:.3f}"
-            rows.append((model, key, f"{m.precision:.3f}", f"{m.recall:.3f}", f"{m.f1:.3f}", acc))
+    for key in sorted(report.per_key):
+        m = report.per_key[key]
+        rows.append((model, key, f"{m.precision:.3f}", f"{m.recall:.3f}", f"{m.f1:.3f}", acc))
     header = ("model", "type", "precision", "recall", "f1", "micro_accuracy")
     return csv_table(header, rows) if fmt == "csv" else markdown_table(header, rows)

@@ -26,11 +26,12 @@ from dataclasses import dataclass
 from importlib import resources
 from typing import Sequence
 
-from .corpus import Document, EntityType, normalize_surface
+from .corpus import Document, EntityType
 from .errors import DomainError, OutputParseError, OutputSchemaError, PhenoKGError
 from .jsonl import expect_number, expect_type, write_jsonl
+from .kg import PhenotypeAssertion
 from .llm import ChatRequest, complete_batch
-from .ontology import Ontology, TermId
+from .ontology import Ontology, TermId, normalize_label
 from .retrieval import EmbeddingIndex, top_k
 
 logger = logging.getLogger(__name__)
@@ -87,7 +88,7 @@ class NerResult:
 
     def __post_init__(self):
         for surface, _ in self.mentions:
-            if not surface or surface != normalize_surface(surface):
+            if not surface or surface != normalize_label(surface):
                 raise DomainError(f"mention surface {surface!r} is empty or not normalized")
 
     def to_record(self) -> dict:
@@ -98,24 +99,16 @@ class NerResult:
         mentions = (expect_type(m, dict, "mention") for m in expect_type(record["mentions"], list, "mentions"))
         pairs = ((expect_type(m["surface"], str, "surface"), expect_type(m["type"], str, "type")) for m in mentions)
         key = expect_type(record["doc_id"], str, "doc_id")
-        return cls(key, frozenset((normalize_surface(s), EntityType.from_label(t)) for s, t in pairs))
-
-
-@dataclass(frozen=True)
-class HpoAssertion:
-    term: TermId
-    confidence: float
-    reasoning: str = ""
-
-    def __post_init__(self):
-        if not 0 <= self.confidence <= 1:
-            raise DomainError(f"confidence {self.confidence} outside [0, 1]")
+        return cls(key, frozenset((normalize_label(s), EntityType.from_label(t)) for s, t in pairs))
 
 
 @dataclass(frozen=True)
 class HpoExtraction:
+    """A document's phenotypes as graph assertions: each ``patient`` is ``key``, with no source note or
+    extractor version. Only their term, confidence and reasoning are read or written here."""
+
     key: str
-    assertions: tuple[HpoAssertion, ...]
+    assertions: tuple[PhenotypeAssertion, ...]
 
     def term_set(self) -> set[TermId]:
         return {a.term for a in self.assertions}
@@ -127,14 +120,15 @@ class HpoExtraction:
     @classmethod
     def from_record(cls, record: dict) -> HpoExtraction:
         rows = expect_type(record["assertions"], list, "assertions")
+        key = expect_type(record["key"], str, "key")
         assertions = (
-            HpoAssertion(
-                TermId(a["term"]), expect_number(a["confidence"], "confidence"),
+            PhenotypeAssertion(
+                key, TermId(a["term"]), expect_number(a["confidence"], "confidence"),
                 expect_type(a.get("reasoning", ""), str, "reasoning"),
             )
             for a in (expect_type(row, dict, "assertion") for row in rows)
         )
-        return cls(expect_type(record["key"], str, "key"), tuple(assertions))
+        return cls(key, tuple(assertions))
 
 
 @dataclass(frozen=True)
@@ -220,7 +214,7 @@ class NerTask:
         for i, item in enumerate(body):
             _require_object(item, f"{key}[{i}]")
             _reject_extra_fields(item, {"surface", "type"}, f"{key}[{i}]")
-            surface = normalize_surface(_require_str(item, "surface", f"{key}[{i}]"))
+            surface = normalize_label(_require_str(item, "surface", f"{key}[{i}]"))
             if not surface:
                 raise OutputSchemaError("surface must be nonempty", field=f"{key}[{i}].surface")
             type_label = _require_str(item, "type", f"{key}[{i}]")
@@ -302,7 +296,7 @@ class HpoTask:
             reasoning = item.get("reasoning", "")
             if not isinstance(reasoning, str):
                 raise OutputSchemaError("reasoning must be a string", field=f"{where}.reasoning")
-            assertions.append(HpoAssertion(term, confidence, reasoning))
+            assertions.append(PhenotypeAssertion(key, term, confidence, reasoning))
         return HpoExtraction(key, tuple(assertions))
 
     def sanitize(self, result: HpoExtraction, audit: AuditLog) -> HpoExtraction:
@@ -643,7 +637,7 @@ def merge_gleaned(prev, new):
         return NerResult(prev.key, prev.mentions | new.mentions)
     if isinstance(prev, MultiLabelResult):
         return MultiLabelResult(prev.key, prev.labels | new.labels)
-    merged: dict[TermId, HpoAssertion] = {a.term: a for a in prev.assertions}
+    merged: dict[TermId, PhenotypeAssertion] = {a.term: a for a in prev.assertions}
     for assertion in new.assertions:
         existing = merged.get(assertion.term)
         if existing is None or assertion.confidence > existing.confidence:

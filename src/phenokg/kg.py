@@ -22,7 +22,9 @@ load: two loads share no object, and ``record_to_node`` shares nothing. Code set
 bounded cache (``_normalized_code_set``), so a code set that repeats is normally normalized once and
 shared. ``sys.intern`` is not used, because interned strings are immortal on CPython 3.12: they would
 never be freed. The notes-by-patient index (patient -> a tuple of its ``NoteNode``s by note id) is built by
-the first ``Graph.notes_for`` after the last ``add_note``, so a graph only loaded, saved or searched never holds it.
+the first ``Graph.notes_for`` after the last ``add_note``, so a graph only loaded, saved or searched never holds it;
+``notes_for`` hands out the index's own tuples. ``patient_record`` renders one patient as a ``corpus.Document``,
+the one document the discovery funnel both scores and extracts from.
 """
 
 from __future__ import annotations
@@ -35,6 +37,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import Iterable, Iterator
 
+from .corpus import Document
 from .errors import DomainError, GraphIntegrityError
 from .jsonl import expect_number, expect_type, iter_jsonl, write_atomic
 from .ontology import Ontology, TermId, TermIds
@@ -168,10 +171,10 @@ class Graph:
     def __contains__(self, key: str) -> bool:
         return key in self._patients
 
-    def notes_for(self, key: str) -> list[NoteNode]:
-        """The patient's notes by note id, as a new list. The first call, and the first after an ``add_note``,
-        builds the notes index (patient -> a tuple of its notes by note id) and publishes it whole, without a
-        lock: concurrent first callers may each build one."""
+    def notes_for(self, key: str) -> tuple[NoteNode, ...]:
+        """The patient's notes by note id: the notes index's own tuple, shared by every caller. The first call,
+        and the first after an ``add_note``, builds the notes index (patient -> a tuple of its notes by note id)
+        and publishes it whole, without a lock: concurrent first callers may each build one."""
         index = self._notes_by_patient
         if index is None:
             index = {}
@@ -183,7 +186,7 @@ class Graph:
             for patient, group in index.items():
                 index[patient] = tuple(sorted(group, key=lambda n: n.note_id))
             self._notes_by_patient = index
-        return list(index.get(key, ()))
+        return index.get(key, ())
 
     def iter_notes(self) -> Iterator[NoteNode]:
         for note_id in sorted(self._notes):
@@ -278,37 +281,27 @@ def keyword_search(graph: Graph, pattern: str) -> list[tuple[str, str]]:
     return sorted((note.patient, note.note_id) for note in graph._notes.values() if needle in note.text.casefold())
 
 
-@dataclass(frozen=True, slots=True)
-class PatientRecord:
-    """One patient's node plus notes, rendered deterministically for prompts."""
-
-    key: str
-    node: PatientNode
-    notes: tuple[NoteNode, ...]
-
-    def render(self) -> str:
-        demo = self.node.demographics
-        demo_parts = []
-        if demo.age_years is not None:
-            demo_parts.append(f"age {demo.age_years}")
-        if demo.race:
-            demo_parts.append(f"race {demo.race}")
-        if demo.state:
-            demo_parts.append(f"state {demo.state}")
-        if demo.zip:
-            demo_parts.append(f"zip {demo.zip}")
-        lines = [f"Patient key: {self.key}"]
-        lines.append("Demographics: " + (", ".join(demo_parts) if demo_parts else "not recorded"))
-        lines.append("ICD-10 codes: " + (", ".join(sorted(self.node.icd10)) or "none"))
-        lines.append("CPT codes: " + (", ".join(sorted(self.node.cpt)) or "none"))
-        lines.append("RxNorm codes: " + (", ".join(sorted(self.node.rxnorm)) or "none"))
-        for note in self.notes:
-            lines.append(f"[{note.kind.value}] ({note.note_id}) {note.text}")
-        return "\n".join(lines)
-
-
-def patient_record(graph: Graph, key: str) -> PatientRecord:
-    return PatientRecord(key=key, node=graph.patient(key), notes=tuple(graph.notes_for(key)))
+def patient_record(graph: Graph, key: str) -> Document:
+    """One patient's node and notes as the document prompts are built from, rendered deterministically."""
+    node = graph.patient(key)
+    demo = node.demographics
+    demo_parts = []
+    if demo.age_years is not None:
+        demo_parts.append(f"age {demo.age_years}")
+    if demo.race:
+        demo_parts.append(f"race {demo.race}")
+    if demo.state:
+        demo_parts.append(f"state {demo.state}")
+    if demo.zip:
+        demo_parts.append(f"zip {demo.zip}")
+    lines = [f"Patient key: {key}"]
+    lines.append("Demographics: " + (", ".join(demo_parts) if demo_parts else "not recorded"))
+    lines.append("ICD-10 codes: " + (", ".join(sorted(node.icd10)) or "none"))
+    lines.append("CPT codes: " + (", ".join(sorted(node.cpt)) or "none"))
+    lines.append("RxNorm codes: " + (", ".join(sorted(node.rxnorm)) or "none"))
+    for note in graph.notes_for(key):
+        lines.append(f"[{note.kind.value}] ({note.note_id}) {note.text}")
+    return Document(key, "\n".join(lines))
 
 
 # -- persistence (typed JSON Lines) -----------------------------------------

@@ -141,7 +141,7 @@ class DiseaseAnnotation:
 
 
 def normalize_label(text: str) -> str:
-    """Case-fold and collapse whitespace; the exact-match key for labels."""
+    """Case-fold and collapse whitespace; the exact-match key for labels and the canonical form of NER mentions."""
     return " ".join(text.split()).casefold()
 
 

@@ -34,7 +34,6 @@ from phenokg.extraction import (
     NerTask,
     build_prompt,
     extract_corpus,
-    normalize_surface,
     parse_model_output,
 )
 from phenokg.kg import cohort_by_icd, load_graph, save_graph
@@ -46,7 +45,7 @@ from phenokg.llm import (
     load_cassette,
     request_hash,
 )
-from phenokg.ontology import FrequencyCategory, TermId, frequency_bin
+from phenokg.ontology import FrequencyCategory, TermId, frequency_bin, normalize_label
 from phenokg.retrieval import HashedEmbedder, build_index, top_k
 
 from conftest import gold_hpo_responder
@@ -111,11 +110,11 @@ def test_criterion_1_metric_oracle_equivalence():
                 ]
                 pred[doc] = NerResult(
                     doc,
-                    frozenset((normalize_surface(s), ent) for ent in EntityType for s in pred_sets[ent]),
+                    frozenset((normalize_label(s), ent) for ent in EntityType for s in pred_sets[ent]),
                 )
                 for ent in EntityType:
-                    g = {normalize_surface(s) for s in gold_sets[ent]}
-                    p = {normalize_surface(s) for s in pred_sets[ent]}
+                    g = {normalize_label(s) for s in gold_sets[ent]}
+                    p = {normalize_label(s) for s in pred_sets[ent]}
                     tp, fp, fn = _oracle_counts(g, p)
                     per_type[ent][0] += tp
                     per_type[ent][1] += fp

@@ -8,7 +8,6 @@ import tracemalloc
 import pytest
 from hypothesis import given, strategies as st
 
-from phenokg.corpus import Document
 from phenokg.discovery import (
     FunnelFinalist,
     FunnelReport,
@@ -534,7 +533,7 @@ def test_each_survivor_is_extracted_from_its_rebuilt_patient_record(haystack, dr
     assert extracted == sorted(planted)
     assert dict(report.stage_counts)["filtered"] == len(planted)
     for key in extracted:
-        expected = build_prompt(task, Document(key, patient_record(graph, key).render()))
+        expected = build_prompt(task, patient_record(graph, key))
         assert sent[f"hpo:{key}:r0"] == expected
 
 
@@ -620,7 +619,7 @@ def test_score_prompt_equals_the_single_pass_render(name, context, description, 
         criteria=f"- (weight 2) {description}\n- (weight 0.5) x",
         scale_note=scale_note,
     )
-    assert (request.system, request.user) == (system, record.render().strip() + "\n")
+    assert (request.system, request.user) == (system, record.text.strip() + "\n")
 
 
 def test_min_assertions_filter(haystack, dravet_ontology):

@@ -13,7 +13,8 @@ from phenokg.evaluation import (
     score_multilabel,
     score_ner,
 )
-from phenokg.extraction import HpoAssertion, HpoExtraction, MultiLabelResult, NerResult
+from phenokg.extraction import HpoExtraction, MultiLabelResult, NerResult
+from phenokg.kg import PhenotypeAssertion
 from phenokg.ontology import TermId
 
 
@@ -84,7 +85,7 @@ def test_score_ner_doc_mismatch_lists_ids():
 
 
 def _hpo(doc_id, terms, confidence=0.9):
-    return HpoExtraction(doc_id, tuple(HpoAssertion(TermId(t), confidence, "") for t in terms))
+    return HpoExtraction(doc_id, tuple(PhenotypeAssertion(doc_id, TermId(t), confidence, "") for t in terms))
 
 
 def test_score_hpo_examples():
@@ -197,47 +198,42 @@ def test_both_empty_scores_one():
 
 
 def test_render_report_rounding_and_sorting():
-    report = MetricReport(
-        per_key={
-            "Disease": score_hpo({"d": {TermId("HP:0000001"), TermId("HP:0000002"), TermId("HP:0000003")}},
-                                 {"d": _hpo("d", ["HP:0000001", "HP:0000002"])}).per_key["HPO"],
-        }
-    )
-    text = render_report({"zmodel": report, "amodel": report}, fmt="csv")
+    metrics = score_hpo({"d": {TermId("HP:0000001"), TermId("HP:0000002"), TermId("HP:0000003")}},
+                        {"d": _hpo("d", ["HP:0000001", "HP:0000002"])}).per_key["HPO"]
+    report = MetricReport(per_key={"Disease": metrics, "Chemical": KeyMetrics.from_counts(1, 0, 0)})
+    text = render_report("m", report, fmt="csv")
     lines = text.splitlines()
     assert lines[0] == "model,type,precision,recall,f1,micro_accuracy"
-    assert lines[1].startswith("amodel,Disease,1.000,0.667,0.800")
-    assert lines[2].startswith("zmodel,Disease")
-    assert render_report({"m": report}, fmt="csv") == render_report({"m": report}, fmt="csv")
+    assert lines[1].startswith("m,Chemical,1.000,1.000,1.000")
+    assert lines[2].startswith("m,Disease,1.000,0.667,0.800")
+    assert render_report("m", report, fmt="csv") == text
 
 
 def test_render_report_markdown_shape():
     report = MetricReport(per_key={"HPO": score_hpo({"d": {TermId("HP:0000001")}},
                                                     {"d": _hpo("d", ["HP:0000001"])}).per_key["HPO"]},
                           micro_accuracy=0.9)
-    text = render_report({"m": report}, fmt="markdown")
+    text = render_report("m", report, fmt="markdown")
     lines = text.splitlines()
     assert lines[0].startswith("| model | type |")
     assert "| m | HPO | 1.000 | 1.000 | 1.000 | 0.900 |" in lines
 
 
 def test_render_report_escapes_a_pipe_in_a_markdown_cell():
-    lines = render_report({"a|b": MetricReport(per_key={"HPO": KeyMetrics.from_counts(1, 0, 0)})}).splitlines()
+    lines = render_report("a|b", MetricReport(per_key={"HPO": KeyMetrics.from_counts(1, 0, 0)})).splitlines()
     assert [len(re.split(r"(?<!\\)\|", line)) - 2 for line in lines] == [6, 6, 6]
     assert lines[2] == "| a\\|b | HPO | 1.000 | 1.000 | 1.000 |  |"
 
 
 @pytest.mark.parametrize("brk", ["\n", "\r\n", "\r"])
 def test_render_report_writes_a_line_break_in_a_markdown_cell_as_br(brk):
-    text = render_report({f"a{brk}b": MetricReport(per_key={"HPO": KeyMetrics.from_counts(1, 0, 0)})})
+    text = render_report(f"a{brk}b", MetricReport(per_key={"HPO": KeyMetrics.from_counts(1, 0, 0)}))
     assert text.splitlines() == text.split("\n")[:-1]
     lines = text.splitlines()
     assert len(lines) == 3  # header, rule, one row
     assert lines[2] == "| a<br>b | HPO | 1.000 | 1.000 | 1.000 |  |"
 
 
-def test_render_report_rejects_empty_and_bad_format():
+def test_render_report_rejects_a_bad_format():
     with pytest.raises(DomainError):
-        render_report({}, fmt="csv")
-    with pytest.raises(DomainError):
-        render_report({"m": MetricReport(per_key={})}, fmt="html")
+        render_report("m", MetricReport(per_key={}), fmt="html")

@@ -19,7 +19,6 @@ from phenokg.extraction import (
     AuditLog,
     FewShotPolicy,
     GleanConfig,
-    HpoAssertion,
     HpoExtraction,
     HpoTask,
     KeyedListSchema,
@@ -35,6 +34,7 @@ from phenokg.extraction import (
     parse_model_output,
 )
 from phenokg.fixtures import dravet_allowed_terms, dravet_disease_context
+from phenokg.kg import PatientNode, PhenotypeAssertion, build_graph, load_graph, save_graph
 from phenokg.llm import BackendConfig, ScriptedBackend, make_backend, request_hash
 from phenokg.ontology import TermId
 from phenokg.retrieval import HashedEmbedder, build_index
@@ -115,6 +115,26 @@ def test_confidence_string_coercion(dravet_ontology):
     raw = '{"d1": [{"category": "HP:0011172", "confidence": "0.75", "reasoning": "r"}]}'
     result = task.parse_output(raw, "d1")
     assert result.assertions[0].confidence == 0.75
+
+
+def test_hpo_parse_output_holds_graph_assertions_that_build_and_save_as_they_are(dravet_ontology, tmp_path):
+    raw = json.dumps({"p1": [
+        {"category": "HP:0011172", "confidence": 0.9, "reasoning": "febrile"},
+        {"category": "HP:0002373", "confidence": 0.5},
+    ]})
+    result = HpoTask(dravet_ontology).parse_output(raw, "p1")
+    assert [type(a) for a in result.assertions] == [PhenotypeAssertion] * 2
+    assert [(a.patient, a.source_note, a.extractor_version) for a in result.assertions] == [("p1", None, "")] * 2
+    graph = build_graph([PatientNode("p1"), *result.assertions], dravet_ontology)
+    assert graph.assertions() == list(result.assertions)
+    save_graph(graph, tmp_path / "graph.jsonl")
+    lines = [json.loads(line) for line in (tmp_path / "graph.jsonl").read_text(encoding="utf-8").splitlines()]
+    common = {"kind": "assertion", "patient": "p1", "source_note": None, "extractor_version": ""}
+    assert lines[1:] == [
+        {**common, "term": "HP:0002373", "confidence": 0.5, "reasoning": ""},
+        {**common, "term": "HP:0011172", "confidence": 0.9, "reasoning": "febrile"},
+    ]
+    assert load_graph(tmp_path / "graph.jsonl", dravet_ontology) == graph
 
 
 def test_score_schema():
@@ -331,28 +351,29 @@ def test_glean_config_bounds():
 
 
 def test_merge_hpo_keeps_max_confidence():
-    prev = HpoExtraction("k", (HpoAssertion(TermId("HP:0011172"), 0.6, "weak"),))
-    new = HpoExtraction("k", (HpoAssertion(TermId("HP:0011172"), 0.9, "strong"),))
+    prev = HpoExtraction("k", (PhenotypeAssertion("k", TermId("HP:0011172"), 0.6, "weak"),))
+    new = HpoExtraction("k", (PhenotypeAssertion("k", TermId("HP:0011172"), 0.9, "strong"),))
     merged = merge_gleaned(prev, new)
-    assert merged.assertions == (HpoAssertion(TermId("HP:0011172"), 0.9, "strong"),)
+    assert merged.assertions == (PhenotypeAssertion("k", TermId("HP:0011172"), 0.9, "strong"),)
     # ties keep the earlier assertion's reasoning
-    tied = merge_gleaned(merged, HpoExtraction("k", (HpoAssertion(TermId("HP:0011172"), 0.9, "later"),)))
+    tied = merge_gleaned(merged, HpoExtraction("k", (PhenotypeAssertion("k", TermId("HP:0011172"), 0.9, "later"),)))
     assert tied.assertions[0].reasoning == "strong"
 
 
 def test_merge_identity_and_union():
     empty = HpoExtraction("k", ())
-    full = HpoExtraction("k", (HpoAssertion(TermId("HP:0002373"), 0.5, ""),))
+    full = HpoExtraction("k", (PhenotypeAssertion("k", TermId("HP:0002373"), 0.5, ""),))
     assert merge_gleaned(empty, full) == full
     a = HpoExtraction(
-        "k", (HpoAssertion(TermId("HP:0011172"), 0.5, ""), HpoAssertion(TermId("HP:0002373"), 0.5, ""))
+        "k",
+        (PhenotypeAssertion("k", TermId("HP:0011172"), 0.5, ""), PhenotypeAssertion("k", TermId("HP:0002373"), 0.5, "")),
     )
     b = HpoExtraction(
         "k",
         (
-            HpoAssertion(TermId("HP:0000729"), 0.5, ""),
-            HpoAssertion(TermId("HP:0001300"), 0.5, ""),
-            HpoAssertion(TermId("HP:0002063"), 0.5, ""),
+            PhenotypeAssertion("k", TermId("HP:0000729"), 0.5, ""),
+            PhenotypeAssertion("k", TermId("HP:0001300"), 0.5, ""),
+            PhenotypeAssertion("k", TermId("HP:0002063"), 0.5, ""),
         ),
     )
     assert len(merge_gleaned(a, b).assertions) == 5
@@ -376,7 +397,10 @@ def test_merge_ner_and_multilabel_union():
 
 def test_results_round_trip_through_their_records():
     ner = NerResult("d", frozenset({("aspirin", EntityType.CHEMICAL), ("nausea", EntityType.DISEASE)}))
-    hpo = HpoExtraction("p", (HpoAssertion(TermId("HP:0011172"), 0.9, "why"), HpoAssertion(TermId("HP:0001250"), 1.0)))
+    hpo = HpoExtraction(
+        "p",
+        (PhenotypeAssertion("p", TermId("HP:0011172"), 0.9, "why"), PhenotypeAssertion("p", TermId("HP:0001250"), 1.0)),
+    )
     labels = MultiLabelResult("d", frozenset({"OBESITY", "DEPRESSION"}))
     assert ner.to_record() == {
         "doc_id": "d",

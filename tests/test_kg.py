@@ -87,7 +87,7 @@ def test_notes_for_lists_notes_added_out_of_id_order_by_id_before_and_after_a_ro
     for loaded in (graph, load_graph(tmp_path / "graph.jsonl")):
         assert [note.note_id for note in loaded.notes_for("p1")] == ["n0", "n2", "n3", "n4"]
         assert [note.text for note in loaded.notes_for("p2")] == ["note n1"]
-        assert loaded.notes_for("p3") == []
+        assert loaded.notes_for("p3") == ()
 
 
 @pytest.mark.parametrize(
@@ -357,9 +357,9 @@ def test_save_load_save_round_trips_ingested_graphs_byte_identically(records):
 def test_patient_record_render_is_deterministic(demo_graph):
     key = demo_graph.patient_keys()[0]
     record = patient_record(demo_graph, key)
-    assert record.render() == patient_record(demo_graph, key).render()
-    assert f"Patient key: {key}" in record.render()
-    assert "ICD-10 codes:" in record.render()
+    assert record == patient_record(demo_graph, key) and record.doc_id == key
+    assert f"Patient key: {key}" in record.text
+    assert "ICD-10 codes:" in record.text
 
 
 def test_graph_equality_is_deep():
@@ -514,16 +514,14 @@ def test_notes_for_lists_a_patients_notes_by_id_around_an_add_note(n_notes, read
     if read_first:
         first = graph.notes_for("p1")
         assert [note.note_id for note in first] == before
-        first.clear()  # a returned list is the caller's own
-        assert [note.note_id for note in graph.notes_for("p1")] == before
+        assert graph.notes_for("p1") is first  # the index's own tuple, which no caller can change
     graph.add_note(NoteNode(new_id, "p1", f"note {new_id}"))
     after = graph.notes_for("p1")
     assert [note.note_id for note in after] == sorted([*before, new_id])
     assert [note.text for note in after] == [f"note {n}" for n in sorted([*before, new_id])]
-    after.append(after[0])
-    assert len(graph.notes_for("p1")) == n_notes + 1
+    assert graph.notes_for("p1") is after and len(after) == n_notes + 1
     assert [note.note_id for note in graph.notes_for("p2")] == ["n2"]
-    assert graph.notes_for("p3") == []
+    assert graph.notes_for("p3") == ()
     # the index holds every patient's notes as a tuple of the graph's own nodes
     held = graph._notes_by_patient
     assert held["p2"] == (graph._notes["n2"],) and held["p2"][0] is graph._notes["n2"]

@@ -141,6 +141,16 @@ def test_resolve_label_idempotent_under_normalization(name):
     assert resolve_label(_DRAVET, mangled) == resolve_label(_DRAVET, normalize_label(mangled))
 
 
+# every character ``str.isspace`` accepts (so ``str.split`` splits on), and one look-alike it does not
+_SPACES = [c for c in map(chr, range(0x110000)) if c.isspace()] + ["\u200b"]
+
+
+@given(st.text(st.one_of(st.characters(), st.sampled_from(_SPACES))))
+def test_normalize_label_equals_the_regex_whitespace_collapse(text):
+    # the NER surface normalizer that normalize_label replaced, kept here as the reference
+    assert normalize_label(text) == re.sub(r"\s+", " ", text).strip().casefold()
+
+
 def test_term_id_canonicalizes_prefix():
     assert TermId("hp:0011172") == "HP:0011172"
 

@@ -18,7 +18,6 @@ from phenokg.corpus import DEFAULT_LABEL_UNIVERSE, synthesize_fixture, synthesiz
 from phenokg.discovery import build_score_prompt, run_funnel
 from phenokg.extraction import (
     FewShotPolicy,
-    HpoAssertion,
     HpoExtraction,
     HpoTask,
     MultiLabelResult,
@@ -28,7 +27,7 @@ from phenokg.extraction import (
     PolicyMode,
     build_prompt,
 )
-from phenokg.kg import patient_record
+from phenokg.kg import PhenotypeAssertion, patient_record
 from phenokg.llm import ScriptedBackend
 from phenokg.retrieval import HashedEmbedder, build_index
 
@@ -74,10 +73,10 @@ def _cases(name: str):
         previous = [NerResult(q.document.doc_id, frozenset(s.mention for s in q.spans)) for q in queries]
         return NerTask(), [(s.document, list(s.spans)) for s in pool], docs, previous
     task = HpoTask(ontology, fixtures.dravet_allowed_terms(), fixtures.dravet_disease_context())
-    previous = [
-        HpoExtraction(q.document.doc_id, tuple(HpoAssertion(t, 0.75, "seen") for t in sorted(q.terms)))
-        for q in queries
-    ]
+    previous = []
+    for q in queries:
+        key = q.document.doc_id
+        previous.append(HpoExtraction(key, tuple(PhenotypeAssertion(key, t, 0.75, "seen") for t in sorted(q.terms))))
     return task, [(s.document, s.terms) for s in pool], docs, previous
 
 

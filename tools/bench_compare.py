@@ -1,12 +1,14 @@
 """A/B comparison of two revisions on one benchmark workload.
 
-    python3 tools/bench_compare.py --base REV --head REV --workload W --pairs N --seed S [--smoke]
+    python3 tools/bench_compare.py --base REV --head REV --workload W --pairs N --seed S [--control] [--smoke]
 
 Each revision is checked out with ``git worktree add --detach`` under
 ``.bench_build/worktrees/<sha>``, and the worktrees are removed on exit. Each
 pair runs both revisions' own ``perfbench/run.py`` for ``BENCHMARK.json``'s
-``run_seconds``, in alternating order: odd pairs run the base first. ``--smoke``
-runs the benchmark's toy sizes for zero seconds, to check the tool itself.
+``run_seconds``, in alternating order: odd pairs run the base first. With
+``--control`` each pair also runs the base a second time, and the order of the
+three runs rotates from pair to pair. ``--smoke`` runs the benchmark's toy
+sizes for zero seconds, to check the tool itself.
 
 For every end-to-end metric of ``BENCHMARK.json`` the tool prints each side's
 median, quartiles and min-max, the head's wins out of N pairs, a verdict and
@@ -15,7 +17,9 @@ whether the head's median stays within the metric's bound. The verdict is
 further from the base's than the base's interquartile range, "worse" when the
 same holds the other way, and "unresolved" otherwise. A bound is a relative
 change of the median in the worse direction (an absolute one when the base's
-median is 0).
+median is 0). With ``--control`` the second base runs are judged against the
+first in the same way, and that A/A verdict and bound check print beside each
+A/B result: how far unchanged code moves on this machine.
 
 One entry per comparison is appended to ``BENCH_<workload>.json`` (a JSON list)
 at the repository root, or in ``--out`` if given.
@@ -72,6 +76,12 @@ def judge(metric: dict, base: list[float], head: list[float]) -> dict:
     }
 
 
+def run_order(sides: list[str], pair: int) -> list[str]:
+    """The order in which pair ``pair`` (from 0) runs ``sides``: rotated one place further each pair."""
+    k = pair % len(sides)
+    return sides[k:] + sides[:k]
+
+
 def _run(tree: Path, workload: str, seed: int, smoke: bool) -> dict:
     seconds = 0 if smoke else SPEC["run_seconds"]
     cmd = [sys.executable, str(tree / "perfbench" / "run.py"), "--workload", workload, "--seed", str(seed)]
@@ -89,18 +99,26 @@ def _fmt(s: dict) -> str:
     return f"{s['median']:.4g} [{s['q1']:.4g}-{s['q3']:.4g}] ({s['min']:.4g}-{s['max']:.4g})"
 
 
+def _bound(m: dict) -> str:
+    return f"{'pass' if m['within_bound'] else 'FAIL'} ({m['bound']:g})"
+
+
 def _report(entry: dict) -> str:
+    control = entry["control"]
     lines = [
         f"{entry['workload']} seed {entry['seed']}, {entry['pairs']} pairs: "
         f"base {entry['base'][:10]}, head {entry['head'][:10]}",
-        "metric: base median [q1-q3] (min-max) | head median [q1-q3] (min-max) | head wins | verdict | bound",
+        "metric: base median [q1-q3] (min-max) | head median [q1-q3] (min-max) | head wins | verdict | bound"
+        + (" | A/A verdict | A/A bound" if control else ""),
     ]
     for name, m in entry["metrics"].items():
-        bound = f"{'pass' if m['within_bound'] else 'FAIL'} ({m['bound']:g})"
-        lines.append(
+        line = (
             f"{name} ({m['unit']}): {_fmt(m['base'])} | {_fmt(m['head'])} | "
-            f"{m['head_wins']}/{entry['pairs']} | {m['verdict']} | {bound}"
+            f"{m['head_wins']}/{entry['pairs']} | {m['verdict']} | {_bound(m)}"
         )
+        if control:
+            line += f" | {control[name]['verdict']} | {_bound(control[name])}"
+        lines.append(line)
     return "\n".join(lines)
 
 
@@ -118,6 +136,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("--workload", required=True, choices=[w["name"] for w in SPEC["workloads"]])
     parser.add_argument("--pairs", type=int, required=True)
     parser.add_argument("--seed", type=int, required=True)
+    parser.add_argument("--control", action="store_true", help="also run the base again in each pair (A/A)")
     parser.add_argument("--smoke", action="store_true", help="toy sizes for zero seconds: checks the tool only")
     parser.add_argument("--out", type=Path, default=ROOT, help="directory of BENCH_<workload>.json")
     args = parser.parse_args(argv)
@@ -135,14 +154,22 @@ def main(argv: list[str] | None = None) -> int:
             _git("worktree", "prune")
             _git("worktree", "add", "--detach", str(tree), sha)
             trees[sha] = tree
-        runs: dict[str, list[dict]] = {"base": [], "head": []}
-        for pair in range(1, args.pairs + 1):
-            for side in ("base", "head") if pair % 2 else ("head", "base"):
-                runs[side].append(_run(trees[shas[side]], args.workload, args.seed, args.smoke))
+        sides = ["base", "head", "control"] if args.control else ["base", "head"]
+        runs: dict[str, list[dict]] = {side: [] for side in sides}
+        for pair in range(args.pairs):
+            for side in run_order(sides, pair):
+                tree = trees[shas["head" if side == "head" else "base"]]
+                runs[side].append(_run(tree, args.workload, args.seed, args.smoke))
     finally:
         for tree in trees.values():
             _git("worktree", "remove", "--force", str(tree))
         _git("worktree", "prune")
+
+    def judged(side: str) -> dict:
+        return {
+            m["name"]: judge(m, [r[m["name"]] for r in runs["base"]], [r[m["name"]] for r in runs[side]])
+            for m in SPEC["end_to_end"]
+        }
 
     entry = {
         "base": shas["base"],
@@ -154,10 +181,8 @@ def main(argv: list[str] | None = None) -> int:
         "pairs": args.pairs,
         "seconds": 0 if args.smoke else SPEC["run_seconds"],
         "smoke": args.smoke,
-        "metrics": {
-            m["name"]: judge(m, [r[m["name"]] for r in runs["base"]], [r[m["name"]] for r in runs["head"]])
-            for m in SPEC["end_to_end"]
-        },
+        "metrics": judged("head"),
+        "control": judged("control") if args.control else None,
     }
     print(_report(entry))
     _append(args.out / f"BENCH_{args.workload}.json", entry)

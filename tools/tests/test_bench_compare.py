@@ -1,4 +1,4 @@
-"""Smoke test of the A/B comparer: HEAD against itself, one toy-size pair.
+"""Smoke test of the A/B comparer: HEAD against itself, one toy-size pair, then again with an A/A control.
 
 Run from the repository root with ``python3 -m pytest tools/tests``.
 """
@@ -14,7 +14,7 @@ TOOL = Path(__file__).resolve().parent.parent / "bench_compare.py"
 ROOT = TOOL.parent.parent
 sys.path.insert(0, str(TOOL.parent))
 
-from bench_compare import SPEC, judge  # noqa: E402
+from bench_compare import SPEC, judge, run_order  # noqa: E402
 
 METRIC = {"name": "m", "unit": "s", "better": "lower", "bound": 0.1}
 
@@ -23,11 +23,12 @@ def test_head_against_itself_appends_one_entry_and_removes_its_worktree(tmp_path
     head = subprocess.run(["git", "rev-parse", "HEAD"], cwd=ROOT, check=True, capture_output=True, text=True)
     cmd = [sys.executable, str(TOOL), "--base", "HEAD", "--head", "HEAD", "--workload", "discover-replay"]
     cmd += ["--pairs", "1", "--seed", "3", "--smoke", "--out", str(tmp_path)]
-    for _ in range(2):
-        proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    for extra in ([], ["--control"]):
+        proc = subprocess.run(cmd + extra, cwd=ROOT, capture_output=True, text=True, timeout=600)
         assert proc.returncode == 0, proc.stderr
     entries = json.loads((tmp_path / "BENCH_discover-replay.json").read_text(encoding="utf-8"))
     assert len(entries) == 2
+    assert entries[0]["control"] is None
     entry = entries[-1]
     assert entry["base"] == entry["head"] == head.stdout.strip()
     assert {k: entry[k] for k in ("workload", "seed", "pairs", "seconds", "smoke")} == {
@@ -40,9 +41,23 @@ def test_head_against_itself_appends_one_entry_and_removes_its_worktree(tmp_path
         assert len(m["base"]["values"]) == len(m["head"]["values"]) == 1
         assert m["base"]["iqr"] == 0 and m["head_wins"] in (0, 1)
         assert name in proc.stdout
+        control = entry["control"][name]
+        assert control["verdict"] in ("better", "worse", "unresolved") and isinstance(control["within_bound"], bool)
+        assert control["base"] == m["base"] and len(control["head"]["values"]) == 1
+    assert list(entry["control"]) == list(entry["metrics"])
+    assert "A/A verdict" in proc.stdout
     assert not (ROOT / ".bench_build" / "worktrees" / entry["head"]).exists()
     listed = subprocess.run(["git", "worktree", "list"], cwd=ROOT, check=True, capture_output=True, text=True)
     assert entry["head"] not in listed.stdout.replace(str(ROOT), "")
+
+
+def test_run_order_alternates_two_sides_and_rotates_three():
+    assert [run_order(["base", "head"], pair) for pair in range(3)] == [
+        ["base", "head"], ["head", "base"], ["base", "head"],
+    ]
+    assert [run_order(["base", "head", "control"], pair) for pair in range(3)] == [
+        ["base", "head", "control"], ["head", "control", "base"], ["control", "base", "head"],
+    ]
 
 
 def test_verdicts_need_nine_wins_in_ten_and_a_gap_wider_than_the_base_iqr():
