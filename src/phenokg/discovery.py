@@ -10,9 +10,9 @@ kept, and each survivor's record is rebuilt for extraction. A patient record
 is the ``corpus.Document`` that ``kg.patient_record`` renders: a score
 prompt's user message is its text, and extraction reads it as it is. A score
 prompt's system part is the rubric's, rendered once per rubric from the
-score template. Per-patient
-failures are audited in key order and skipped; a sweep over tens of
-thousands of candidates must never abort on one bad response.
+score template. Per-patient failures are audited in key order and skipped;
+a sweep over tens of thousands of candidates must never abort on one bad
+response.
 """
 
 from __future__ import annotations
@@ -207,9 +207,10 @@ def run_funnel(
     and skipped. The dispatcher's results hold an int score or a frameless
     ``PhenoKGError`` per candidate; one loop over them counts the scores and
     keeps only the survivors' (key -> score), in key order. Each survivor's
-    record is rebuilt with ``patient_record`` and extracted from as it is. ``min_assertions`` optionally
-    demands that many high-confidence assertions as a hard filter (off by
-    default: phenotype extraction is a ranking input, not a second gate).
+    record is rebuilt with ``patient_record`` and extracted from as it is.
+    ``min_assertions`` optionally demands that many high-confidence
+    assertions as a hard filter (off by default: phenotype extraction is a
+    ranking input, not a second gate).
     """
     if not 0 <= threshold <= 9:
         raise DomainError(f"threshold {threshold} outside [0, 9]")
