@@ -440,6 +440,41 @@ def test_manifests_record_the_defaults_a_run_used(tmp_path, ner_corpus, graph_fi
     assert {key: _manifest_config(out)[key] for key in expected} == expected
 
 
+@pytest.fixture()
+def command_inputs(tmp_path, ner_corpus, ontology_file, graph_file, annotations_file):
+    """Every input file the output-directory commands read, by name, for ``str.format`` in a flag list."""
+    corpus, cassette = ner_corpus
+    rubric = tmp_path / "rubric.json"
+    rubric.write_text(json.dumps(dataclasses.asdict(fixtures.bpan_rubric())))
+    gold, pred = tmp_path / "gold.jsonl", tmp_path / "pred.jsonl"
+    gold.write_text(json.dumps({"doc_id": "d1", "text": "an obese patient", "labels": ["OBESITY"]}) + "\n")
+    pred.write_text(json.dumps({"doc_id": "d1", "labels": ["OBESITY"]}) + "\n")
+    return {"corpus": corpus, "cassette": cassette, "ontology": ontology_file, "graph": graph_file,
+            "annotations": annotations_file, "rubric": rubric, "gold": gold, "pred": pred}
+
+
+# (command, exit code, flags); extract and discover run on an empty cassette, so they extract nothing and exit 1
+MANIFEST_RUNS = [
+    ("ontology stats", 0, ["--ontology", "{ontology}"]),
+    ("corpus synth", 0, ["--kind", "multilabel"]),
+    ("extract", 1, ["--task", "ner", "--corpus", "{corpus}", "--cassette", "{cassette}"]),
+    ("eval", 0, ["--task", "multilabel", "--gold", "{gold}", "--pred", "{pred}"]),
+    ("kg build", 0, ["--records", "{graph}"]),
+    ("kg query", 0, ["--graph", "{graph}", "--keyword", "BPAN"]),
+    ("cohort-freq", 0, ["--graph", "{graph}", "--ontology", "{ontology}", "--annotations", "{annotations}",
+                        "--icd", "G40.83"]),
+    ("discover", 1, ["--graph", "{graph}", "--ontology", "{ontology}", "--rubric", "{rubric}",
+                     "--keyword", "BPAN", "--cassette", "{cassette}"]),
+]
+
+
+@pytest.mark.parametrize("command, code, flags", MANIFEST_RUNS, ids=[command for command, _, _ in MANIFEST_RUNS])
+def test_each_command_names_itself_in_its_manifest(tmp_path, command_inputs, capsys, command, code, flags):
+    out = tmp_path / "out"
+    assert run_cli([*command.split(), *(flag.format(**command_inputs) for flag in flags), "--out", out]) == code
+    assert json.loads((out / "manifest.json").read_text())["command"] == command
+
+
 def test_a_config_string_goes_through_the_flag_type(tmp_path, ner_corpus, monkeypatch, capsys):
     corpus, cassette = ner_corpus
     config = tmp_path / "run.yaml"
