@@ -1,11 +1,13 @@
 """Command-line surface: reproducible runs with a manifest per output directory.
 
-Every command that writes artifacts takes ``--out DIR`` and drops a
-``manifest.json`` (every value the run used, input hashes, versions) next
-to its outputs, so a run can be reproduced from the manifest plus the
-referenced files. A ``--config`` YAML file sets the command's defaults,
-each value parsed as its flag parses it; explicit flags override it.
-Failures print a machine-readable JSON error to stderr and exit nonzero.
+Every command that writes artifacts takes ``--out DIR``. Once a command
+has made that directory, ``main`` writes ``manifest.json`` there on exit,
+success or failure: the command, every value the run used (an HTTP run's
+endpoint as it posted to it, never the API key), input hashes and
+versions, so a run can be reproduced from the manifest plus the referenced
+files. A ``--config`` YAML file sets the command's defaults, each value
+parsed as its flag parses it; explicit flags override it. Failures print a
+machine-readable JSON error to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -48,7 +50,7 @@ from .extraction import (
 from .fixtures import GROUP_SUBTREE_ROOTS
 from .jsonl import csv_table, expect_number, expect_type, iter_jsonl, write_atomic, write_jsonl
 from .kg import cohort_by_icd, keyword_search, load_graph, save_graph
-from .llm import BackendConfig, CassetteBackend, ChatRequest, complete_batch, make_backend
+from .llm import BackendConfig, CassetteBackend, ChatRequest, _effective_endpoint, complete_batch, make_backend
 from .ontology import TermId, load_annotations, load_ontology, read_tsv
 from .retrieval import HashedEmbedder, build_index
 
@@ -61,11 +63,13 @@ def _sha256(path: Path) -> str:
     return digest.hexdigest()
 
 
-def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> None:
+def _write_manifest(out_dir: Path, args: argparse.Namespace) -> None:
     """Write ``manifest.json``: every value the run used, and the SHA-256 of every input file it was given."""
     config = {k: v for k, v in sorted(vars(args).items()) if k != "handler" and not k.startswith("_")}
+    if config.get("backend_kind") == "http":  # where HttpBackend posted; the API key is never written
+        config["endpoint"] = _effective_endpoint(config["endpoint"])
     manifest = {
-        "command": command,
+        "command": args._parser.prog.split(" ", 1)[1],  # "phenokg kg build" -> "kg build"
         "config": {k: (str(v) if isinstance(v, Path) else v) for k, v in config.items()},
         "inputs": {name: {"path": str(p), "sha256": _sha256(p)} for name, p in config.items() if isinstance(p, Path)},
         "versions": {"phenokg": __version__, "python": platform.python_version()},
@@ -74,8 +78,10 @@ def _write_manifest(out_dir: Path, command: str, args: argparse.Namespace) -> No
 
 
 def _out_dir(args) -> Path:
+    """Make the command's output directory and record it as ``args._out``, where ``main`` writes the manifest."""
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    args._out = out
     return out
 
 
@@ -119,7 +125,6 @@ def cmd_ontology_stats(args) -> None:
     if args.out:
         out = _out_dir(args)
         write_atomic(out / "stats.json", [json.dumps(stats, indent=2, sort_keys=True) + "\n"])
-        _write_manifest(out, "ontology stats", args)
 
 
 def cmd_corpus_synth(args) -> None:
@@ -136,7 +141,6 @@ def cmd_corpus_synth(args) -> None:
     else:
         corpus = synthesize_multilabel_fixture(args.seed, args.n_docs, args.labels_per_doc, _universe(args))
         save_multilabel_gold(corpus, out / "corpus.jsonl")
-    _write_manifest(out, "corpus synth", args)
     print(f"wrote {args.n_docs} documents to {out}")
 
 
@@ -189,7 +193,6 @@ def cmd_extract(args) -> None:
     out = _out_dir(args)
     write_jsonl(out / "predictions.jsonl", (json.dumps(results[key].to_record()) for key in sorted(results)))
     audit.save(out / "audit.jsonl")
-    _write_manifest(out, "extract", args)
     if documents and not results:
         raise PhenoKGError(f"extracted 0/{len(documents)} documents; see {out / 'audit.jsonl'}")
     print(f"extracted {len(results)}/{len(documents)} documents -> {out / 'predictions.jsonl'}")
@@ -217,7 +220,6 @@ def cmd_eval(args) -> None:
     suffix = "csv" if args.format == "csv" else "md"
     write_atomic(out / f"report.{suffix}", [text])
     write_atomic(out / "report.json", [report.to_json() + "\n"])
-    _write_manifest(out, "eval", args)
     print(text, end="")
 
 
@@ -228,7 +230,6 @@ def cmd_kg_build(args) -> None:
     out = _out_dir(args)
     save_graph(graph, out / "graph.jsonl")
     write_atomic(out / "counts.json", [json.dumps(graph.counts(), indent=2, sort_keys=True) + "\n"])
-    _write_manifest(out, "kg build", args)
     print(json.dumps(graph.counts(), sort_keys=True))
 
 
@@ -250,7 +251,6 @@ def cmd_kg_query(args) -> None:
     if args.out:
         out = _out_dir(args)
         write_atomic(out / "query.json", [json.dumps(result, indent=2, sort_keys=True) + "\n"])
-        _write_manifest(out, "kg query", args)
 
 
 def cmd_cohort_freq(args) -> None:
@@ -280,7 +280,6 @@ def cmd_cohort_freq(args) -> None:
         "counts": {t: c for t, c in sorted(frequencies.counts.items())},
     }
     write_atomic(out / "frequencies.json", [json.dumps(payload, indent=2, sort_keys=True) + "\n"])
-    _write_manifest(out, "cohort-freq", args)
     print(f"cohort size {frequencies.cohort_size}; wrote {out / 'heatmap.csv'}")
 
 
@@ -311,7 +310,6 @@ def cmd_discover(args) -> None:
     write_atomic(out / "funnel.json", [report.to_json() + "\n"])
     write_atomic(out / "funnel.md", [report.to_markdown()])
     audit.save(out / "audit.jsonl")
-    _write_manifest(out, "discover", args)
     stages = dict(report.stage_counts)
     if stages["candidates"] and not stages["scored"]:
         raise ScoringError(f"scored 0/{stages['candidates']} candidates; see {out / 'audit.jsonl'}")
@@ -491,29 +489,28 @@ def _config_defaults(path: Path, command: argparse.ArgumentParser) -> dict:
 
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
+    args = argparse.Namespace()
     try:
-        args = parser.parse_args(argv)
-        handler = getattr(args, "handler", None)
-        if handler is None:
-            parser.print_help()
-            return 2
-        if args.config:
-            # the file's typed values become the command's defaults, so explicit flags win
-            args._parser.set_defaults(**_config_defaults(args.config, args._parser))
+        try:
             args = parser.parse_args(argv)
-        handler(args)
-        return 0
-    except PhenoKGError as exc:
+            handler = getattr(args, "handler", None)
+            if handler is None:
+                parser.print_help()
+                return 2
+            if args.config:
+                # the file's typed values become the command's defaults, so explicit flags win
+                args._parser.set_defaults(**_config_defaults(args.config, args._parser))
+                args = parser.parse_args(argv)
+            handler(args)
+            return 0
+        finally:
+            if hasattr(args, "_out"):  # the command made its output directory: record the run there
+                _write_manifest(args._out, args)
+    except (PhenoKGError, OSError, ValueError, KeyError) as exc:
         payload = {"error": type(exc).__name__, "message": str(exc)}
         if isinstance(exc, ConfigError):
             payload["problems"] = exc.problems
         print(json.dumps(payload, sort_keys=True), file=sys.stderr)
-        return 1
-    except (OSError, ValueError, KeyError) as exc:
-        print(
-            json.dumps({"error": type(exc).__name__, "message": str(exc)}, sort_keys=True),
-            file=sys.stderr,
-        )
         return 1
 
 

@@ -177,19 +177,14 @@ def _placeholder_pattern(names: tuple[str, ...]) -> re.Pattern:
     return re.compile("|".join(re.escape("{" + name + "}") for name in names))
 
 
-def substitute(template: str, **placeholders: str) -> str:
-    """Replace literal {name} tokens in a single pass over the template.
+def render_template(name: str, **placeholders: str) -> str:
+    """The system prompt: the bundled template ``name`` with its literal {name} tokens replaced in a single pass.
 
     JSON braces in template bodies survive, and placeholder-like tokens
     inside substituted values are never re-substituted.
     """
     pattern = _placeholder_pattern(tuple(placeholders))
-    return pattern.sub(lambda match: placeholders[match.group(0)[1:-1]], template)
-
-
-def render_template(name: str, **placeholders: str) -> str:
-    """The system prompt: the bundled template ``name`` with its placeholders ``substitute``d."""
-    return substitute(load_template(name), **placeholders).strip() + "\n"
+    return pattern.sub(lambda match: placeholders[match.group(0)[1:-1]], load_template(name)).strip() + "\n"
 
 
 class NerTask:

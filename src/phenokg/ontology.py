@@ -207,12 +207,6 @@ class Ontology:
             stack.extend(self._terms[parent].parents)
         return seen
 
-    def lookup_name(self, text: str) -> list[TermId]:
-        return list(self._by_name.get(normalize_label(text), []))
-
-    def lookup_synonym(self, text: str) -> list[TermId]:
-        return list(self._by_synonym.get(normalize_label(text), []))
-
 
 def resolve_label(ontology: Ontology, text: str) -> list[TermId]:
     """Exact (case-folded, whitespace-normalized) label match; names, then synonyms.
@@ -221,11 +215,8 @@ def resolve_label(ontology: Ontology, text: str) -> list[TermId]:
     ascending id within each tier. No fuzzy matching: empty result means
     no exact match and is not an error.
     """
-    matches = ontology.lookup_name(text)
-    for term_id in ontology.lookup_synonym(text):
-        if term_id not in matches:
-            matches.append(term_id)
-    return matches
+    label = normalize_label(text)
+    return list(dict.fromkeys(ontology._by_name.get(label, []) + ontology._by_synonym.get(label, [])))
 
 
 def _parse_quoted(value: str, line_no: int, tag: str) -> str:

@@ -788,6 +788,42 @@ def test_cassette_record_writes_a_duplicated_request_once(tmp_path, capsys):
     assert capsys.readouterr().out == f"recorded 1 responses -> {out_path}\n"
 
 
+def test_an_http_manifest_names_the_endpoint_the_run_posted_to_and_never_the_key(
+    tmp_path, dravet_ontology, ontology_file, monkeypatch, capsys
+):
+    corpus = tmp_path / "corpus.jsonl"
+    save_hpo_gold([(d.document, d.terms) for d in synthesize_fixture(4, dravet_ontology, 1, 1)], corpus)
+    key = "sk-do-not-write-me"
+    monkeypatch.setenv("PHENOKG_API_KEY", key)
+    flags = ["extract", "--task", "hpo", "--corpus", corpus, "--ontology", ontology_file,
+             "--endpoint", "http://flag.invalid/x"]
+    with _chat_stub() as endpoint:
+        monkeypatch.setenv("PHENOKG_ENDPOINT_URL", endpoint)
+        # the stub answers "reply 1", which is no JSON object, so the one document fails and the run exits 1
+        assert run_cli([*flags, "--backend-kind", "http", "--out", tmp_path / "http"]) == 1
+    audit = [json.loads(line) for line in (tmp_path / "http" / "audit.jsonl").read_text().splitlines()]
+    assert [entry["event"] for entry in audit] == ["document_round_failed"]
+    manifest = (tmp_path / "http" / "manifest.json").read_text()
+    assert json.loads(manifest)["config"]["endpoint"] == endpoint
+    assert key not in manifest
+
+    cassette = tmp_path / "empty.jsonl"
+    CassetteBackend().save(cassette)
+    assert run_cli([*flags, "--cassette", cassette, "--out", tmp_path / "replay"]) == 1
+    assert _manifest_config(tmp_path / "replay")["endpoint"] == "http://flag.invalid/x"
+
+
+def test_a_run_whose_output_write_fails_still_leaves_its_manifest(tmp_path, graph_file, monkeypatch, capsys):
+    def disk_full(graph, path):
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(cli, "save_graph", disk_full)
+    out = tmp_path / "kg"
+    assert run_cli(["kg", "build", "--records", graph_file, "--out", out]) == 1
+    assert json.loads(capsys.readouterr().err) == {"error": "OSError", "message": "[Errno 28] No space left on device"}
+    assert json.loads((out / "manifest.json").read_text())["command"] == "kg build"
+
+
 def _malformed_input_error(code, capsys, path, line_no):
     """Check a run that exited 1 with a JSON error naming ``path`` and its line; return the error."""
     assert code == 1

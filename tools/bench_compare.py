@@ -17,7 +17,9 @@ whether the head's median stays within the metric's bound. The verdict is
 further from the base's than the base's interquartile range, "worse" when the
 same holds the other way, and "unresolved" otherwise. A bound is a relative
 change of the median in the worse direction (an absolute one when the base's
-median is 0). With ``--control`` the second base runs are judged against the
+median is 0). Beside the bound check the tool prints the gap between the
+medians as a signed fraction of the bound: positive in the worse direction, and
+above 1 when the bound fails. With ``--control`` the second base runs are judged against the
 first in the same way, and that A/A verdict and bound check print beside each
 A/B result: how far unchanged code moves on this machine.
 
@@ -73,6 +75,7 @@ def judge(metric: dict, base: list[float], head: list[float]) -> dict:
     return {
         "unit": metric["unit"], "better": metric["better"], "bound": metric["bound"],
         "base": b, "head": h, "head_wins": wins, "verdict": verdict, "within_bound": gap <= limit,
+        "gap_of_bound": gap / limit,
     }
 
 
@@ -100,7 +103,7 @@ def _fmt(s: dict) -> str:
 
 
 def _bound(m: dict) -> str:
-    return f"{'pass' if m['within_bound'] else 'FAIL'} ({m['bound']:g})"
+    return f"{'pass' if m['within_bound'] else 'FAIL'} ({m['bound']:g}; gap {m['gap_of_bound']:+.2g} of it)"
 
 
 def _report(entry: dict) -> str:

@@ -37,7 +37,7 @@ def test_head_against_itself_appends_one_entry_and_removes_its_worktree(tmp_path
     assert set(entry) >= {"date", "python", "metrics"}
     assert list(entry["metrics"]) == [m["name"] for m in SPEC["end_to_end"]]
     for name, m in entry["metrics"].items():
-        assert m["verdict"] in ("better", "worse", "unresolved")
+        assert m["verdict"] in ("better", "worse", "unresolved") and isinstance(m["gap_of_bound"], float)
         assert len(m["base"]["values"]) == len(m["head"]["values"]) == 1
         assert m["base"]["iqr"] == 0 and m["head_wins"] in (0, 1)
         assert name in proc.stdout
@@ -75,3 +75,12 @@ def test_verdicts_need_nine_wins_in_ten_and_a_gap_wider_than_the_base_iqr():
     close = [v - 0.01 for v in base]
     assert judge(METRIC, base, close)["verdict"] == "unresolved"
     assert judge(METRIC, base, close)["within_bound"] is True
+
+
+def test_the_gap_is_reported_as_a_signed_fraction_of_the_bound():
+    # kg-cohort peak_rss_mb at 7ba63ef: "worse" by 0.13% against a 15% bound
+    metric = {**METRIC, "bound": 0.15}
+    base, head = [99.9, 100.0, 100.1], [100.03, 100.13, 100.23]
+    assert abs(judge(metric, base, head)["gap_of_bound"] - 0.13 / 15) < 1e-9
+    assert abs(judge({**metric, "better": "higher"}, base, head)["gap_of_bound"] + 0.13 / 15) < 1e-9
+    assert judge(METRIC, [10.0], [11.1])["gap_of_bound"] > 1  # the bound check fails exactly above 1
