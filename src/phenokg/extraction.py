@@ -178,7 +178,7 @@ def _placeholder_pattern(names: tuple[str, ...]) -> re.Pattern:
 
 
 def render_template(name: str, **placeholders: str) -> str:
-    """The system prompt: the bundled template ``name`` with its literal {name} tokens replaced in a single pass.
+    """The system prompt: the bundled template ``name``, each ``{key}`` of ``placeholders`` replaced in one pass.
 
     JSON braces in template bodies survive, and placeholder-like tokens
     inside substituted values are never re-substituted.

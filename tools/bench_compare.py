@@ -19,9 +19,9 @@ same holds the other way, and "unresolved" otherwise. A bound is a relative
 change of the median in the worse direction (an absolute one when the base's
 median is 0). Beside the bound check the tool prints the gap between the
 medians as a signed fraction of the bound: positive in the worse direction, and
-above 1 when the bound fails. With ``--control`` the second base runs are judged against the
-first in the same way, and that A/A verdict and bound check print beside each
-A/B result: how far unchanged code moves on this machine.
+above 1 when the bound fails. With ``--control`` the second base runs are judged
+against the first in the same way, and that A/A verdict and bound check print
+beside each A/B result: how far unchanged code moves on this machine.
 
 One entry per comparison is appended to ``BENCH_<workload>.json`` (a JSON list)
 at the repository root, or in ``--out`` if given.
